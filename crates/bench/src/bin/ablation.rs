@@ -16,30 +16,13 @@ use tmu::{TmuAccelerator, TmuConfig};
 use tmu_bench::runner::{bench_row, EngineVariant, InputSpec, Job, Runner};
 use tmu_bench::Report;
 use tmu_kernels::spmv::{Spmv, SpmvHandler};
-use tmu_sim::{MemSys, MemSysConfig, OpKind};
+use tmu_sim::drive_standalone;
 use tmu_tensor::gen;
-
-use tmu_sim::Accelerator;
 
 fn engine_cycles(w: &Spmv, prog: Arc<tmu::Program>, cfg: TmuConfig) -> u64 {
     let handler = SpmvHandler::new(w.x_region(), 0);
     let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0));
-    let mut mem = MemSys::new(MemSysConfig::table5(1));
-    let mut now = 0u64;
-    let mut sink = Vec::new();
-    while !accel.done() {
-        accel.tick(now, 0, &mut mem);
-        accel.drain_ops(&mut sink);
-        for op in &sink {
-            if let OpKind::ChunkEnd { chunk } = op.kind {
-                accel.ack_chunk(chunk, now);
-            }
-        }
-        sink.clear();
-        now += 1;
-        assert!(now < 100_000_000, "engine must terminate");
-    }
-    now
+    drive_standalone(&mut accel, 100_000_000).expect("engine must terminate")
 }
 
 fn main() -> std::process::ExitCode {

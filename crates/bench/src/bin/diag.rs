@@ -10,8 +10,7 @@ use std::sync::Arc;
 use tmu::{TmuAccelerator, TmuConfig};
 use tmu_kernels::spmv::{Spmv, SpmvHandler};
 use tmu_kernels::workload::Workload;
-use tmu_sim::{configs, CoreConfig};
-use tmu_sim::{Accelerator, MemSys, MemSysConfig, OpKind, SystemConfig};
+use tmu_sim::{configs, drive_standalone, CoreConfig, MemSysConfig, SystemConfig};
 use tmu_tensor::gen;
 
 fn main() -> std::process::ExitCode {
@@ -30,24 +29,10 @@ fn run() {
     let handler = SpmvHandler::new(w.x_region(), 0);
     let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0));
     eprintln!("queue depths: {:?}", accel.queue_depths());
-    let mut mem = MemSys::new(MemSysConfig::table5(1));
-    let mut now = 0u64;
-    let mut sink = Vec::new();
-    while !accel.done() {
-        accel.tick(now, 0, &mut mem);
-        accel.drain_ops(&mut sink);
-        for op in &sink {
-            if let OpKind::ChunkEnd { chunk } = op.kind {
-                accel.ack_chunk(chunk, now);
-            }
-        }
-        sink.clear();
-        now += 1;
-        if now > 100_000_000 {
-            println!("engine probe: TIMEOUT");
-            return;
-        }
-    }
+    let Ok(now) = drive_standalone(&mut accel, 100_000_000) else {
+        println!("engine probe: TIMEOUT");
+        return;
+    };
     println!(
         "engine probe: cycles={} nnz={} cyc/nnz={:.2} counters(idle,cap,dep,gate)={:?} entries={}",
         now,

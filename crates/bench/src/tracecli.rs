@@ -1,5 +1,5 @@
 //! Implementation of the `trace` binary: runs one runner-grid job with a
-//! process-global [`tmu_trace::Tracer`] installed and writes Chrome
+//! [`tmu_trace::Tracer`] installed on its thread and writes Chrome
 //! trace-event JSON under `results/`.
 //!
 //! Lives in the library so both the workspace-root `trace` bin

@@ -1126,7 +1126,9 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
 mod tests {
     use super::*;
     use crate::program::{Event, LayerMode, ProgramBuilder, StreamTy};
-    use tmu_sim::{configs, AddressMap, CoreConfig, MemSysConfig, System, SystemConfig};
+    use tmu_sim::{
+        configs, drive_standalone, AddressMap, CoreConfig, MemSysConfig, System, SystemConfig,
+    };
 
     /// SpMV P1 handler: Figure 6 callbacks.
     struct SpmvHandler {
@@ -1259,23 +1261,7 @@ mod tests {
     #[test]
     fn handler_computes_reference_result() {
         let (mut accel, reference) = spmv_accel(2);
-        // Run standalone against a private memory system.
-        let mut mem = MemSys::new(MemSysConfig::table5(1));
-        let mut now = 0u64;
-        let mut sink = Vec::new();
-        while !accel.done() {
-            accel.tick(now, 0, &mut mem);
-            accel.drain_ops(&mut sink);
-            // Ack chunks immediately (infinitely fast core).
-            for op in &sink {
-                if let OpKind::ChunkEnd { chunk } = op.kind {
-                    accel.ack_chunk(chunk, now);
-                }
-            }
-            sink.clear();
-            now += 1;
-            assert!(now < 5_000_000, "engine must terminate");
-        }
+        drive_standalone(&mut accel, 5_000_000).expect("engine must terminate");
         let x = &accel.handler.x;
         assert_eq!(x.len(), reference.len());
         for (got, want) in x.iter().zip(&reference) {
@@ -1308,21 +1294,7 @@ mod tests {
     fn more_lanes_do_not_change_results() {
         for lanes in [1, 4, 8] {
             let (mut accel, reference) = spmv_accel(lanes);
-            let mut mem = MemSys::new(MemSysConfig::table5(1));
-            let mut now = 0u64;
-            let mut sink = Vec::new();
-            while !accel.done() {
-                accel.tick(now, 0, &mut mem);
-                accel.drain_ops(&mut sink);
-                for op in &sink {
-                    if let OpKind::ChunkEnd { chunk } = op.kind {
-                        accel.ack_chunk(chunk, now);
-                    }
-                }
-                sink.clear();
-                now += 1;
-                assert!(now < 5_000_000);
-            }
+            drive_standalone(&mut accel, 5_000_000).expect("engine must terminate");
             for (got, want) in accel.handler.x.iter().zip(&reference) {
                 assert!((got - want).abs() < 1e-9, "lanes={lanes}: {got} vs {want}");
             }
@@ -1332,21 +1304,7 @@ mod tests {
     /// Drives an engine standalone to completion (infinitely fast core),
     /// returning the result vector and the cycle count.
     fn drive_to_done(accel: &mut TmuAccelerator<SpmvHandler>) -> (Vec<f64>, u64) {
-        let mut mem = MemSys::new(MemSysConfig::table5(1));
-        let mut now = 0u64;
-        let mut sink = Vec::new();
-        while !accel.done() {
-            accel.tick(now, 0, &mut mem);
-            accel.drain_ops(&mut sink);
-            for op in &sink {
-                if let OpKind::ChunkEnd { chunk } = op.kind {
-                    accel.ack_chunk(chunk, now);
-                }
-            }
-            sink.clear();
-            now += 1;
-            assert!(now < 5_000_000, "engine must terminate");
-        }
+        let now = drive_standalone(accel, 5_000_000).expect("engine must terminate");
         (accel.handler.x.clone(), now)
     }
 

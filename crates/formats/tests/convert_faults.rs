@@ -12,7 +12,7 @@ use tmu::{
     TmuConfig,
 };
 use tmu_formats::CsrToBandedTmu;
-use tmu_sim::{Accelerator, Deps, Machine, MemSys, MemSysConfig, OpId, OpKind, VecMachine};
+use tmu_sim::{drive_standalone, Deps, Machine, OpId, VecMachine};
 use tmu_tensor::{gen, CsrMatrix};
 
 /// Handler that records the marshaled stream verbatim instead of
@@ -49,21 +49,7 @@ fn recorder_accel(conv: &CsrToBandedTmu, a: &CsrMatrix) -> TmuAccelerator<Record
 /// infinitely fast core of the timing suite), returning the recorded
 /// stream and the cycle count.
 fn drive(accel: &mut TmuAccelerator<Recorder>) -> (Vec<OutQEntry>, u64) {
-    let mut mem = MemSys::new(MemSysConfig::table5(1));
-    let mut now = 0u64;
-    let mut sink = Vec::new();
-    while !accel.done() {
-        accel.tick(now, 0, &mut mem);
-        accel.drain_ops(&mut sink);
-        for op in &sink {
-            if let OpKind::ChunkEnd { chunk } = op.kind {
-                accel.ack_chunk(chunk, now);
-            }
-        }
-        sink.clear();
-        now += 1;
-        assert!(now < 5_000_000, "conversion engine must terminate");
-    }
+    let now = drive_standalone(accel, 5_000_000).expect("conversion engine must terminate");
     (accel.handler().entries.clone(), now)
 }
 

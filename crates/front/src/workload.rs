@@ -12,11 +12,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmu::{CallbackHandler, MemImage, TmuAccelerator, TmuConfig};
-use tmu_kernels::workload::{KernelKind, TmuRun, Workload};
+use tmu::{CallbackHandler, MemImage, TmuConfig};
+use tmu_kernels::workload::{run_engines, KernelKind, TmuRun, Workload};
 use tmu_sim::{
-    Accelerator, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
+    ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig, VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
@@ -246,21 +245,12 @@ impl Workload for ExprWorkload {
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
-        let lowered = self.lowered(tmu.lanes).expect("lowering validated in new");
-        let prog = Arc::new(lowered.program);
-        let handler = ExprHandler::new(lowered.plan, self.z_r, self.z_cap);
-        let acc = TmuAccelerator::new(
-            tmu,
-            prog,
-            Arc::clone(&self.image),
-            handler,
-            self.outq_r.base,
-        );
-        let handle = acc.stats_handle();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(vec![Box::new(acc) as Box<dyn Accelerator>]);
-        let outq = vec![handle.lock().expect("stats").clone()];
-        TmuRun { stats, outq }
+        let outq = std::slice::from_ref(&self.outq_r);
+        run_engines(cfg, tmu, &self.image, outq, &[()], |_, ()| {
+            let lowered = self.lowered(tmu.lanes).expect("lowering validated in new");
+            let handler = ExprHandler::new(lowered.plan, self.z_r, self.z_cap);
+            (lowered.program, handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -35,4 +35,4 @@ pub mod trianglecount;
 pub mod util;
 pub mod workload;
 
-pub use workload::{KernelKind, TmuRun, Workload};
+pub use workload::{run_engines, KernelKind, TmuRun, Workload};

@@ -10,21 +10,21 @@
 //! The two phases are separated by a barrier in the real code, so each is
 //! timed as its own run and the cycle counts are summed.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_flat, partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::{check_close, fold_deps};
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 const S_RANK: u16 = 160;
 const S_DEG: u16 = 161;
@@ -372,38 +372,16 @@ impl Workload for PageRank {
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let dense = self.run_dense_phase(cfg);
         let shards = partition_rows(&self.adj.ptrs, cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range, tmu.lanes));
-                let handler = PageRankHandler::new(self.out_r, range.0, self.adj.rows);
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let mut stats = sys.run_accelerated(accels);
-        stats.cycles += dense.cycles;
-        stats.dram_bytes += dense.dram_bytes;
-        for (g, d) in stats.cores.iter_mut().zip(&dense.cores) {
+        let mut run = run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let handler = PageRankHandler::new(self.out_r, range.0, self.adj.rows);
+            (self.build_program(range, tmu.lanes), handler)
+        });
+        run.stats.cycles += dense.cycles;
+        run.stats.dram_bytes += dense.dram_bytes;
+        for (g, d) in run.stats.cores.iter_mut().zip(&dense.cores) {
             g.merge(d);
         }
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -7,21 +7,21 @@
 //! the dense row), so the host core receives ready vector operands and
 //! performs only the scaled accumulation.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::check_close;
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 /// Dense matrix columns (the SpMM rank).
 pub const RANK: usize = 16;
@@ -309,33 +309,10 @@ impl Workload for Spmm {
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = partition_rows(&self.a.ptrs, cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range, tmu.lanes));
-                let handler = SpmmHandler::new(self.z_r, range.0, tmu.lanes);
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(accels);
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let handler = SpmmHandler::new(self.z_r, range.0, tmu.lanes);
+            (self.build_program(range, tmu.lanes), handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -13,21 +13,21 @@
 //! scatter-accumulate into its cached workspace, then drains the occupied
 //! entries at each row end.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim};
 use crate::util::check_close;
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 const S_APTR: u16 = 120;
 const S_AIDX: u16 = 121;
@@ -464,39 +464,16 @@ impl Workload for Spmspm {
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range, tmu.lanes));
-                let handler = SpmspmHandler::new(
-                    self.acc_r,
-                    self.z_r,
-                    Arc::clone(&self.z_offsets),
-                    range.0,
-                    self.a.cols,
-                );
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(accels);
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let handler = SpmspmHandler::new(
+                self.acc_r,
+                self.z_r,
+                Arc::clone(&self.z_offsets),
+                range.0,
+                self.a.cols,
+            );
+            (self.build_program(range, tmu.lanes), handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

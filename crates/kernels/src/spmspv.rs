@@ -7,21 +7,21 @@
 //! TMU restarts its vector lane per row and intersects in hardware
 //! (`ConjMrg`), handing the core only the matching value pairs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim};
 use crate::util::check_close;
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 const S_PTR: u16 = 280;
 const S_AHEAD: u16 = 281;
@@ -297,33 +297,10 @@ impl Workload for Spmspv {
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = partition_rows(&self.a.ptrs, cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range));
-                let handler = SpmspvHandler::new(self.z_r, range.0);
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(accels);
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let handler = SpmspvHandler::new(self.z_r, range.0);
+            (self.build_program(range), handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

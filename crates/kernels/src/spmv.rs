@@ -12,21 +12,21 @@
 //! `b[idx]` lookup; the Figure 6 `ri`/`re` callbacks multiply-accumulate
 //! and store on the core.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::{check_close, fold_deps};
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 const S_PTR: u16 = 100;
 const S_IDX: u16 = 101;
@@ -426,33 +426,10 @@ impl Workload for Spmv {
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range, tmu.lanes));
-                let handler = SpmvHandler::new(self.x_r, range.0);
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(accels);
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let handler = SpmvHandler::new(self.x_r, range.0);
+            (self.build_program(range, tmu.lanes), handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -5,21 +5,21 @@
 //! "SpTTM": the rank loop (`k`) is lockstep vectorized across lanes; the
 //! `l` level supplies the row base through a `lin` stream.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
-    TmuAccelerator, TmuConfig,
+    TmuConfig,
 };
 use tmu_sim::{
-    Accelerator, AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System,
-    SystemConfig, VecMachine,
+    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
+    VecMachine,
 };
 use tmu_tensor::{CooTensor, CsfTensor};
 
 use crate::data::{partition_flat, CsfOnSim, DenseOnSim};
 use crate::util::check_close;
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
 
 /// Columns of the dense factor (the paper's SpTTM rank).
 pub const RANK: usize = 16;
@@ -314,34 +314,11 @@ impl Workload for Spttm {
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        let mut handles = Vec::new();
-        let accels: Vec<Box<dyn Accelerator>> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, &range)| {
-                let prog = Arc::new(self.build_program(range, tmu.lanes));
-                let first_fiber = self.t.ptrs[0][range.0] as usize;
-                let handler = SpttmHandler::new(self.z_r, first_fiber, tmu.lanes);
-                let acc = TmuAccelerator::new(
-                    tmu,
-                    prog,
-                    Arc::clone(&self.image),
-                    handler,
-                    self.outq_r[c].base,
-                );
-                handles.push(acc.stats_handle());
-                Box::new(acc) as Box<dyn Accelerator>
-            })
-            .collect();
-        let mut sys = System::new(cfg);
-        let stats = sys.run_accelerated(accels);
-        TmuRun {
-            stats,
-            outq: handles
-                .iter()
-                .map(|h: &Arc<Mutex<tmu::OutQStats>>| h.lock().expect("stats").clone())
-                .collect(),
-        }
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
+            let first_fiber = self.t.ptrs[0][range.0] as usize;
+            let handler = SpttmHandler::new(self.z_r, first_fiber, tmu.lanes);
+            (self.build_program(range, tmu.lanes), handler)
+        })
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -5,8 +5,10 @@
 //! (Table 4) behind this trait so the figure harnesses can sweep
 //! kernels × inputs × configurations uniformly.
 
-use tmu::{OutQStats, TmuConfig};
-use tmu_sim::{RunStats, SystemConfig};
+use std::sync::Arc;
+
+use tmu::{CallbackHandler, MemImage, OutQStats, Program, TmuAccelerator, TmuConfig};
+use tmu_sim::{Accelerator, Region, RunStats, System, SystemConfig};
 
 /// The paper's workload categories (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -43,6 +45,37 @@ impl TmuRun {
             ratios.iter().sum::<f64>() / ratios.len() as f64
         }
     }
+}
+
+/// Runs one TMU engine per shard on a fresh `cfg` system: `build(core,
+/// shard)` supplies core `core`'s program and callback handler, and its
+/// engine writes the outQ at `outq[core]`.
+pub fn run_engines<S: Copy, H: CallbackHandler + 'static>(
+    cfg: SystemConfig,
+    tmu: TmuConfig,
+    image: &Arc<MemImage>,
+    outq: &[Region],
+    shards: &[S],
+    mut build: impl FnMut(usize, S) -> (Program, H),
+) -> TmuRun {
+    let mut handles = Vec::with_capacity(shards.len());
+    let accels = shards
+        .iter()
+        .enumerate()
+        .map(|(core, &shard)| {
+            let (program, handler) = build(core, shard);
+            let base = outq[core].base;
+            let acc = TmuAccelerator::new(tmu, Arc::new(program), Arc::clone(image), handler, base);
+            handles.push(acc.stats_handle());
+            Box::new(acc) as Box<dyn Accelerator>
+        })
+        .collect();
+    let stats = System::new(cfg).run_accelerated(accels);
+    let outq = handles
+        .iter()
+        .map(|h| h.lock().expect("stats").clone())
+        .collect();
+    TmuRun { stats, outq }
 }
 
 /// A benchmarkable kernel instance (kernel + bound input).

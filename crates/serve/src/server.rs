@@ -58,7 +58,8 @@ pub struct ServeConfig {
     pub ctx_switch_cycles: u64,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Per-quantum no-progress watchdog window (cycles).
+    /// No-progress watchdog window of each slot, in driven cycles; it
+    /// spans quanta, so a wedged job is caught whatever the quantum.
     pub watchdog: u64,
     /// Resilience knobs: chaos injection, retry budget/backoff,
     /// checkpoint cadence, admission control, circuit breaker. The
@@ -420,13 +421,12 @@ impl Server {
             let tenant = run.waiting.spec.tenant;
             let out = match slots[s].core.drive(&mut run.engine, tenant, quantum) {
                 Ok(out) => out,
-                Err(SimError::Watchdog { window, .. }) => {
+                Err(SimError::Watchdog { .. }) => {
                     // A genuine wedge under serving is a slot hang: the
                     // incarnation is lost, the job retries (or fails
                     // typed), and the slot reboots.
                     let now = slots[s].core.now();
                     state.slot_faults.record(SlotFaultKind::Hang);
-                    trace_event(now, EventKind::WatchdogFired, window);
                     fault_job(
                         &rcfg,
                         run.waiting,
@@ -570,12 +570,10 @@ impl Server {
                     }
                     SlotFaultKind::Hang => {
                         // The slot burns a full watchdog window before
-                        // the hang is caught, then reboots like a crash.
-                        let err = slots[s].core.hang(&run.engine, tenant);
+                        // the hang is caught (`hang` traces the firing),
+                        // then reboots like a crash.
+                        slots[s].core.hang(&run.engine, tenant);
                         let now = slots[s].core.now();
-                        if let SimError::Watchdog { window, .. } = err {
-                            trace_event(now, EventKind::WatchdogFired, window);
-                        }
                         fault_job(
                             &rcfg,
                             run.waiting,

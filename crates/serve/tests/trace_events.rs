@@ -65,3 +65,37 @@ fn served_apps_emit_stage_and_cache_events() {
     assert!(json.contains("\"stage_done\""), "{json}");
     assert!(json.contains("\"tensor_cache_hit\""), "{json}");
 }
+
+/// Busy forever, produces nothing: the shape the slot watchdog catches.
+struct Wedged;
+
+impl tmu_sim::Accelerator for Wedged {
+    fn tick(&mut self, _now: u64, _core: usize, _mem: &mut tmu_sim::MemSys) {}
+    fn drain_ops(&mut self, _out: &mut Vec<tmu_sim::Op>) {}
+    fn ack_chunk(&mut self, _chunk: u32, _now: u64) {}
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// Each watchdog firing on a slot — a wedge caught inside a drive, or an
+/// injected hang — lands in the trace exactly once.
+#[test]
+fn each_watchdog_firing_traces_one_event() {
+    let mut slot = tmu_sim::ServedCore::new(
+        tmu_sim::CoreConfig::neoverse_n1_like(),
+        tmu_sim::MemSysConfig::table5(1),
+    );
+    slot.set_watchdog(500);
+    tmu_trace::install(Tracer::new(TraceConfig::default()));
+    let wedge = slot.drive(&mut Wedged, 0, 100);
+    let wedge = wedge.and_then(|_| slot.drive(&mut Wedged, 0, u64::MAX));
+    slot.hang(&Wedged, 0);
+    let tracer = tmu_trace::uninstall().expect("tracer installed");
+    assert!(wedge.is_err(), "the wedge must trip the watchdog");
+    let fired = (0..tracer.components().len() as u32)
+        .flat_map(|c| tracer.ring(tmu_trace::ComponentId(c)).events())
+        .filter(|e| e.kind == tmu_trace::EventKind::WatchdogFired)
+        .count();
+    assert_eq!(fired, 2, "one event per firing");
+}

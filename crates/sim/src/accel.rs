@@ -8,8 +8,9 @@
 //! `visible_at` cycle. When the core commits a chunk-end marker it
 //! acknowledges the chunk, freeing one of the engine's double buffers.
 
-use crate::memsys::MemSys;
-use crate::op::Op;
+use crate::memsys::{MemSys, MemSysConfig};
+use crate::op::{Op, OpKind};
+use crate::system::SimError;
 
 /// A near-core engine co-simulated with its host core.
 pub trait Accelerator {
@@ -48,4 +49,32 @@ impl Accelerator for NullAccelerator {
     fn done(&self) -> bool {
         true
     }
+}
+
+/// Drives `accel` alone against a private single-core memory system, as
+/// if an infinitely fast core consumed every op the cycle it drains:
+/// each `ChunkEnd` is acknowledged at once. Returns the cycles to
+/// completion, or [`SimError::CycleLimit`] if the engine is still busy
+/// after `limit` cycles.
+pub fn drive_standalone<A: Accelerator + ?Sized>(
+    accel: &mut A,
+    limit: u64,
+) -> Result<u64, SimError> {
+    let mut mem = MemSys::new(MemSysConfig::table5(1));
+    let mut sink = Vec::new();
+    let mut now = 0;
+    while !accel.done() {
+        if now >= limit {
+            return Err(SimError::CycleLimit { limit });
+        }
+        accel.tick(now, 0, &mut mem);
+        accel.drain_ops(&mut sink);
+        for op in sink.drain(..) {
+            if let OpKind::ChunkEnd { chunk } = op.kind {
+                accel.ack_chunk(chunk, now);
+            }
+        }
+        now += 1;
+    }
+    Ok(now)
 }

@@ -43,6 +43,7 @@ mod cache;
 pub mod configs;
 mod core;
 mod dram;
+mod driver;
 mod fault;
 pub mod imp;
 mod machine;
@@ -54,7 +55,7 @@ mod served;
 mod stats;
 mod system;
 
-pub use accel::{Accelerator, NullAccelerator};
+pub use accel::{drive_standalone, Accelerator, NullAccelerator};
 pub use addr::{line_of, AddressMap, Region, CACHELINE, PAGE};
 pub use bpred::BranchPredictor;
 pub use cache::{Cache, CacheConfig, MshrPool, Probe};
@@ -72,5 +73,5 @@ pub use prefetch::{BestOffsetPrefetcher, StridePrefetcher};
 pub use served::{DriveOutcome, ServedCore, SlotStats};
 pub use stats::{CacheLevelStats, MemStats, Roofline, RooflinePoint, RunStats};
 pub use system::{
-    ChannelMachine, SimError, SkipHint, System, SystemConfig, CYCLE_LIMIT, DEFAULT_WATCHDOG_CYCLES,
+    ChannelMachine, SimError, System, SystemConfig, CYCLE_LIMIT, DEFAULT_WATCHDOG_CYCLES,
 };

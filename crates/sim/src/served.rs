@@ -5,10 +5,12 @@
 //! run. A serving layer time-sharing a core across many jobs needs the
 //! opposite shape: a slot whose clock, core, and memory hierarchy persist
 //! while *different* accelerator incarnations come and go. [`ServedCore`]
-//! is that slot: each [`ServedCore::drive`] call advances the same clock
-//! loop as the batch driver for up to one scheduling quantum, then
-//! returns control to the scheduler, which may quiesce the engine, swap
-//! in another tenant's context, and call `drive` again.
+//! is that slot: each [`ServedCore::drive`] call runs the batch runs' cycle
+//! driver on the slot's persistent clock for up to one scheduling quantum,
+//! then returns control to the scheduler, which may quiesce the engine,
+//! swap in another tenant's context, and call `drive` again. The clock's
+//! watchdog window counts driven cycles across quanta, so a job that
+//! commits nothing is caught however short its quanta are.
 //!
 //! The slot accumulates per-tenant busy cycles ([`SlotStats`]) so the
 //! serving layer can report who consumed the machine.
@@ -16,12 +18,13 @@
 //! [`System::try_run_accelerated`]: crate::System::try_run_accelerated
 
 use std::collections::BTreeMap;
+use std::slice;
 
 use crate::accel::Accelerator;
-use crate::core::{Core, CoreConfig, OpSource};
+use crate::core::{Core, CoreConfig};
+use crate::driver::{Clock, EngineFeed, EngineQueue};
 use crate::memsys::{MemSys, MemSysConfig};
-use crate::op::Op;
-use crate::system::{AccelSource, SimError, Watchdog, CYCLE_LIMIT, DEFAULT_WATCHDOG_CYCLES};
+use crate::system::{SimError, DEFAULT_WATCHDOG_CYCLES};
 
 /// Result of one [`ServedCore::drive`] quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +60,9 @@ pub struct SlotStats {
 pub struct ServedCore {
     core: Core,
     mem: MemSys,
-    source: AccelSource,
-    now: u64,
-    watchdog_cycles: u64,
+    queue: EngineQueue,
+    clock: Clock,
     stats: SlotStats,
-    acks: Vec<u32>,
-    scratch: Vec<Op>,
     slot: usize,
     core_cfg: CoreConfig,
     mem_cfg: MemSysConfig,
@@ -77,12 +77,9 @@ impl ServedCore {
         Self {
             core: Core::new(0, core),
             mem: MemSys::new(mem),
-            source: AccelSource::default(),
-            now: 0,
-            watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
+            queue: EngineQueue::default(),
+            clock: Clock::new(DEFAULT_WATCHDOG_CYCLES),
             stats: SlotStats::default(),
-            acks: Vec::new(),
-            scratch: Vec::new(),
             slot: 0,
             core_cfg: core,
             mem_cfg: mem,
@@ -91,7 +88,7 @@ impl ServedCore {
 
     /// The slot's current simulated cycle.
     pub fn now(&self) -> u64 {
-        self.now
+        self.clock.now
     }
 
     /// Names the slot for diagnostics: the id shows up in watchdog dumps
@@ -117,19 +114,20 @@ impl ServedCore {
         &mut self.mem
     }
 
-    /// Overrides the per-quantum no-progress watchdog window.
+    /// Overrides the no-progress watchdog window. The window counts the
+    /// slot's driven cycles across quanta; idle gaps, context switches,
+    /// host charges, hangs and reboots do not count.
     pub fn set_watchdog(&mut self, cycles: u64) {
-        self.watchdog_cycles = cycles.max(1);
+        self.clock.window = cycles.max(1);
     }
 
     /// Jumps the slot clock forward to `cycle` (an idle gap before the
     /// next arrival). No-op if the slot is already past it.
     pub fn skip_idle_to(&mut self, cycle: u64) {
-        if cycle > self.now {
-            let delta = cycle - self.now;
-            self.core.account_gap(delta);
+        if cycle > self.clock.now {
+            let delta = cycle - self.clock.now;
+            self.clock.jump(slice::from_mut(&mut self.core), delta);
             self.stats.idle_cycles += delta;
-            self.now = cycle;
         }
     }
 
@@ -147,48 +145,19 @@ impl ServedCore {
         tenant: u32,
         quantum: u64,
     ) -> Result<DriveOutcome, SimError> {
-        let start = self.now;
-        let mut watchdog = Watchdog::new(self.watchdog_cycles);
-        loop {
-            accel.tick(self.now, 0, &mut self.mem);
-            self.scratch.clear();
-            accel.drain_ops(&mut self.scratch);
-            self.source.buf.extend(self.scratch.drain(..));
-            self.source.producer_done = accel.done();
-
-            self.acks.clear();
-            self.core
-                .tick(self.now, &mut self.source, &mut self.mem, &mut self.acks);
-            for &chunk in &self.acks {
-                accel.ack_chunk(chunk, self.now);
-            }
-            let finished = self.source.done() && self.core.idle() && accel.done();
-            self.now += 1;
-            if finished {
-                return Ok(self.outcome(start, tenant, true));
-            }
-            if self.now >= CYCLE_LIMIT {
-                return Err(SimError::CycleLimit { limit: CYCLE_LIMIT });
-            }
-            let sig = [
-                self.core.stats.committed,
-                self.mem.demand_loads,
-                self.mem.accel_reads,
-                self.mem.accel_outq_lines,
-            ];
-            if watchdog.stuck(self.now, sig) {
-                let dump = self.dump_state(accel, tenant);
-                eprintln!("{dump}");
-                return Err(SimError::Watchdog {
-                    cycle: self.now,
-                    window: self.watchdog_cycles,
-                    dump,
-                });
-            }
-            if self.now - start >= quantum {
-                return Ok(self.outcome(start, tenant, false));
-            }
-        }
+        let start = self.clock.now;
+        let mut feed = EngineFeed {
+            accel,
+            queue: &mut self.queue,
+        };
+        let finished = self.clock.drive(
+            slice::from_mut(&mut self.core),
+            slice::from_mut(&mut feed),
+            &mut self.mem,
+            quantum,
+            Some((self.slot, tenant)),
+        )?;
+        Ok(self.outcome(start, tenant, finished))
     }
 
     /// Drives `accel` until it fully drains, with no quantum bound (used
@@ -209,10 +178,8 @@ impl ServedCore {
         if cycles == 0 {
             return;
         }
-        self.core.account_gap(cycles);
-        self.now += cycles;
-        self.stats.busy_cycles += cycles;
-        *self.stats.tenant_cycles.entry(tenant).or_insert(0) += cycles;
+        self.clock.jump(slice::from_mut(&mut self.core), cycles);
+        self.bill(tenant, cycles);
     }
 
     /// Rebuilds the slot after a crash or hang: fresh core and memory
@@ -222,9 +189,7 @@ impl ServedCore {
     pub fn reboot(&mut self, restart_at: u64) {
         self.core = Core::new(0, self.core_cfg);
         self.mem = MemSys::new(self.mem_cfg);
-        self.source = AccelSource::default();
-        self.acks.clear();
-        self.scratch.clear();
+        self.queue = EngineQueue::default();
         self.stats.reboots += 1;
         self.skip_idle_to(restart_at);
     }
@@ -237,9 +202,7 @@ impl ServedCore {
     /// incarnation hasn't produced.
     pub fn flush_inflight(&mut self) {
         self.core = Core::new(0, self.core_cfg);
-        self.source = AccelSource::default();
-        self.acks.clear();
-        self.scratch.clear();
+        self.queue = EngineQueue::default();
     }
 
     /// Simulates a slot hang caught by the progress watchdog: the slot
@@ -250,23 +213,20 @@ impl ServedCore {
     /// [`drive`](Self::drive) produces. The caller decides what survives:
     /// typically it discards the engine and [`reboot`](Self::reboot)s.
     pub fn hang(&mut self, accel: &dyn Accelerator, tenant: u32) -> SimError {
-        let window = self.watchdog_cycles;
-        self.core.account_gap(window);
-        self.now += window;
-        self.stats.busy_cycles += window;
-        *self.stats.tenant_cycles.entry(tenant).or_insert(0) += window;
-        let dump = self.dump_state(accel, tenant);
-        SimError::Watchdog {
-            cycle: self.now,
-            window,
-            dump,
-        }
+        let window = self.clock.window;
+        self.clock.jump(slice::from_mut(&mut self.core), window);
+        self.bill(tenant, window);
+        self.clock.fire(
+            slice::from_ref(&self.core),
+            &self.mem,
+            &[accel.status_line()],
+            Some((self.slot, tenant)),
+        )
     }
 
     fn outcome(&mut self, start: u64, tenant: u32, finished: bool) -> DriveOutcome {
-        let cycles = self.now - start;
-        self.stats.busy_cycles += cycles;
-        *self.stats.tenant_cycles.entry(tenant).or_insert(0) += cycles;
+        let cycles = self.clock.now - start;
+        self.bill(tenant, cycles);
         if finished {
             self.stats.segments_finished += 1;
         } else {
@@ -275,30 +235,10 @@ impl ServedCore {
         DriveOutcome { cycles, finished }
     }
 
-    fn dump_state(&self, accel: &dyn Accelerator, tenant: u32) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "-- served-core watchdog dump @ cycle {} (slot {}, tenant {tenant}) --",
-            self.now, self.slot
-        );
-        let _ = writeln!(
-            s,
-            "core0: committed={} idle={}",
-            self.core.stats.committed,
-            self.core.idle()
-        );
-        let _ = writeln!(
-            s,
-            "mem: demand_loads={} accel_reads={} outq_lines={}",
-            self.mem.demand_loads, self.mem.accel_reads, self.mem.accel_outq_lines
-        );
-        let line = accel.status_line();
-        if !line.is_empty() {
-            let _ = writeln!(s, "accel: {line}");
-        }
-        s
+    /// Counts `cycles` as busy time of `tenant`.
+    fn bill(&mut self, tenant: u32, cycles: u64) {
+        self.stats.busy_cycles += cycles;
+        *self.stats.tenant_cycles.entry(tenant).or_insert(0) += cycles;
     }
 }
 
@@ -378,8 +318,8 @@ mod tests {
         assert!(s.now() >= 10_000);
     }
 
-    /// Busy forever, produces nothing: the per-quantum watchdog must fire
-    /// even though the scheduler asked for an unbounded drain.
+    /// Busy forever, produces nothing: the watchdog must fire even though
+    /// the scheduler asked for an unbounded drain.
     #[derive(Debug)]
     struct Wedged;
 
@@ -411,6 +351,28 @@ mod tests {
             }
             other => panic!("expected watchdog, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn watchdog_window_spans_quanta() {
+        let mut s = slot();
+        s.set_watchdog(5_000);
+        let err = loop {
+            match s.drive(&mut Wedged, 3, 100) {
+                Ok(out) => assert!(!out.finished && s.now() <= 5_100, "wedge undetected"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(
+                err,
+                SimError::Watchdog {
+                    cycle: ..=5_100,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Multicore system driver.
 //!
 //! A [`System`] owns N cores and the shared memory hierarchy and advances
-//! them in a single global clock loop. Baseline (software) runs stream ops
-//! from kernel shards running on real threads through bounded channels —
-//! generation is functional and instantaneous in simulated time, the
-//! channel only bounds host memory. Accelerated runs instead attach one
-//! [`Accelerator`] per core and consume the host callback ops the engines
-//! produce.
+//! them on one global clock (see `driver`). Baseline (software) runs
+//! stream ops from kernel shards running on real threads through bounded
+//! channels — generation is functional and instantaneous in simulated
+//! time, the channel only bounds host memory. Accelerated runs instead
+//! attach one [`Accelerator`] per core and consume the host callback ops
+//! the engines produce.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 
 use crate::accel::Accelerator;
 use crate::core::{Core, CoreConfig, OpSource};
+use crate::driver::{Clock, EngineFeed, EngineQueue, Feed};
+use crate::imp::Imp;
 use crate::machine::Machine;
 use crate::memsys::{MemSys, MemSysConfig};
 use crate::op::{Deps, Op, OpId, OpKind, Site};
@@ -144,28 +146,40 @@ impl OpSource for ChannelSource {
     }
 }
 
-/// Op source fed by an accelerator's callback stream.
-#[derive(Debug, Default)]
-pub(crate) struct AccelSource {
-    pub(crate) buf: VecDeque<Op>,
-    pub(crate) producer_done: bool,
+impl Feed for ChannelSource {
+    const SKIPS_IDLE: bool = true;
 }
 
-impl OpSource for AccelSource {
-    fn next_visible(&mut self, now: u64) -> Option<Op> {
-        if self.buf.front().is_some_and(|op| op.visible_at <= now) {
-            self.buf.pop_front()
-        } else {
-            None
-        }
+/// Depth in ops of the IMP's fetch lookahead window.
+const IMP_WINDOW: usize = 256;
+
+/// Ops staged between a shard's channel and its core in the IMP's fetch
+/// lookahead window (Figure 15): the IMP observes each op as it enters.
+struct ImpWindow {
+    channel: ChannelSource,
+    window: VecDeque<Op>,
+    imp: Imp,
+}
+
+impl OpSource for ImpWindow {
+    fn next_visible(&mut self, _now: u64) -> Option<Op> {
+        self.window.pop_front()
     }
 
     fn done(&mut self) -> bool {
-        self.producer_done && self.buf.is_empty()
+        self.channel.done() && self.window.is_empty()
     }
+}
 
-    fn next_visible_at(&self) -> Option<u64> {
-        self.buf.front().map(|op| op.visible_at)
+impl Feed for ImpWindow {
+    fn stage(&mut self, now: u64, core: usize, mem: &mut MemSys) {
+        while self.window.len() < IMP_WINDOW {
+            let Some(op) = self.channel.next_visible(now) else {
+                break;
+            };
+            self.imp.observe(&op, core, now, mem);
+            self.window.push_back(op);
+        }
     }
 }
 
@@ -236,35 +250,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Forward-progress monitor: fires when an observed signature stays
-/// unchanged for a full window of simulated cycles.
-pub(crate) struct Watchdog {
-    window: u64,
-    sig: [u64; 4],
-    last_change: u64,
-}
-
-impl Watchdog {
-    pub(crate) fn new(window: u64) -> Self {
-        Self {
-            window,
-            sig: [u64::MAX; 4],
-            last_change: 0,
-        }
-    }
-
-    /// Returns `true` if `sig` has not changed for a full window ending
-    /// at `now`.
-    pub(crate) fn stuck(&mut self, now: u64, sig: [u64; 4]) -> bool {
-        if sig != self.sig {
-            self.sig = sig;
-            self.last_change = now;
-            return false;
-        }
-        now.saturating_sub(self.last_change) >= self.window
-    }
-}
 
 /// The simulated multicore system.
 #[derive(Debug)]
@@ -338,34 +323,7 @@ impl System {
     where
         F: FnOnce(&mut ChannelMachine) + Send,
     {
-        if shards.len() > self.cores.len() {
-            return Err(SimError::TooManyShards {
-                shards: shards.len(),
-                cores: self.cores.len(),
-            });
-        }
-        let mut sources: Vec<ChannelSource> = Vec::new();
-        let mut result = Ok(());
-        std::thread::scope(|scope| {
-            for shard in shards {
-                let (tx, rx) = sync_channel::<Vec<Op>>(16);
-                sources.push(ChannelSource::new(rx));
-                scope.spawn(move || {
-                    let mut machine = ChannelMachine::new(tx);
-                    shard(&mut machine);
-                });
-            }
-            result = self.clock_loop(&mut sources, &mut Vec::new());
-            if result.is_err() {
-                // Drop the receivers before the scope joins the shard
-                // threads: a wedged shard blocked in `send` wakes up with a
-                // disconnect error and drains into the void instead of
-                // deadlocking the join.
-                sources.clear();
-            }
-        });
-        result?;
-        Ok(self.collect_stats())
+        self.run_shards(shards, |channel| channel)
     }
 
     /// Runs with one accelerator per entry; core `i` consumes the callback
@@ -397,80 +355,16 @@ impl System {
                 cores: self.cores.len(),
             });
         }
-        let mut watchdog = Watchdog::new(self.watchdog_cycles);
-        let mut sources: Vec<AccelSource> =
-            (0..accels.len()).map(|_| AccelSource::default()).collect();
-        let mut now: u64 = 0;
-        let mut acks: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Op> = Vec::new();
-        #[cfg(feature = "trace")]
-        let mut sampler =
-            tmu_trace::with(|t| tmu_trace::PeriodicSampler::new(t.config().sample_period));
-        loop {
-            let mut all_done = true;
-            for (i, accel) in accels.iter_mut().enumerate() {
-                accel.tick(now, i, &mut self.mem);
-                scratch.clear();
-                accel.drain_ops(&mut scratch);
-                sources[i].buf.extend(scratch.drain(..));
-                sources[i].producer_done = accel.done();
-
-                acks.clear();
-                self.cores[i].tick(now, &mut sources[i], &mut self.mem, &mut acks);
-                for &chunk in &acks {
-                    accel.ack_chunk(chunk, now);
-                }
-                if !(sources[i].done() && self.cores[i].idle() && accel.done()) {
-                    all_done = false;
-                }
-            }
-            // Idle cores beyond the accelerator count still age.
-            for i in accels.len()..self.cores.len() {
-                acks.clear();
-                let mut empty = AccelSource {
-                    producer_done: true,
-                    ..Default::default()
-                };
-                self.cores[i].tick(now, &mut empty, &mut self.mem, &mut acks);
-            }
-            // Periodic pressure samples: DRAM row-buffer state and the
-            // per-engine outstanding-request (MSHR) pool occupancy.
-            #[cfg(feature = "trace")]
-            if let Some(s) = sampler.as_mut() {
-                if s.due(now) {
-                    let open = self.mem.dram().open_rows() as u64;
-                    let busy: Vec<u64> = (0..accels.len())
-                        .map(|i| self.mem.accel_outstanding(i, now) as u64)
-                        .collect();
-                    tmu_trace::with(|t| {
-                        let d = t.component("system.dram");
-                        t.event(d, now, tmu_trace::EventKind::DramOpenRows, open);
-                        for (i, b) in busy.iter().enumerate() {
-                            let c = t.component(&format!("system.core{i}.tmu"));
-                            t.event(c, now, tmu_trace::EventKind::MshrBusy, *b);
-                        }
-                    });
-                }
-            }
-            now += 1;
-            if all_done {
-                break;
-            }
-            if now >= CYCLE_LIMIT {
-                return Err(SimError::CycleLimit { limit: CYCLE_LIMIT });
-            }
-            let sig = [
-                self.committed_sum(),
-                self.mem.demand_loads,
-                self.mem.accel_reads,
-                self.mem.accel_outq_lines,
-            ];
-            if watchdog.stuck(now, sig) {
-                let dump = self.dump_state(now, &accels);
-                return Err(self.watchdog_fire(now, dump));
-            }
-        }
-        self.finalize_cycles(now);
+        let mut queues: Vec<EngineQueue> = accels.iter().map(|_| EngineQueue::default()).collect();
+        let mut feeds: Vec<EngineFeed> = accels
+            .iter_mut()
+            .zip(&mut queues)
+            .map(|(accel, queue)| EngineFeed {
+                accel: accel.as_mut(),
+                queue,
+            })
+            .collect();
+        self.drive(&mut feeds)?;
         Ok(self.collect_stats())
     }
 
@@ -494,191 +388,54 @@ impl System {
     where
         F: FnOnce(&mut ChannelMachine) + Send,
     {
+        self.run_shards(shards, |channel| ImpWindow {
+            channel,
+            window: VecDeque::with_capacity(IMP_WINDOW),
+            imp: Imp::new(),
+        })
+    }
+
+    /// Runs each shard on its own thread, streaming its ops through a
+    /// bounded channel into the feed `feed` wraps around it.
+    fn run_shards<F, S: Feed>(
+        &mut self,
+        shards: Vec<F>,
+        feed: fn(ChannelSource) -> S,
+    ) -> Result<RunStats, SimError>
+    where
+        F: FnOnce(&mut ChannelMachine) + Send,
+    {
         if shards.len() > self.cores.len() {
             return Err(SimError::TooManyShards {
                 shards: shards.len(),
                 cores: self.cores.len(),
             });
         }
-        const WINDOW: usize = 256;
-        let mut sources: Vec<ChannelSource> = Vec::new();
-        let mut windows: Vec<VecDeque<Op>> = Vec::new();
-        let mut imps: Vec<crate::imp::Imp> = Vec::new();
+        let mut feeds = Vec::with_capacity(shards.len());
         let mut result = Ok(());
         std::thread::scope(|scope| {
             for shard in shards {
                 let (tx, rx) = sync_channel::<Vec<Op>>(16);
-                sources.push(ChannelSource::new(rx));
-                windows.push(VecDeque::with_capacity(WINDOW));
-                imps.push(crate::imp::Imp::new());
-                scope.spawn(move || {
-                    let mut machine = ChannelMachine::new(tx);
-                    shard(&mut machine);
-                });
+                feeds.push(feed(ChannelSource::new(rx)));
+                scope.spawn(move || shard(&mut ChannelMachine::new(tx)));
             }
-            let mut watchdog = Watchdog::new(self.watchdog_cycles);
-            let mut now: u64 = 0;
-            let mut acks: Vec<u32> = Vec::new();
-            result = loop {
-                let mut all_done = true;
-                for (i, source) in sources.iter_mut().enumerate() {
-                    // Stage ops into the lookahead window; IMP observes
-                    // each op as it enters.
-                    while windows[i].len() < WINDOW {
-                        match source.next_visible(now) {
-                            Some(op) => {
-                                imps[i].observe(&op, i, now, &mut self.mem);
-                                windows[i].push_back(op);
-                            }
-                            None => break,
-                        }
-                    }
-                    let mut staged = WindowSource {
-                        window: &mut windows[i],
-                    };
-                    acks.clear();
-                    self.cores[i].tick(now, &mut staged, &mut self.mem, &mut acks);
-                    if !(source.done() && windows[i].is_empty() && self.cores[i].idle()) {
-                        all_done = false;
-                    }
-                }
-                now += 1;
-                if all_done {
-                    break Ok(());
-                }
-                if now >= CYCLE_LIMIT {
-                    break Err(SimError::CycleLimit { limit: CYCLE_LIMIT });
-                }
-                let sig = [self.committed_sum(), self.mem.demand_loads, 0, 0];
-                if watchdog.stuck(now, sig) {
-                    let dump = self.dump_state(now, &[]);
-                    break Err(self.watchdog_fire(now, dump));
-                }
-            };
-            if result.is_ok() {
-                self.finalize_cycles(now);
-            } else {
-                // See `try_run`: disconnect wedged shard senders before the
-                // scope joins their threads.
-                sources.clear();
-            }
+            result = self.drive(&mut feeds);
+            // Drop the receivers before the scope joins the shard threads:
+            // a wedged shard blocked in `send` wakes up with a disconnect
+            // error and drains into the void instead of deadlocking the
+            // join.
+            feeds.clear();
         });
-        result?;
-        Ok(self.collect_stats())
+        result.map(|()| self.collect_stats())
     }
 
-    fn clock_loop(
-        &mut self,
-        sources: &mut [ChannelSource],
-        acks: &mut Vec<u32>,
-    ) -> Result<(), SimError> {
-        let mut watchdog = Watchdog::new(self.watchdog_cycles);
-        let mut now: u64 = 0;
-        loop {
-            let mut all_done = true;
-            for (i, source) in sources.iter_mut().enumerate() {
-                acks.clear();
-                self.cores[i].tick(now, source, &mut self.mem, acks);
-                if !(source.done() && self.cores[i].idle()) {
-                    all_done = false;
-                }
-            }
-            now += 1;
-            if all_done {
-                break;
-            }
-            if now >= CYCLE_LIMIT {
-                return Err(SimError::CycleLimit { limit: CYCLE_LIMIT });
-            }
-            let sig = [self.committed_sum(), self.mem.demand_loads, 0, 0];
-            if watchdog.stuck(now, sig) {
-                let dump = self.dump_state(now, &[]);
-                return Err(self.watchdog_fire(now, dump));
-            }
-
-            // Idle-cycle skipping: if no core can dispatch or commit before
-            // some future cycle, jump the clock there.
-            let mut next = u64::MAX;
-            let mut can_act_now = false;
-            for (i, source) in sources.iter_mut().enumerate() {
-                let core = &self.cores[i];
-                match core.skip_hint(now) {
-                    SkipHint::Never => {
-                        if !source.done() {
-                            can_act_now = true;
-                        }
-                    }
-                    SkipHint::At(c) => next = next.min(c),
-                    SkipHint::Now => can_act_now = true,
-                }
-            }
-            if !can_act_now && next > now && next != u64::MAX {
-                // Attribute the skipped gap per core: waiting on an
-                // incomplete ROB head is a backend stall, an empty ROB is
-                // a frontend stall.
-                let delta = next - now;
-                for core in self.cores.iter_mut() {
-                    core.account_gap(delta);
-                }
-                now = next;
-            }
-        }
-        self.finalize_cycles(now);
+    /// Drives every core from its feed on a fresh clock (cores beyond the
+    /// feeds sit idle) and equalizes the per-core cycle counts.
+    fn drive<F: Feed>(&mut self, feeds: &mut [F]) -> Result<(), SimError> {
+        let mut clock = Clock::new(self.watchdog_cycles);
+        clock.drive(&mut self.cores, feeds, &mut self.mem, u64::MAX, None)?;
+        self.finalize_cycles(clock.now);
         Ok(())
-    }
-
-    fn committed_sum(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats.committed).sum()
-    }
-
-    /// Renders the wedged-state diagnostic: per-core commit/idle state,
-    /// memory-system progress counters, and each attached engine's
-    /// [`Accelerator::status_line`].
-    fn dump_state(&self, now: u64, accels: &[Box<dyn Accelerator>]) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "-- watchdog dump @ cycle {now} --");
-        for (i, core) in self.cores.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "core{i}: committed={} idle={}",
-                core.stats.committed,
-                core.idle()
-            );
-        }
-        let _ = writeln!(
-            s,
-            "mem: demand_loads={} accel_reads={} outq_lines={}",
-            self.mem.demand_loads, self.mem.accel_reads, self.mem.accel_outq_lines
-        );
-        for (i, accel) in accels.iter().enumerate() {
-            let line = accel.status_line();
-            if !line.is_empty() {
-                let _ = writeln!(s, "accel{i}: {line}");
-            }
-        }
-        s
-    }
-
-    /// Emits the watchdog trace event, prints the dump to stderr, and
-    /// builds the typed error.
-    fn watchdog_fire(&self, now: u64, dump: String) -> SimError {
-        #[cfg(feature = "trace")]
-        tmu_trace::with(|t| {
-            let c = t.component("system");
-            t.event(
-                c,
-                now,
-                tmu_trace::EventKind::WatchdogFired,
-                self.watchdog_cycles,
-            );
-        });
-        eprintln!("{dump}");
-        SimError::Watchdog {
-            cycle: now,
-            window: self.watchdog_cycles,
-            dump,
-        }
     }
 
     fn finalize_cycles(&mut self, now: u64) {
@@ -718,71 +475,6 @@ impl System {
                 .set_counter("system.noc.hop_cycles", hop_cycles);
         });
         stats
-    }
-}
-
-/// Op source over a staged lookahead window (IMP runs).
-struct WindowSource<'a> {
-    window: &'a mut VecDeque<Op>,
-}
-
-impl OpSource for WindowSource<'_> {
-    fn next_visible(&mut self, now: u64) -> Option<Op> {
-        if self.window.front().is_some_and(|op| op.visible_at <= now) {
-            self.window.pop_front()
-        } else {
-            None
-        }
-    }
-
-    fn done(&mut self) -> bool {
-        self.window.is_empty()
-    }
-}
-
-/// Whether a core can make progress now, later, or is fully drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipHint {
-    /// The core can dispatch or commit this cycle.
-    Now,
-    /// Nothing can happen before the given cycle.
-    At(u64),
-    /// The core is drained (no ROB entries, no blocked fetch).
-    Never,
-}
-
-impl Core {
-    /// Computes the earliest cycle at which this core can make progress,
-    /// assuming its op source has ops ready whenever fetch is unblocked.
-    pub fn skip_hint(&self, now: u64) -> SkipHint {
-        let head = self.head_complete();
-        let blocked = self.fetch_blocked();
-        match head {
-            None => {
-                if blocked > now {
-                    SkipHint::At(blocked)
-                } else {
-                    SkipHint::Never
-                }
-            }
-            Some(h) => {
-                if self.rob_full() || blocked > now {
-                    // Only commits (at head completion) or fetch unblock can
-                    // change anything.
-                    let mut t = h;
-                    if blocked > now && !self.rob_full() {
-                        t = t.min(blocked);
-                    }
-                    if t > now {
-                        SkipHint::At(t)
-                    } else {
-                        SkipHint::Now
-                    }
-                } else {
-                    SkipHint::Now
-                }
-            }
-        }
     }
 }
 

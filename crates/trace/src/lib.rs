@@ -16,8 +16,9 @@
 //!
 //! Instrumentation call sites in the simulator are compiled out unless the
 //! `trace` cargo feature of the instrumented crate is enabled, and even
-//! then they are skipped unless a [`Tracer`] has been [`install`]ed for
-//! the process — so the default benchmark configuration pays nothing.
+//! then they are skipped unless a [`Tracer`] has been [`install`]ed on
+//! the running thread — so the default benchmark configuration pays
+//! nothing.
 
 #![warn(missing_docs)]
 
@@ -28,8 +29,8 @@ pub mod ring;
 pub use registry::{Stat, StatsRegistry};
 pub use ring::{pack_dur_extra, unpack_dur_extra, EventKind, EventRing, TraceEvent};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runtime tracing knobs. Compile-time gating (the `trace` feature)
 /// decides whether call sites exist at all; this decides what an
@@ -199,56 +200,57 @@ impl PeriodicSampler {
     }
 }
 
-// The process-global tracer. Instrumented components are constructed deep
+// The installed tracer. Instrumented components are constructed deep
 // inside the simulator where threading a &mut Tracer through every layer
 // would distort the APIs being measured; instead the trace binary installs
 // a tracer for its single job and call sites reach it through `with`. The
-// atomic flag keeps the not-installed case to one relaxed load. The
-// tracer is scoped to its installing thread: a simulation running
-// concurrently on another thread of the same process (parallel tests,
-// runner workers on other jobs) cannot interleave into the trace.
-static TRACER_ACTIVE: AtomicBool = AtomicBool::new(false);
-static TRACER: Mutex<Option<(std::thread::ThreadId, Tracer)>> = Mutex::new(None);
+// slot is per thread: a simulation running concurrently on another thread
+// of the same process (parallel tests, runner workers on other jobs)
+// neither records into this thread's trace nor can uninstall it. The
+// process-wide installed count keeps the nothing-installed case to one
+// load. It publishes no data — each thread reads only its own slot and
+// sees its own install in program order — so every access is relaxed.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
-/// Installs `tracer` as the process-global tracer, returning the previous
-/// one if any. The tracer only records from the calling thread — run the
-/// traced job on the thread that installed it.
+thread_local! {
+    static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
+}
+
+/// Installs `tracer` for the calling thread, returning the thread's
+/// previous one if any. Only simulations on this thread record into it.
 pub fn install(tracer: Tracer) -> Option<Tracer> {
-    let mut guard = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = guard.replace((std::thread::current().id(), tracer));
-    TRACER_ACTIVE.store(true, Ordering::Release);
-    prev.map(|(_, t)| t)
+    let prev = TRACER.with(|slot| slot.borrow_mut().replace(tracer));
+    if prev.is_none() {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+    }
+    prev
 }
 
-/// Removes and returns the process-global tracer (from any thread).
+/// Removes and returns the calling thread's tracer.
 pub fn uninstall() -> Option<Tracer> {
-    let mut guard = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-    TRACER_ACTIVE.store(false, Ordering::Release);
-    guard.take().map(|(_, t)| t)
+    let prev = TRACER.with(|slot| slot.borrow_mut().take());
+    if prev.is_some() {
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
+    }
+    prev
 }
 
-/// Whether a tracer is currently installed. One relaxed atomic load —
-/// this is the fast-path check instrumentation sites make before taking
-/// the lock.
+/// Whether any thread has a tracer installed. One relaxed atomic load —
+/// this is the fast-path check instrumentation sites make before
+/// touching the thread's slot.
 #[inline]
 pub fn is_active() -> bool {
-    TRACER_ACTIVE.load(Ordering::Relaxed)
+    INSTALLED.load(Ordering::Relaxed) != 0
 }
 
-/// Runs `f` against the installed tracer, if any. Returns `None` (without
-/// locking) when no tracer is installed, and (after the lock) when the
-/// caller is not the installing thread — see the thread-scoping note
-/// above.
+/// Runs `f` against the calling thread's tracer, if any. Returns `None`
+/// without touching the slot when no thread has a tracer installed.
 #[inline]
 pub fn with<R>(f: impl FnOnce(&mut Tracer) -> R) -> Option<R> {
     if !is_active() {
         return None;
     }
-    let mut guard = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-    match guard.as_mut() {
-        Some((owner, tracer)) if *owner == std::thread::current().id() => Some(f(tracer)),
-        _ => None,
-    }
+    TRACER.with(|slot| slot.borrow_mut().as_mut().map(f))
 }
 
 #[cfg(test)]
@@ -293,8 +295,8 @@ mod tests {
 
     #[test]
     fn global_install_roundtrip() {
-        // Single test touching the global slot: the other tests in this
-        // crate use local tracers, so no cross-test interference.
+        // Single test installing a tracer: the other tests in this crate
+        // use local tracers, so the process-wide count stays ours.
         assert!(uninstall().is_none());
         assert!(!is_active());
         assert!(with(|_| ()).is_none());
@@ -305,10 +307,12 @@ mod tests {
         let n = with(|t| t.components().len());
         assert_eq!(n, Some(1));
         // Thread-scoped: another thread sees the active flag but records
-        // nothing — its simulations cannot pollute this thread's trace.
+        // nothing and cannot take this thread's tracer — its simulations
+        // cannot pollute or end this thread's trace.
         std::thread::spawn(|| {
             assert!(is_active());
             assert!(with(|_| ()).is_none());
+            assert!(uninstall().is_none());
         })
         .join()
         .expect("scoping probe thread");

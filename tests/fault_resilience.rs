@@ -25,8 +25,8 @@ use tmu::{
 use tmu_front::ExprWorkload;
 use tmu_kernels::{spkadd::Spkadd, spmspm::Spmspm, spmspv::Spmspv, spmv::Spmv, spttv::Spttv};
 use tmu_sim::{
-    Accelerator, CoreConfig, MemSys, MemSysConfig, Op, OpId, OpKind, SimError, System,
-    SystemConfig, VecMachine,
+    drive_standalone, Accelerator, CoreConfig, MemSys, MemSysConfig, Op, OpId, OpKind, SimError,
+    System, SystemConfig, VecMachine,
 };
 use tmu_tensor::gen;
 
@@ -62,22 +62,7 @@ fn recorder_accel(
 /// acking each sealed chunk the cycle its `ChunkEnd` op drains — the
 /// same consumption contract the full-system model follows.
 fn drive(accel: &mut TmuAccelerator<Recorder>) -> u64 {
-    let mut mem = MemSys::new(MemSysConfig::table5(1));
-    let mut now = 0u64;
-    let mut sink: Vec<Op> = Vec::new();
-    while !accel.done() {
-        accel.tick(now, 0, &mut mem);
-        accel.drain_ops(&mut sink);
-        for op in &sink {
-            if let OpKind::ChunkEnd { chunk } = op.kind {
-                accel.ack_chunk(chunk, now);
-            }
-        }
-        sink.clear();
-        now += 1;
-        assert!(now < 20_000_000, "engine must terminate");
-    }
-    now
+    drive_standalone(accel, 20_000_000).expect("engine must terminate")
 }
 
 /// Scripted-grid differential check: one engine fault-free, then one
