@@ -48,7 +48,7 @@ const S_BR_T: u16 = 509;
 const S_BR_G: u16 = 510;
 
 /// One blocked-backend run: simulated stats plus the tiling telemetry
-/// surfaced as the schema-v3 `tile_occupancy` column.
+/// that `bench.json` rows carry as `blocked.tile_occupancy`.
 #[derive(Debug, Clone)]
 pub struct BlockedRun {
     /// Cycle-level stats from replaying the extraction + compute op

@@ -21,7 +21,8 @@
 //!
 //! Both engines expose `run_kernel` / `run_expr` entry points returning
 //! their `RunStats` plus engine-specific observables (tile occupancy,
-//! stream token counts) that `tmu-bench` surfaces as schema-v3 columns.
+//! stream token counts) that `tmu-bench` records under the `blocked` and
+//! `sam` sections of its `bench.json` rows.
 
 #![warn(missing_docs)]
 

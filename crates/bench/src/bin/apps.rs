@@ -1,8 +1,9 @@
 //! `apps` — application DAG pipelines benchmark (DESIGN.md §14).
 //!
 //! Runs the three built-in `tmu-apps` applications (GNN layer, CG solve,
-//! PageRank) two ways and writes `results/apps.txt` plus schema-v6 rows
-//! into `results/bench.json`:
+//! PageRank) two ways and writes `results/apps.txt` plus rows tagged
+//! with the `app` (and `stage`) labels, carrying `apps.*` stats, into
+//! `results/bench.json`:
 //!
 //! 1. **Solo breakdown** — each app alone on a fresh slot, unpreempted:
 //!    per-stage engine/host cycle split and end-to-end cycles, one
@@ -27,6 +28,7 @@ use tmu_bench::json::BenchRow;
 use tmu_bench::runner::parse_pos_int;
 use tmu_bench::Report;
 use tmu_serve::{serve, solo_app, AppSoloRun, JobKind, JobSpec, Policy, ServeConfig, SERVE_LANES};
+use tmu_trace::StatsRegistry;
 
 fn knob(name: &str, default: u64) -> u64 {
     let raw = std::env::var(name).ok();
@@ -102,6 +104,32 @@ fn stage_breakdown(records: &[StageRecord]) -> Vec<(String, u32, u64, u64)> {
     agg
 }
 
+/// One `apps` row of `spec` carrying `apps.cycles` and `apps.iterations`:
+/// per-stage when `stage` is set, end-to-end otherwise.
+fn app_row(
+    spec: &AppSpec,
+    scale: f64,
+    stage: Option<String>,
+    cycles: u64,
+    iterations: u32,
+) -> BenchRow {
+    let mut stats = StatsRegistry::new();
+    stats.set_counter("apps.cycles", cycles);
+    stats.set_counter("apps.iterations", u64::from(iterations));
+    BenchRow {
+        figure: "apps".into(),
+        kernel: spec.app.name().into(),
+        input: format!("r{}x{}s{}", spec.rows, spec.nnz_per_row, spec.seed),
+        engine: "tmu".into(),
+        machine: "table5".into(),
+        scale: (scale != 1.0).then_some(scale),
+        app: Some(spec.app.name().into()),
+        stage,
+        stats,
+        ..BenchRow::default()
+    }
+}
+
 fn main() -> std::process::ExitCode {
     tmu_bench::run_main(run)
 }
@@ -142,19 +170,13 @@ fn run() -> std::process::ExitCode {
         ));
         for (stage, runs, engine, host) in stage_breakdown(&solo.records) {
             report.line(format!("  {stage:<10} {runs:>5} {engine:>12} {host:>12}"));
-            report.push_row(BenchRow {
-                figure: "apps".into(),
-                kernel: spec.app.name().into(),
-                input: format!("r{}x{}s{}", spec.rows, spec.nnz_per_row, spec.seed),
-                engine: "tmu".into(),
-                machine: "table5".into(),
-                scale: (scale != 1.0).then_some(scale),
-                cycles: engine + host,
-                app: Some(spec.app.name().into()),
-                stage: Some(stage),
-                iterations: u64::from(solo.iterations),
-                ..BenchRow::default()
-            });
+            report.push_row(app_row(
+                spec,
+                scale,
+                Some(stage),
+                engine + host,
+                solo.iterations,
+            ));
         }
         solos.push(solo);
     }
@@ -250,19 +272,9 @@ fn run() -> std::process::ExitCode {
         hits as f64 / (hits + misses) as f64
     };
     for (spec, solo) in specs.iter().zip(&solos) {
-        report.push_row(BenchRow {
-            figure: "apps".into(),
-            kernel: spec.app.name().into(),
-            input: format!("r{}x{}s{}", spec.rows, spec.nnz_per_row, spec.seed),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            scale: (scale != 1.0).then_some(scale),
-            cycles: solo.cycles,
-            app: Some(spec.app.name().into()),
-            iterations: u64::from(solo.iterations),
-            cache_hit_rate: combined_rate,
-            ..BenchRow::default()
-        });
+        let mut row = app_row(spec, scale, None, solo.cycles, solo.iterations);
+        row.stats.set_gauge("apps.cache_hit_rate", combined_rate);
+        report.push_row(row);
     }
 
     report.save();

@@ -13,15 +13,14 @@
 //!
 //! Any violation prints the offending cell and the process exits
 //! nonzero, so CI can gate on it directly. Results land in
-//! `results/chaos.txt` plus per-tenant `"chaos"` rows (schema v5) in
-//! `results/bench.json`.
+//! `results/chaos.txt` plus per-tenant `"chaos"` rows (`serve.*` stats)
+//! in `results/bench.json`.
 //!
 //! `TMU_SCALE < 1` shrinks the grid to a four-cell smoke (one combined
 //! fault spec, both slot counts, two policies) for fast CI runs.
 
 use std::collections::HashMap;
 
-use tmu_bench::json::BenchRow;
 use tmu_bench::Report;
 use tmu_serve::{
     serve, solo_digest, BuildCache, EntryDigest, JobKind, JobSpec, KernelKind, Policy,
@@ -204,29 +203,13 @@ fn run() -> std::process::ExitCode {
                     &out.retries,
                     out.makespan,
                 ) {
-                    report.push_row(BenchRow {
-                        figure: "chaos".into(),
-                        kernel: "mix".into(),
-                        input: format!("{fault_label}-s{slots}"),
-                        engine: format!("chaos-{}", policy.label()),
-                        machine: "table5".into(),
-                        cycles: out.makespan,
-                        fault_injected: out.slot_faults.injected,
-                        tenant: Some(format!("tenant{}", t.tenant)),
-                        service_cycles: t.service_cycles,
-                        lat_p50: t.sojourn.p50,
-                        lat_p95: t.sojourn.p95,
-                        lat_p99: t.sojourn.p99,
-                        retries: t.retries,
-                        deadline_miss: t.deadline_misses,
-                        shed: t.rejected,
-                        checkpoint_cycles: out
-                            .checkpoint_cycles
-                            .get(&t.tenant)
-                            .copied()
-                            .unwrap_or(0),
-                        ..BenchRow::default()
-                    });
+                    report.push_row(tmu_bench::tenant_row(
+                        "chaos",
+                        format!("{fault_label}-s{slots}"),
+                        format!("chaos-{}", policy.label()),
+                        &out,
+                        &t,
+                    ));
                 }
             }
         }

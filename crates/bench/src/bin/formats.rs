@@ -13,14 +13,14 @@
 //! * **csr-always** — stream canonical CSR, no conversion;
 //! * **autotuned** — convert once to the picked layout, then stream it.
 //!
-//! Every modeled run lands in `results/bench.json` as a schema-v4 row
-//! under figure `"formats"`, tagged with the `format` and `conv_cycles`
-//! columns; rows of every other figure are untouched (and byte-identical
-//! to schema v3).
+//! Every modeled run lands in `results/bench.json` as a row under figure
+//! `"formats"`, labeled with its `format` and carrying the run-level
+//! stats of the modeled SpMV plus the conversion's `convert.cycles`.
 
 use std::process::ExitCode;
 
 use tmu_bench::json::BenchRow;
+use tmu_bench::runner::run_level_stats;
 use tmu_bench::{geomean, Report};
 use tmu_formats::spmv::run_spmv;
 use tmu_formats::{conversion_cycles, pick, FormatKind};
@@ -51,6 +51,8 @@ fn body() -> ExitCode {
             };
             let conv = conversion_cycles(&a, kind, configs::neoverse_n1_system());
             *slot = Some(stats.cycles);
+            let mut row_stats = run_level_stats(&stats.registry());
+            row_stats.set_counter("convert.cycles", conv.cycles);
             report.push_row(BenchRow {
                 figure: "formats".into(),
                 kernel: "SpMV".into(),
@@ -58,26 +60,8 @@ fn body() -> ExitCode {
                 engine: "baseline-sve".into(),
                 machine: "table5".into(),
                 scale: Some(scale),
-                cycles: stats.cycles,
-                flops: stats.flops(),
-                dram_bytes: stats.dram_bytes,
-                gflops: stats.gflops(),
-                bandwidth_gbs: stats.bandwidth_gbs(),
-                arithmetic_intensity: stats.arithmetic_intensity(),
-                dram_row_hit_rate: stats.dram_row_hit_rate,
-                l1: (stats.mem.l1.hits, stats.mem.l1.misses, stats.mem.l1.merged),
-                l2: (stats.mem.l2.hits, stats.mem.l2.misses, stats.mem.l2.merged),
-                llc: (
-                    stats.mem.llc.hits,
-                    stats.mem.llc.misses,
-                    stats.mem.llc.merged,
-                ),
-                dram_lines_read: stats.mem.dram_lines_read,
-                dram_lines_written: stats.mem.dram_lines_written,
-                dram_row_hits: stats.mem.dram_row_hits,
-                dram_row_misses: stats.mem.dram_row_misses,
                 format: Some(kind.label().into()),
-                conv_cycles: Some(conv.cycles),
+                stats: row_stats,
                 ..BenchRow::default()
             });
         }

@@ -11,7 +11,7 @@
 //! With no arguments every shape runs; arguments select a subset (the CI
 //! smoke runs `matrix spmv expr` at reduced `TMU_SCALE`). Cells a backend
 //! cannot execute print `—`; every executed cell also lands in
-//! `results/bench.json` as a schema-v3 row under figure `"matrix"`.
+//! `results/bench.json` as a row under figure `"matrix"`.
 
 use std::process::ExitCode;
 

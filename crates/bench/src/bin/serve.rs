@@ -3,8 +3,9 @@
 //! Synthesizes an open-loop arrival trace of mixed jobs (Table 4 kernel
 //! shapes plus einsum expressions), serves it on a pool of simulated
 //! cores with preemptive TMU virtualization, and reports per-tenant
-//! throughput and latency percentiles. Rows land in `results/bench.json`
-//! (schema v2, `tenant` + latency fields).
+//! throughput and latency percentiles. One row per tenant lands in
+//! `results/bench.json`, labeled with its `tenant` and carrying the
+//! `serve.*` stats.
 //!
 //! Environment knobs, each read once at startup:
 //! * `TMU_TENANTS` — tenants in the synthetic trace (default 2).
@@ -35,7 +36,6 @@
 //! the output is deterministic for a fixed seed regardless of
 //! `TMU_JOBS` (which only sizes the figure runner's worker pool).
 
-use tmu_bench::json::BenchRow;
 use tmu_bench::runner::parse_pos_int;
 use tmu_bench::Report;
 use tmu_serve::{
@@ -192,34 +192,16 @@ fn run() -> std::process::ExitCode {
                     t.tenant, t.retries, t.failed, t.deadline_misses
                 ));
             }
-            let queue_cycles: u64 = out
-                .outcomes
-                .iter()
-                .filter(|o| o.tenant == t.tenant)
-                .map(|o| o.queue_cycles())
-                .sum();
-            report.push_row(BenchRow {
-                figure: "serve".into(),
-                kernel: "mix".into(),
-                input: format!(
+            report.push_row(tmu_bench::tenant_row(
+                "serve",
+                format!(
                     "j{}t{}s{:x}",
                     trace_cfg.jobs, trace_cfg.tenants, trace_cfg.seed
                 ),
-                engine: format!("serve-{}", policy.label()),
-                machine: "table5".into(),
-                cycles: out.makespan,
-                tenant: Some(format!("tenant{}", t.tenant)),
-                queue_cycles,
-                service_cycles: t.service_cycles,
-                lat_p50: t.sojourn.p50,
-                lat_p95: t.sojourn.p95,
-                lat_p99: t.sojourn.p99,
-                retries: t.retries,
-                deadline_miss: t.deadline_misses,
-                shed: t.rejected,
-                checkpoint_cycles: out.checkpoint_cycles.get(&t.tenant).copied().unwrap_or(0),
-                ..BenchRow::default()
-            });
+                format!("serve-{}", policy.label()),
+                &out,
+                &t,
+            ));
         }
     }
     report.save();

@@ -9,10 +9,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use tmu::{area::area, TmuConfig};
-use tmu_kernels::spkadd::Spkadd;
 use tmu_kernels::workload::{KernelKind, Workload};
 use tmu_sim::{configs, Roofline};
-use tmu_tensor::gen::{self, InputId, ScaledInput};
+use tmu_tensor::gen::{InputId, ScaledInput};
 
 use crate::runner::{
     bench_row, default_workers, parallel_map, EngineVariant, InputSpec, Job, RunResult, Runner,
@@ -606,9 +605,4 @@ pub fn verify_all() {
         report.line(line);
     }
     report.save();
-}
-
-/// SpKAdd workload helper used by the criterion benches.
-pub fn quick_spkadd() -> Spkadd {
-    Spkadd::new(&gen::uniform(512, 128, 4, 3))
 }

@@ -1,64 +1,39 @@
 //! Structured perf rows and the `results/bench.json` writer.
 //!
-//! Every figure's simulated runs are flattened into [`BenchRow`] records
-//! and merged into one `results/bench.json` file so future PRs can gate
-//! perf regressions on a machine-readable trajectory instead of diffing
-//! plain-text reports. Merging is file-level: a standalone figure binary
-//! refreshes its own figure's rows and carries every other figure in the
-//! existing file through verbatim.
+//! Every figure's simulated runs become [`BenchRow`] records, merged into
+//! one `results/bench.json` file so perf regressions can be gated on a
+//! machine-readable trajectory instead of diffs of plain-text reports.
+//! Merging is file-level: a standalone figure binary refreshes its own
+//! figure's rows and carries every other figure of an existing file of
+//! the same [`SCHEMA_VERSION`] through verbatim.
 //!
-//! The JSON is emitted by hand: the workspace's `serde` dependency
-//! resolves to the offline marker-trait stub (see `vendor/README.md`),
-//! so derived serialization is not available. The schema is small and
-//! flat enough that an explicit emitter is the sturdier choice anyway —
-//! key order is fixed, floats are shortest-roundtrip, and NaN/∞ map to
-//! `null`.
-//!
-//! Schema (`schema_version` 6):
+//! A row is the labels that name a run plus the run's [`StatsRegistry`].
+//! The writer has no per-statistic code: after the labels (in
+//! [`BenchRow::label_keys`] order, absent ones omitted) it renders one
+//! JSON object per registry *section* — a stat's section is the first
+//! dotted component of its name, its key the rest — in name order:
 //!
 //! ```text
-//! {
-//!   "schema_version": 6,
-//!   "figures": {
-//!     "<figure>": [ { <BenchRow fields> }, ... ],
-//!     ...
-//!   }
-//! }
+//! {"figure":"fig10",…,"machine":"table5","scale":0.4,
+//!  "system":{"cycles":1234,"l1.hits":…,"topdown.backend":0.7,…},
+//!  "tmu":{"outq.entries":…,"outq.read_to_write":…}}
 //! ```
 //!
-//! Version 2 adds the serving-layer fields (`tenant`, `queue_cycles`,
-//! `service_cycles`, `lat_p50`/`lat_p95`/`lat_p99`), emitted only on rows
-//! carrying a tenant — kernel/figure rows are byte-identical to v1.
-//!
-//! Version 3 adds the alternative-backend observables: `tile_occupancy`
-//! (mean live-lane fraction per 4×8 tile, `blocked-sve` rows) and
-//! `stream_tokens` (tokens crossing the stream fabric, `sam-stream`
-//! rows). Each is emitted only on rows of its own engine, so every
-//! pre-existing row stays byte-identical to v2.
-//!
-//! Version 4 adds the format-ablation fields: `format` (the physical
-//! layout the matrix was marshaled into) and `conv_cycles` (modeled
-//! cycles of the csr→format conversion, 0 for the identity). Both are
-//! emitted only on rows tagged with a format by the `formats` binary, so
-//! kernel rows from every other figure stay byte-identical to v3.
-//!
-//! Version 5 adds the resilience fields `retries`, `deadline_miss`,
-//! `shed`, and `checkpoint_cycles` to the tenant block (after
-//! `lat_p99`). They ride only on rows carrying a `tenant`, so every
-//! non-serving row stays byte-identical to v4.
-//!
-//! Version 6 adds the application-pipeline fields: `app` (which DAG
-//! application the row measures), `stage` (the DAG stage, when the row
-//! is a per-stage breakdown rather than end-to-end), `iterations`
-//! (DAG rounds run), and `cache_hit_rate` (the two-level stage cache's
-//! combined hit rate). All four appear only on rows tagged with an
-//! `app` by the `apps` binary, so every pre-existing row stays
-//! byte-identical to v5.
+//! Counters render as integers, gauges as shortest-roundtrip floats,
+//! NaN/∞ as `null`. The JSON is emitted by hand because the workspace's
+//! `serde` is the offline marker-trait stub (see `vendor/README.md`).
+//! DESIGN.md §4 lists the sections and stat names.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
+
+use tmu_trace::{Stat, StatsRegistry};
+
+/// The `schema_version` this module writes, and the only one whose
+/// figures [`write_bench_json`] carries over from an existing file.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Attaches the offending path to an I/O error, so a read-only or missing
 /// `results/` directory fails with a diagnosis instead of a bare panic.
@@ -71,17 +46,13 @@ pub fn write_text(path: &Path, text: &str) -> io::Result<()> {
     std::fs::write(path, text).map_err(|e| with_path(e, path))
 }
 
-/// `std::fs::read_to_string` with the path attached to any error.
-pub fn read_text(path: &Path) -> io::Result<String> {
-    std::fs::read_to_string(path).map_err(|e| with_path(e, path))
-}
-
 /// `std::fs::create_dir_all` with the path attached to any error.
 pub fn create_dir(dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir).map_err(|e| with_path(e, dir))
 }
 
-/// One simulated run, flattened for `results/bench.json`.
+/// One run in `results/bench.json`: the labels that name it plus its
+/// statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchRow {
     /// Figure the row belongs to (`"fig10"`, …).
@@ -94,126 +65,29 @@ pub struct BenchRow {
     pub engine: String,
     /// Machine label (`"table5"` unless the figure sweeps machines).
     pub machine: String,
-    /// Input scale, when the input is a scaled Table 6 stand-in.
+    /// Input scale, when the input is a scaled stand-in.
     pub scale: Option<f64>,
-    /// Source einsum expression, when the job came from the expression
-    /// front-end rather than a hand-written kernel.
+    /// Source einsum expression of a front-end job.
     pub expr: Option<String>,
-    /// Run length in cycles.
-    pub cycles: u64,
-    /// Committing fraction of the top-down breakdown.
-    pub committing: f64,
-    /// Frontend-stall fraction of the top-down breakdown.
-    pub frontend: f64,
-    /// Backend-stall fraction of the top-down breakdown.
-    pub backend: f64,
-    /// Average load-to-use latency in cycles.
-    pub load_to_use: f64,
-    /// Total FLOPs.
-    pub flops: u64,
-    /// DRAM bytes moved.
-    pub dram_bytes: u64,
-    /// Achieved GFLOP/s.
-    pub gflops: f64,
-    /// Achieved DRAM bandwidth in GB/s.
-    pub bandwidth_gbs: f64,
-    /// Arithmetic intensity in FLOP/byte.
-    pub arithmetic_intensity: f64,
-    /// DRAM row-buffer hit fraction.
-    pub dram_row_hit_rate: f64,
-    /// L1 (hits, misses, merged) summed over cores.
-    pub l1: (u64, u64, u64),
-    /// L2 (hits, misses, merged) summed over cores.
-    pub l2: (u64, u64, u64),
-    /// LLC (hits, misses, merged) summed over slices.
-    pub llc: (u64, u64, u64),
-    /// Cachelines read from DRAM.
-    pub dram_lines_read: u64,
-    /// Cachelines written to DRAM.
-    pub dram_lines_written: u64,
-    /// DRAM row-buffer hits.
-    pub dram_row_hits: u64,
-    /// DRAM row-buffer misses.
-    pub dram_row_misses: u64,
-    /// outQ entries marshaled (TMU variants; 0 otherwise).
-    pub outq_entries: u64,
-    /// outQ chunks sealed (TMU variants; 0 otherwise).
-    pub outq_chunks: u64,
-    /// Engine cycles stalled on the outQ double-buffer gate.
-    pub outq_backpressure_cycles: u64,
-    /// Figure 13 read-to-write ratio (0 when not a TMU variant).
-    pub outq_read_to_write: f64,
-    /// Panic message when the job failed instead of finishing. Emitted
-    /// only when present, so healthy rows are byte-identical to the
-    /// pre-fault-model schema.
-    pub error: Option<String>,
-    /// Why the engine retired and the job fell back to the software
-    /// baseline. Emitted only when present.
-    pub fallback: Option<String>,
-    /// Faults injected into the run's TMU engines. The three fault
-    /// counters are emitted only when at least one fault was injected.
-    pub fault_injected: u64,
-    /// Precise traps taken (context saved, simulated OS serviced).
-    pub fault_traps: u64,
-    /// Context restores after trap service.
-    pub fault_restores: u64,
-    /// Serving-layer tenant label (`"tenant0"`, …). When set, the row is
-    /// a per-tenant serving row and the five serving fields below are
-    /// emitted with it (schema v2); kernel rows omit all six keys and
-    /// stay byte-identical to schema v1.
+    /// Serving-layer tenant (`"tenant0"`, …) of a per-tenant row.
     pub tenant: Option<String>,
-    /// Total queueing delay across the tenant's completed jobs (cycles).
-    pub queue_cycles: u64,
-    /// Total slot occupancy across the tenant's completed jobs (cycles).
-    pub service_cycles: u64,
-    /// p50 of the tenant's sojourn latency (arrival → completion, cycles).
-    pub lat_p50: u64,
-    /// p95 of the tenant's sojourn latency (cycles).
-    pub lat_p95: u64,
-    /// p99 of the tenant's sojourn latency (cycles).
-    pub lat_p99: u64,
-    /// Retry attempts across the tenant's jobs after serving-visible
-    /// faults (schema v5; tenant rows only, like the v2 block).
-    pub retries: u64,
-    /// Completed jobs of the tenant that finished past their deadline
-    /// (schema v5; tenant rows only).
-    pub deadline_miss: u64,
-    /// Arrivals shed at admission — queue full, circuit open, or global
-    /// saturation (schema v5; tenant rows only).
-    pub shed: u64,
-    /// Cycles the tenant's jobs spent saving periodic checkpoints
-    /// (schema v5; tenant rows only).
-    pub checkpoint_cycles: u64,
-    /// Mean fraction of live lanes per 4×8 tile (schema v3; emitted only
-    /// on `blocked-sve` rows).
-    pub tile_occupancy: Option<f64>,
-    /// Tokens that crossed the stream fabric (schema v3; emitted only on
-    /// `sam-stream` rows).
-    pub stream_tokens: Option<u64>,
-    /// Physical layout the matrix was marshaled into before the run
-    /// (schema v4; emitted only on format-ablation rows, with
-    /// [`BenchRow::conv_cycles`]).
-    pub format: Option<String>,
-    /// Modeled cycles of the csr→format conversion charged to the row
-    /// (schema v4; `0` for the identity conversion; emitted with
-    /// [`BenchRow::format`]).
-    pub conv_cycles: Option<u64>,
-    /// Application the row measures (`"gnn"`, `"cg"`, `"pagerank"`;
-    /// schema v6). When set, the row carries the pipeline fields below;
-    /// untagged rows stay byte-identical to v5.
+    /// Application (`"gnn"`, `"cg"`, `"pagerank"`) of an app row.
     pub app: Option<String>,
-    /// DAG stage the row breaks out (`"sddmm"`, `"spmv"`, …), when the
-    /// row is a per-stage breakdown; end-to-end app rows omit the key
-    /// (schema v6; app rows only).
+    /// DAG stage of a per-stage app row.
     pub stage: Option<String>,
-    /// DAG rounds the application ran (schema v6; app rows only).
-    pub iterations: u64,
-    /// Combined tensor+program hit rate of the two-level stage cache
-    /// over the run (schema v6; app rows only).
-    pub cache_hit_rate: f64,
+    /// Physical layout the matrix was marshaled into (format rows).
+    pub format: Option<String>,
+    /// Panic message when the job failed instead of finishing.
+    pub error: Option<String>,
+    /// Why the engine retired and the job fell back to the baseline.
+    pub fallback: Option<String>,
+    /// The run's statistics, one JSON object per section.
+    pub stats: StatsRegistry,
 }
 
-fn push_str(out: &mut String, s: &str) {
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -229,148 +103,89 @@ fn push_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+    out
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// `v` as a JSON number; NaN and ∞, which JSON cannot express, as `null`.
+fn number(v: f64) -> String {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        format!("{v}")
     } else {
-        // JSON has no NaN/Infinity literal.
-        out.push_str("null");
+        "null".to_owned()
     }
 }
 
 impl BenchRow {
-    fn write(&self, out: &mut String) {
-        macro_rules! str_field {
-            ($key:literal, $v:expr) => {
-                out.push_str(concat!("\"", $key, "\":"));
-                push_str(out, $v);
-                out.push(',');
-            };
-        }
-        macro_rules! u64_field {
-            ($key:literal, $v:expr) => {
-                out.push_str(concat!("\"", $key, "\":"));
-                out.push_str(&format!("{}", $v));
-                out.push(',');
-            };
-        }
-        macro_rules! f64_field {
-            ($key:literal, $v:expr) => {
-                out.push_str(concat!("\"", $key, "\":"));
-                push_f64(out, $v);
-                out.push(',');
-            };
-        }
-        out.push('{');
-        str_field!("figure", &self.figure);
-        str_field!("kernel", &self.kernel);
-        str_field!("input", &self.input);
-        str_field!("engine", &self.engine);
-        str_field!("machine", &self.machine);
-        match self.scale {
-            Some(s) => {
-                out.push_str("\"scale\":");
-                push_f64(out, s);
-                out.push(',');
+    /// The labels in emission order, each key with its JSON value or
+    /// `None` when absent.
+    fn labels(&self) -> [(&'static str, Option<String>); 13] {
+        let text = |s: &Option<String>| s.as_deref().map(quoted);
+        [
+            ("figure", Some(quoted(&self.figure))),
+            ("kernel", Some(quoted(&self.kernel))),
+            ("input", Some(quoted(&self.input))),
+            ("engine", Some(quoted(&self.engine))),
+            ("machine", Some(quoted(&self.machine))),
+            ("scale", self.scale.map(number)),
+            ("expr", text(&self.expr)),
+            ("tenant", text(&self.tenant)),
+            ("app", text(&self.app)),
+            ("stage", text(&self.stage)),
+            ("format", text(&self.format)),
+            ("error", text(&self.error)),
+            ("fallback", text(&self.fallback)),
+        ]
+    }
+
+    /// Every label key a row may carry, in emission order. No stat
+    /// section may share one of these names.
+    pub fn label_keys() -> [&'static str; 13] {
+        Self::default().labels().map(|(key, _)| key)
+    }
+
+    /// The sections of [`Self::stats`], in emission order. Registry names
+    /// sort by section first, so each section's stats are contiguous.
+    pub fn sections(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = Vec::new();
+        for (name, _) in self.stats.iter() {
+            let (section, _) = name
+                .split_once('.')
+                .unwrap_or_else(|| panic!("stat {name:?} is not named <section>.<stat>"));
+            if out.last() != Some(&section) {
+                out.push(section);
             }
-            None => out.push_str("\"scale\":null,"),
         }
-        match &self.expr {
-            Some(e) => {
-                str_field!("expr", e);
-            }
-            None => out.push_str("\"expr\":null,"),
+        out
+    }
+
+    /// The row as one JSON object: the present labels, then one object
+    /// per section keyed by the rest of each stat name.
+    fn to_json(&self) -> String {
+        let labels = self.labels();
+        let mut fields: Vec<String> = labels
+            .iter()
+            .filter_map(|(key, value)| Some(format!("\"{key}\":{}", value.as_ref()?)))
+            .collect();
+        for section in self.sections() {
+            assert!(
+                labels.iter().all(|(key, _)| *key != section),
+                "stat section {section:?} would repeat the row label of that name"
+            );
+            let prefix = format!("{section}.");
+            let stats: Vec<String> = self
+                .stats
+                .iter()
+                .filter_map(|(name, stat)| {
+                    let value = match *stat {
+                        Stat::Counter(c) => c.to_string(),
+                        Stat::Gauge(g) => number(g),
+                    };
+                    Some(format!("{}:{value}", quoted(name.strip_prefix(&prefix)?)))
+                })
+                .collect();
+            fields.push(format!("{}:{{{}}}", quoted(section), stats.join(",")));
         }
-        u64_field!("cycles", self.cycles);
-        f64_field!("committing", self.committing);
-        f64_field!("frontend", self.frontend);
-        f64_field!("backend", self.backend);
-        f64_field!("load_to_use", self.load_to_use);
-        u64_field!("flops", self.flops);
-        u64_field!("dram_bytes", self.dram_bytes);
-        f64_field!("gflops", self.gflops);
-        f64_field!("bandwidth_gbs", self.bandwidth_gbs);
-        f64_field!("arithmetic_intensity", self.arithmetic_intensity);
-        f64_field!("dram_row_hit_rate", self.dram_row_hit_rate);
-        u64_field!("l1_hits", self.l1.0);
-        u64_field!("l1_misses", self.l1.1);
-        u64_field!("l1_merged", self.l1.2);
-        u64_field!("l2_hits", self.l2.0);
-        u64_field!("l2_misses", self.l2.1);
-        u64_field!("l2_merged", self.l2.2);
-        u64_field!("llc_hits", self.llc.0);
-        u64_field!("llc_misses", self.llc.1);
-        u64_field!("llc_merged", self.llc.2);
-        u64_field!("dram_lines_read", self.dram_lines_read);
-        u64_field!("dram_lines_written", self.dram_lines_written);
-        u64_field!("dram_row_hits", self.dram_row_hits);
-        u64_field!("dram_row_misses", self.dram_row_misses);
-        u64_field!("outq_entries", self.outq_entries);
-        u64_field!("outq_chunks", self.outq_chunks);
-        u64_field!("outq_backpressure_cycles", self.outq_backpressure_cycles);
-        f64_field!("outq_read_to_write", self.outq_read_to_write);
-        // Alternative-backend observables (schema v3): each key appears
-        // only on rows of its own engine, so rows from every other engine
-        // stay byte-identical to v2.
-        if let Some(occ) = self.tile_occupancy {
-            f64_field!("tile_occupancy", occ);
-        }
-        if let Some(tok) = self.stream_tokens {
-            u64_field!("stream_tokens", tok);
-        }
-        // Format-ablation fields (schema v4): only rows the `formats`
-        // binary tags with a layout carry them; every other figure's rows
-        // stay byte-identical to v3.
-        if let Some(fmt) = &self.format {
-            str_field!("format", fmt);
-            u64_field!("conv_cycles", self.conv_cycles.unwrap_or(0));
-        }
-        // Application-pipeline fields (schema v6): only rows the `apps`
-        // binary tags with an app carry them; every other figure's rows
-        // stay byte-identical to v5.
-        if let Some(app) = &self.app {
-            str_field!("app", app);
-            if let Some(stage) = &self.stage {
-                str_field!("stage", stage);
-            }
-            u64_field!("iterations", self.iterations);
-            f64_field!("cache_hit_rate", self.cache_hit_rate);
-        }
-        // Resilience telemetry is opt-in: the keys appear only on rows
-        // that failed, fell back, or ran with injected faults, keeping
-        // fault-free bench.json output byte-identical to older schemas.
-        if let Some(e) = &self.error {
-            str_field!("error", e);
-        }
-        if let Some(fb) = &self.fallback {
-            str_field!("fallback", fb);
-        }
-        if self.fault_injected > 0 {
-            u64_field!("fault_injected", self.fault_injected);
-            u64_field!("fault_traps", self.fault_traps);
-            u64_field!("fault_restores", self.fault_restores);
-        }
-        // Serving-layer telemetry (schema v2): only rows tagged with a
-        // tenant carry the queueing/latency fields.
-        if let Some(t) = &self.tenant {
-            str_field!("tenant", t);
-            u64_field!("queue_cycles", self.queue_cycles);
-            u64_field!("service_cycles", self.service_cycles);
-            u64_field!("lat_p50", self.lat_p50);
-            u64_field!("lat_p95", self.lat_p95);
-            u64_field!("lat_p99", self.lat_p99);
-            // Resilience telemetry (schema v5) rides the tenant block, so
-            // non-serving rows stay byte-identical to v4.
-            u64_field!("retries", self.retries);
-            u64_field!("deadline_miss", self.deadline_miss);
-            u64_field!("shed", self.shed);
-            u64_field!("checkpoint_cycles", self.checkpoint_cycles);
-        }
-        // Drop the trailing comma.
-        out.pop();
-        out.push('}');
+        format!("{{{}}}", fields.join(","))
     }
 }
 
@@ -387,48 +202,38 @@ pub fn record(figure: &str, rows: Vec<BenchRow>) {
         .insert(figure.to_owned(), rows);
 }
 
+/// The first lines of every file this module writes.
+fn header() -> String {
+    format!("{{\n\"schema_version\":{SCHEMA_VERSION},\n\"figures\":{{\n")
+}
+
 fn render(figures: &BTreeMap<String, String>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n\"schema_version\":6,\n\"figures\":{\n");
-    let mut first_fig = true;
-    for (figure, body) in figures {
-        if !first_fig {
-            out.push_str(",\n");
-        }
-        first_fig = false;
-        push_str(&mut out, figure);
-        out.push_str(":[\n");
-        out.push_str(body);
-        out.push_str("\n]");
-    }
-    out.push_str("\n}\n}\n");
-    out
+    let arrays: Vec<String> = figures
+        .iter()
+        .map(|(figure, rows)| quoted(figure) + ":[\n" + rows + "\n]")
+        .collect();
+    header() + &arrays.join(",\n") + "\n}\n}\n"
 }
 
 fn rows_body(rows: &[BenchRow]) -> String {
-    let mut body = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        row.write(&mut body);
-    }
-    body
+    let lines: Vec<String> = rows.iter().map(BenchRow::to_json).collect();
+    lines.join(",\n")
 }
 
 /// Recovers the per-figure row arrays (as raw JSON text) from a
 /// `bench.json` this emitter wrote earlier. Relies on the emitter's fixed
-/// layout: one row per line, every array closed by a `\n]` pair. Returns
-/// an empty map for a missing or foreign file.
+/// layout: the [`header`], one row per line, every array closed by a
+/// `\n]` pair. Returns an empty map for a missing or foreign file, and for
+/// a file of another [`SCHEMA_VERSION`]: its rows would sit under the
+/// wrong version.
 fn parse_existing(path: &Path) -> BTreeMap<String, String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
     let mut out = BTreeMap::new();
-    let Some(start) = text.find("\"figures\":{") else {
+    let Ok(text) = std::fs::read_to_string(path) else {
         return out;
     };
-    let mut rest = &text[start + "\"figures\":{".len()..];
+    let Some(mut rest) = text.strip_prefix(&header()) else {
+        return out;
+    };
     while let Some(q) = rest.find('"') {
         rest = &rest[q + 1..];
         let Some(qe) = rest.find('"') else { break };
@@ -458,9 +263,10 @@ pub fn render_bench_json() -> String {
 
 /// Writes `bench.json` under `dir`, merging this process's recorded
 /// figures over any figures an earlier run (e.g. another `fig*` binary)
-/// left in the file — so `cargo run --bin fig10` refreshes only its own
-/// rows instead of clobbering the rest. Delete the file for a clean
-/// rebuild. Errors name the offending path.
+/// left in a file of the same [`SCHEMA_VERSION`] — so `cargo run --bin
+/// fig10` refreshes only its own rows instead of clobbering the rest. A
+/// file of another version is replaced, not merged. Delete the file for a
+/// clean rebuild. Errors name the offending path.
 pub fn write_bench_json(dir: &Path) -> io::Result<PathBuf> {
     let path = dir.join("bench.json");
     let mut figures = parse_existing(&path);
@@ -475,7 +281,9 @@ pub fn write_bench_json(dir: &Path) -> io::Result<PathBuf> {
 }
 
 /// Validates that `text` is one well-formed JSON value (RFC 8259 subset:
-/// objects, arrays, strings with escapes, numbers, booleans, null).
+/// objects, arrays, strings with escapes, numbers, booleans, null) with
+/// no key repeated within an object — RFC 8259 leaves duplicates'
+/// meaning open, and common parsers silently keep only the last.
 ///
 /// The workspace's `serde` is the offline marker-trait stub, so this
 /// hand-rolled recursive-descent checker is the repo's JSON parser — the
@@ -520,12 +328,19 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
         *pos += 1;
         return Ok(());
     }
+    let mut keys: Vec<&[u8]> = Vec::new();
     loop {
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}"));
         }
+        let start = *pos;
         parse_string(b, pos)?;
+        let key = &b[start..*pos];
+        if keys.contains(&key) {
+            return Err(format!("duplicate object key at byte {start}"));
+        }
+        keys.push(key);
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}"));
@@ -644,58 +459,82 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rows_serialize_to_valid_flat_json() {
-        let row = BenchRow {
-            figure: "figX".into(),
+    fn row(figure: &str) -> BenchRow {
+        BenchRow {
+            figure: figure.into(),
             kernel: "SpMV".into(),
-            input: "M\"3\\".into(),
+            input: "M3".into(),
             engine: "tmu".into(),
             machine: "table5".into(),
-            scale: Some(0.05),
-            cycles: 42,
-            committing: 0.5,
-            load_to_use: f64::NAN,
             ..BenchRow::default()
-        };
-        let mut s = String::new();
-        row.write(&mut s);
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains("\"kernel\":\"SpMV\""));
-        assert!(s.contains("\"input\":\"M\\\"3\\\\\""), "{s}");
-        assert!(s.contains("\"scale\":0.05"));
-        assert!(s.contains("\"cycles\":42"));
-        assert!(s.contains("\"load_to_use\":null"), "NaN must map to null");
-        assert!(!s.contains(",}"), "no trailing comma: {s}");
-        // Balanced quoting: an even number of unescaped quotes. Scan with
-        // an escape flag — stripping `\"` textually would also eat a real
-        // delimiter preceded by an escaped backslash (`...\\"`).
-        let mut quotes = 0usize;
-        let mut escaped = false;
-        for c in s.chars() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                quotes += 1;
-            }
         }
-        assert_eq!(quotes % 2, 0, "{s}");
+    }
+
+    #[test]
+    fn schema_v7_row_layout_pin() {
+        // Labels first in label_keys order, absent ones omitted; then one
+        // object per section in name order, keyed by the rest of the
+        // name; counters as integers, gauges as shortest floats, NaN as
+        // null.
+        let mut stats = StatsRegistry::new();
+        stats.set_counter("tmu.outq.entries", 7);
+        stats.set_counter("system.cycles", 42);
+        stats.set_gauge("system.topdown.committing", 0.5);
+        stats.set_gauge("system.load_to_use", f64::NAN);
+        stats.set_gauge("system.dram.row_hit_rate", 1.0);
+        stats.set_gauge("tmu.outq.read_to_write", 1.25e-3);
+        let full = BenchRow {
+            scale: Some(0.05),
+            expr: Some("y(i) = A(i,j:csr) * x(j)".into()),
+            fallback: Some("retired".into()),
+            tenant: Some("tenant0".into()),
+            stats,
+            ..row("figX")
+        };
+        let s = full.to_json();
+        assert_eq!(
+            s,
+            "{\"figure\":\"figX\",\"kernel\":\"SpMV\",\"input\":\"M3\",\"engine\":\"tmu\",\
+             \"machine\":\"table5\",\"scale\":0.05,\"expr\":\"y(i) = A(i,j:csr) * x(j)\",\
+             \"tenant\":\"tenant0\",\"fallback\":\"retired\",\
+             \"system\":{\"cycles\":42,\"dram.row_hit_rate\":1,\"load_to_use\":null,\
+             \"topdown.committing\":0.5},\
+             \"tmu\":{\"outq.entries\":7,\"outq.read_to_write\":0.00125}}"
+        );
+        assert_eq!(full.sections(), ["system", "tmu"]);
+        validate(&s).expect("a full row is well-formed JSON");
+
+        // A row without stats or optional labels is the five labels alone.
+        let bare = row("figY").to_json();
+        assert_eq!(
+            bare,
+            "{\"figure\":\"figY\",\"kernel\":\"SpMV\",\"input\":\"M3\",\"engine\":\"tmu\",\
+             \"machine\":\"table5\"}"
+        );
+        validate(&bare).expect("a bare row is well-formed JSON");
+    }
+
+    #[test]
+    #[should_panic(expected = "repeat the row label")]
+    fn a_section_named_like_a_label_is_refused() {
+        // An `app` section beside the `app` label would write the key
+        // twice in one object.
+        let mut stats = StatsRegistry::new();
+        stats.set_counter("app.cycles", 1);
+        let row = BenchRow {
+            app: Some("gnn".into()),
+            stats,
+            ..row("figX")
+        };
+        row.to_json();
     }
 
     #[test]
     fn registry_merges_figures() {
-        record(
-            "zz_test_fig_a",
-            vec![BenchRow {
-                figure: "zz_test_fig_a".into(),
-                ..BenchRow::default()
-            }],
-        );
+        record("zz_test_fig_a", vec![row("zz_test_fig_a")]);
         record("zz_test_fig_b", Vec::new());
         let s = render_bench_json();
-        assert!(s.contains("\"schema_version\":6"));
+        assert!(s.starts_with("{\n\"schema_version\":7,\n\"figures\":{\n"));
         assert!(s.contains("\"zz_test_fig_a\":["));
         assert!(s.contains("\"zz_test_fig_b\":["));
         // Re-recording replaces, not appends.
@@ -704,33 +543,36 @@ mod tests {
         assert!(s.contains("\"zz_test_fig_a\":[\n\n]"), "{s}");
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tmu-bench-json-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn write_merges_with_existing_file() {
-        let dir = std::env::temp_dir().join(format!("tmu-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // A previous process left a figure this process never records.
-        std::fs::write(
-            dir.join("bench.json"),
-            "{\n\"schema_version\":1,\n\"figures\":{\n\"zz_prev_fig\":[\n\
-             {\"figure\":\"zz_prev_fig\",\"cycles\":9}\n]\n}\n}\n",
-        )
-        .unwrap();
+        let dir = temp_dir("merge");
+        // A previous process of this schema version left a figure this
+        // process never records.
+        let prev = "\"zz_prev_fig\":[\n{\"figure\":\"zz_prev_fig\",\"system\":{\"cycles\":9}}\n]";
+        std::fs::write(dir.join("bench.json"), header() + prev + "\n}\n}\n").unwrap();
+        let mut stats = StatsRegistry::new();
+        stats.set_counter("system.cycles", 7);
         record(
             "zz_merge_fig",
             vec![BenchRow {
-                figure: "zz_merge_fig".into(),
-                cycles: 7,
-                ..BenchRow::default()
+                stats,
+                ..row("zz_merge_fig")
             }],
         );
         let path = write_bench_json(&dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            text.contains("\"zz_prev_fig\":[\n{\"figure\":\"zz_prev_fig\",\"cycles\":9}\n]"),
-            "foreign figure carried through: {text}"
+            text.contains(prev),
+            "same-version figure carried through: {text}"
         );
         assert!(text.contains("\"zz_merge_fig\":["), "{text}");
-        assert!(text.contains("\"cycles\":7"), "{text}");
+        assert!(text.contains("\"system\":{\"cycles\":7}"), "{text}");
         // A second write round-trips the merged file unchanged.
         let again = std::fs::read_to_string(write_bench_json(&dir).unwrap()).unwrap();
         assert_eq!(text, again);
@@ -738,279 +580,22 @@ mod tests {
     }
 
     #[test]
-    fn schema_v2_tenant_fields_pin_and_roundtrip() {
-        // A serving row carries the six v2 keys, in pinned order…
-        let served = BenchRow {
-            figure: "serve".into(),
-            kernel: "mix".into(),
-            engine: "tmu-serve".into(),
-            machine: "table5".into(),
-            tenant: Some("tenant0".into()),
-            queue_cycles: 1234,
-            service_cycles: 5678,
-            lat_p50: 10,
-            lat_p95: 95,
-            lat_p99: 99,
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        served.write(&mut s);
-        assert!(
-            s.contains(
-                "\"tenant\":\"tenant0\",\"queue_cycles\":1234,\"service_cycles\":5678,\
-                 \"lat_p50\":10,\"lat_p95\":95,\"lat_p99\":99,"
-            ),
-            "v2 serving fields pinned in order: {s}"
-        );
-        validate(&format!("[{s}]")).expect("serving row must be well-formed JSON");
-
-        // …while a tenant-less row emits none of them, byte-identical to
-        // the v1 row layout.
-        let plain = BenchRow {
-            figure: "serve".into(),
-            kernel: "mix".into(),
-            engine: "tmu-serve".into(),
-            machine: "table5".into(),
-            ..BenchRow::default()
-        };
-        let mut p = String::new();
-        plain.write(&mut p);
-        for key in [
-            "tenant",
-            "queue_cycles",
-            "service_cycles",
-            "lat_p50",
-            "lat_p95",
-            "lat_p99",
-        ] {
-            assert!(!p.contains(key), "v1-shaped row must omit {key}: {p}");
-        }
-        validate(&format!("[{p}]")).expect("plain row must be well-formed JSON");
-    }
-
-    #[test]
-    fn schema_v3_backend_fields_pin_and_roundtrip() {
-        // A blocked-sve row carries only tile_occupancy, a sam-stream row
-        // only stream_tokens — and each lands right after the outQ block.
-        let blocked = BenchRow {
-            figure: "matrix".into(),
-            kernel: "SpMV".into(),
-            engine: "blocked-sve".into(),
-            machine: "table5".into(),
-            tile_occupancy: Some(0.625),
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        blocked.write(&mut s);
-        assert!(
-            s.contains("\"outq_read_to_write\":0,\"tile_occupancy\":0.625}"),
-            "v3 occupancy pinned after the outQ block: {s}"
-        );
-        assert!(!s.contains("stream_tokens"), "{s}");
-        validate(&format!("[{s}]")).expect("blocked row must be well-formed JSON");
-
-        let sam = BenchRow {
-            figure: "matrix".into(),
-            kernel: "SpMV".into(),
-            engine: "sam-stream".into(),
-            machine: "table5".into(),
-            stream_tokens: Some(4096),
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        sam.write(&mut s);
-        assert!(
-            s.contains("\"outq_read_to_write\":0,\"stream_tokens\":4096}"),
-            "v3 tokens pinned after the outQ block: {s}"
-        );
-        assert!(!s.contains("tile_occupancy"), "{s}");
-        validate(&format!("[{s}]")).expect("sam row must be well-formed JSON");
-
-        // Rows from every other engine emit neither key — byte-identical
-        // to the v2 layout.
-        let plain = BenchRow {
-            figure: "matrix".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            ..BenchRow::default()
-        };
-        let mut p = String::new();
-        plain.write(&mut p);
-        for key in ["tile_occupancy", "stream_tokens"] {
-            assert!(!p.contains(key), "v2-shaped row must omit {key}: {p}");
-        }
-        validate(&format!("[{p}]")).expect("plain row must be well-formed JSON");
-    }
-
-    #[test]
-    fn schema_v4_format_fields_pin_and_roundtrip() {
-        // A format-ablation row carries format and conv_cycles, right
-        // after the v3 backend observables…
-        let tagged = BenchRow {
-            figure: "formats".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            format: Some("banded".into()),
-            conv_cycles: Some(777),
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        tagged.write(&mut s);
-        assert!(
-            s.contains("\"outq_read_to_write\":0,\"format\":\"banded\",\"conv_cycles\":777}"),
-            "v4 format fields pinned after the outQ block: {s}"
-        );
-        validate(&format!("[{s}]")).expect("format row must be well-formed JSON");
-
-        // …a format row without a measured conversion still carries both
-        // keys (the identity conversion costs 0)…
-        let identity = BenchRow {
-            format: Some("csr".into()),
-            ..BenchRow::default()
-        };
-        let mut i = String::new();
-        identity.write(&mut i);
-        assert!(i.contains("\"format\":\"csr\",\"conv_cycles\":0}"), "{i}");
-
-        // …while an untagged row emits neither key — byte-identical to
-        // the v3 layout.
-        let plain = BenchRow {
-            figure: "fig10".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            ..BenchRow::default()
-        };
-        let mut p = String::new();
-        plain.write(&mut p);
-        for key in ["\"format\"", "conv_cycles"] {
-            assert!(!p.contains(key), "v3-shaped row must omit {key}: {p}");
-        }
-        validate(&format!("[{p}]")).expect("plain row must be well-formed JSON");
-    }
-
-    #[test]
-    fn schema_v5_resilience_fields_pin_and_roundtrip() {
-        // A serving row's tenant block ends with the four v5 resilience
-        // keys, in pinned order…
-        let served = BenchRow {
-            figure: "serve".into(),
-            kernel: "mix".into(),
-            engine: "tmu-serve".into(),
-            machine: "table5".into(),
-            tenant: Some("tenant1".into()),
-            lat_p99: 99,
-            retries: 3,
-            deadline_miss: 2,
-            shed: 5,
-            checkpoint_cycles: 4096,
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        served.write(&mut s);
-        assert!(
-            s.ends_with(
-                "\"lat_p99\":99,\"retries\":3,\"deadline_miss\":2,\"shed\":5,\
-                 \"checkpoint_cycles\":4096}"
-            ),
-            "v5 resilience fields pinned at the row tail: {s}"
-        );
-        validate(&format!("[{s}]")).expect("serving row must be well-formed JSON");
-
-        // …while a tenant-less row emits none of them, byte-identical to
-        // the v4 layout even with nonzero counters set.
-        let plain = BenchRow {
-            figure: "fig10".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            retries: 9,
-            shed: 9,
-            ..BenchRow::default()
-        };
-        let mut p = String::new();
-        plain.write(&mut p);
-        for key in ["retries", "deadline_miss", "\"shed\"", "checkpoint_cycles"] {
-            assert!(!p.contains(key), "v4-shaped row must omit {key}: {p}");
-        }
-        validate(&format!("[{p}]")).expect("plain row must be well-formed JSON");
-    }
-
-    #[test]
-    fn schema_v6_app_fields_pin_and_roundtrip() {
-        // A per-stage app row carries all four v6 keys, right after the
-        // outQ block (where the v3/v4 opt-in keys would sit)…
-        let staged = BenchRow {
-            figure: "apps".into(),
-            kernel: "gnn".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            app: Some("gnn".into()),
-            stage: Some("sddmm".into()),
-            iterations: 1,
-            cache_hit_rate: 0.75,
-            ..BenchRow::default()
-        };
-        let mut s = String::new();
-        staged.write(&mut s);
-        assert!(
-            s.contains(
-                "\"outq_read_to_write\":0,\"app\":\"gnn\",\"stage\":\"sddmm\",\
-                 \"iterations\":1,\"cache_hit_rate\":0.75}"
-            ),
-            "v6 app fields pinned after the outQ block: {s}"
-        );
-        validate(&format!("[{s}]")).expect("stage row must be well-formed JSON");
-
-        // …an end-to-end app row omits only the stage key…
-        let e2e = BenchRow {
-            app: Some("cg".into()),
-            iterations: 6,
-            cache_hit_rate: 0.5,
-            ..BenchRow::default()
-        };
-        let mut e = String::new();
-        e2e.write(&mut e);
-        assert!(
-            e.contains("\"app\":\"cg\",\"iterations\":6,\"cache_hit_rate\":0.5}"),
-            "{e}"
-        );
-        assert!(!e.contains("\"stage\""), "{e}");
-        validate(&format!("[{e}]")).expect("e2e row must be well-formed JSON");
-
-        // …while an untagged row emits none of them — byte-identical to
-        // the v5 layout even with nonzero pipeline counters set.
-        let plain = BenchRow {
-            figure: "fig10".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            iterations: 9,
-            cache_hit_rate: 0.9,
-            ..BenchRow::default()
-        };
-        let mut p = String::new();
-        plain.write(&mut p);
-        for key in ["\"app\"", "\"stage\"", "iterations", "cache_hit_rate"] {
-            assert!(!p.contains(key), "v5-shaped row must omit {key}: {p}");
-        }
-        validate(&format!("[{p}]")).expect("plain row must be well-formed JSON");
-
-        // The plain row is byte-for-byte what the v5 emitter produced:
-        // rebuilding it without the (ignored) pipeline counters yields
-        // identical bytes.
-        let mut v5 = String::new();
-        BenchRow {
-            figure: "fig10".into(),
-            kernel: "SpMV".into(),
-            engine: "tmu".into(),
-            machine: "table5".into(),
-            ..BenchRow::default()
-        }
-        .write(&mut v5);
-        assert_eq!(p, v5, "non-app rows must stay byte-identical to v5");
+    fn write_drops_figures_of_another_schema_version() {
+        let dir = temp_dir("stale");
+        // A file from an older writer: its rows have another layout, so
+        // carrying them under this version's header would mislabel them.
+        std::fs::write(
+            dir.join("bench.json"),
+            "{\n\"schema_version\":6,\n\"figures\":{\n\"zz_old_fig\":[\n\
+             {\"figure\":\"zz_old_fig\",\"cycles\":9}\n]\n}\n}\n",
+        )
+        .unwrap();
+        record("zz_fresh_fig", vec![row("zz_fresh_fig")]);
+        let text = std::fs::read_to_string(write_bench_json(&dir).unwrap()).unwrap();
+        assert!(!text.contains("zz_old_fig"), "stale figure dropped: {text}");
+        assert!(text.starts_with(&header()), "{text}");
+        assert!(text.contains("\"zz_fresh_fig\":["), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1025,18 +610,22 @@ mod tests {
 
     #[test]
     fn validate_accepts_the_emitters_output() {
+        let mut stats = StatsRegistry::new();
+        stats.set_gauge("system.topdown.committing", f64::NAN);
+        stats.set_gauge("system.dram.bandwidth_gbs", f64::INFINITY);
         record(
             "zz_valid_fig",
             vec![BenchRow {
-                figure: "zz_valid_fig".into(),
-                input: "quote\"back\\slash\ttab".into(),
-                scale: Some(0.5),
-                committing: f64::NAN,
-                gflops: 1.25e-3,
-                ..BenchRow::default()
+                input: "quote\"back\\slash".into(),
+                error: Some("line\nbreak\ttab".into()),
+                stats,
+                ..row("zz_valid_fig")
             }],
         );
-        validate(&render_bench_json()).expect("bench.json must be well-formed");
+        let s = render_bench_json();
+        assert!(s.contains("\"input\":\"quote\\\"back\\\\slash\""), "{s}");
+        assert!(s.contains("\"error\":\"line\\nbreak\\ttab\""), "{s}");
+        validate(&s).expect("bench.json must be well-formed");
     }
 
     #[test]
@@ -1054,6 +643,7 @@ mod tests {
             "{\"a\":1} trailing",
             "[01e]",
             "\"ctrl\u{0}\"",
+            "{\"a\":1,\"b\":2,\"a\":3}",
         ] {
             assert!(validate(bad).is_err(), "must reject {bad:?}");
         }
@@ -1064,6 +654,7 @@ mod tests {
             "{}",
             "{\"k\":[1,true,null,\"\\u00e9\"]}",
             " [ 1 , 2 ] ",
+            "[{\"a\":1},{\"a\":2,\"b\":{\"a\":3}}]",
         ] {
             validate(good).unwrap_or_else(|e| panic!("must accept {good:?}: {e}"));
         }

@@ -38,8 +38,10 @@ use tmu_kernels::{
     sptc::Sptc,
     trianglecount::TriangleCount,
 };
+use tmu_serve::{ServeOutcome, TenantReport};
 use tmu_tensor::gen::{InputId, ScaledInput};
 use tmu_tensor::CsrMatrix;
+use tmu_trace::StatsRegistry;
 
 use crate::json::BenchRow;
 
@@ -194,6 +196,46 @@ impl Report {
     }
 }
 
+/// One tenant's `bench.json` row for a served trace (the `serve` and
+/// `chaos` figures): the labels plus the tenant's `serve.*` stats.
+pub fn tenant_row(
+    figure: &str,
+    input: String,
+    engine: String,
+    out: &ServeOutcome,
+    t: &TenantReport,
+) -> BenchRow {
+    let queue_cycles = out
+        .outcomes
+        .iter()
+        .filter(|o| o.tenant == t.tenant)
+        .map(|o| o.queue_cycles())
+        .sum();
+    let checkpoint_cycles = out.checkpoint_cycles.get(&t.tenant).copied().unwrap_or(0);
+    let mut stats = StatsRegistry::new();
+    stats.set_counter("serve.makespan_cycles", out.makespan);
+    stats.set_counter("serve.queue_cycles", queue_cycles);
+    stats.set_counter("serve.service_cycles", t.service_cycles);
+    stats.set_counter("serve.lat_p50", t.sojourn.p50);
+    stats.set_counter("serve.lat_p95", t.sojourn.p95);
+    stats.set_counter("serve.lat_p99", t.sojourn.p99);
+    stats.set_counter("serve.retries", t.retries);
+    stats.set_counter("serve.deadline_miss", t.deadline_misses);
+    stats.set_counter("serve.shed", t.rejected);
+    stats.set_counter("serve.checkpoint_cycles", checkpoint_cycles);
+    stats.set_counter("serve.slot_faults", out.slot_faults.injected);
+    BenchRow {
+        figure: figure.to_owned(),
+        kernel: "mix".to_owned(),
+        input,
+        engine,
+        machine: "table5".to_owned(),
+        tenant: Some(format!("tenant{}", t.tenant)),
+        stats,
+        ..BenchRow::default()
+    }
+}
+
 /// Builds the matrix `kernel` over an already-generated matrix.
 pub fn matrix_kernel(kernel: &str, m: &CsrMatrix) -> Box<dyn Workload> {
     match kernel {
@@ -308,6 +350,59 @@ mod tests {
         assert!((geomean(&[2.0, f64::NAN, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[0.0, -1.0]), 0.0);
         assert!(!geomean(&[0.0]).is_nan());
+    }
+
+    #[test]
+    fn chaos_tenant_rows_report_measured_queue_cycles() {
+        use tmu_serve::{serve, tenant_reports, JobKind, JobSpec, KernelKind, ServeConfig};
+        let kind = JobKind::Kernel {
+            kind: KernelKind::Spmv,
+            rows: 48,
+            nnz_per_row: 3,
+            seed: 21,
+        };
+        // One slot, overlapping arrivals from two tenants, slot faults.
+        let trace = (0..4u32)
+            .map(|id| JobSpec {
+                id,
+                tenant: id % 2,
+                arrival: u64::from(id) * 100,
+                weight: 1,
+                deadline: None,
+                kind: kind.clone(),
+            })
+            .collect();
+        let mut cfg = ServeConfig {
+            slots: 1,
+            quantum: 400,
+            ..ServeConfig::default()
+        };
+        cfg.resilience.slot_faults = tmu_serve::SlotFaultSpec::with_rate(0xC4A05, 150);
+        let out = serve(cfg, trace).expect("chaos run completes");
+        let (done, failed) = (&out.outcomes, &out.failed);
+        let mut queued = 0;
+        for t in tenant_reports(done, failed, &out.rejected, &out.retries, out.makespan) {
+            let row = tenant_row("chaos", "test".into(), "chaos-rr".into(), &out, &t);
+            let mine = done.iter().filter(|o| o.tenant == t.tenant);
+            let measured: u64 = mine.map(|o| o.queue_cycles()).sum();
+            assert_eq!(row.stats.counter("serve.queue_cycles"), Some(measured));
+            let faults = out.slot_faults.injected;
+            assert_eq!(row.stats.counter("serve.slot_faults"), Some(faults));
+            assert_eq!(row.sections(), ["serve"]);
+            queued += measured;
+        }
+        assert!(queued > 0, "the tenants queued behind each other");
+    }
+
+    #[test]
+    fn label_keys_are_not_section_names() {
+        // Every section a producer writes: the runner's, the tenant rows'
+        // and those of the `apps` and `formats` binaries.
+        for section in [
+            "system", "tmu", "blocked", "sam", "serve", "apps", "convert",
+        ] {
+            assert!(!BenchRow::label_keys().contains(&section), "{section}");
+        }
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub struct OutQStats {
     pub tenant: u32,
 }
 
-/// Compact, chunk-free summary of an [`OutQStats`] — the form serialized
-/// into `results/bench.json` rows (the per-chunk vector is unbounded).
+/// Compact, chunk-free summary of an [`OutQStats`] — the form summed into
+/// the `tmu.*` stats of `results/bench.json` rows (the per-chunk vector
+/// is unbounded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OutQSnapshot {
     /// Total entries marshaled.

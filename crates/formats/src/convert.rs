@@ -9,7 +9,7 @@
 //! 2. **Op-stream cost model** — [`conversion_cycles`] replays the
 //!    conversion's memory traffic (source scans, band/hash transforms,
 //!    destination scatters, tile materialization) through the simulated
-//!    cores. Its cycle count is the `conv_cycles` column of the format
+//!    cores. Its cycle count is the `convert.cycles` stat of the format
 //!    ablation: what re-marshaling costs before the picked layout earns
 //!    anything back.
 //! 3. **TMU programs** — [`CsrToBandedTmu`] and [`HashedToCsrTmu`] run a

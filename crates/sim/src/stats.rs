@@ -37,8 +37,8 @@ impl CacheLevelStats {
     }
 }
 
-/// Memory-hierarchy counters of one run (the cache/DRAM columns of the
-/// `results/bench.json` rows).
+/// Memory-hierarchy counters of one run (the `system.{l1,l2,llc,dram}.*`
+/// stats of the `results/bench.json` rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MemStats {
     /// All private L1Ds combined.
@@ -144,13 +144,23 @@ impl RunStats {
 
     /// Renders the run as a hierarchical [`tmu_trace::StatsRegistry`] with
     /// gem5-style dotted names (`system.core0.backend`, `system.l1.hits`).
-    /// Counters are the same `u64`s as the struct fields — this is a view,
-    /// not a second accounting — so consumers reading either source see
-    /// identical numbers.
+    /// Counters are the same `u64`s as the struct fields and gauges the
+    /// values of the derived methods above (`system.topdown.*` is
+    /// [`Self::breakdown`], `system.gflops` is [`Self::gflops`], …) — this
+    /// is a view, not a second accounting — so consumers reading either
+    /// source see identical numbers.
     pub fn registry(&self) -> tmu_trace::StatsRegistry {
         let mut r = tmu_trace::StatsRegistry::new();
         r.set_counter("system.cycles", self.cycles);
         r.set_gauge("system.freq_ghz", self.freq_ghz);
+        let (committing, frontend, backend) = self.breakdown();
+        r.set_gauge("system.topdown.committing", committing);
+        r.set_gauge("system.topdown.frontend", frontend);
+        r.set_gauge("system.topdown.backend", backend);
+        r.set_gauge("system.load_to_use", self.avg_load_to_use());
+        r.set_counter("system.flops", self.flops());
+        r.set_gauge("system.gflops", self.gflops());
+        r.set_gauge("system.arithmetic_intensity", self.arithmetic_intensity());
         for (i, c) in self.cores.iter().enumerate() {
             let p = format!("system.core{i}");
             r.set_counter(&format!("{p}.committing"), c.committing);
@@ -175,6 +185,7 @@ impl RunStats {
             r.set_counter(&format!("system.{level}.writebacks"), s.writebacks);
         }
         r.set_counter("system.dram.bytes", self.dram_bytes);
+        r.set_gauge("system.dram.bandwidth_gbs", self.bandwidth_gbs());
         r.set_counter("system.dram.lines_read", self.mem.dram_lines_read);
         r.set_counter("system.dram.lines_written", self.mem.dram_lines_written);
         r.set_counter("system.dram.row_hits", self.mem.dram_row_hits);
@@ -281,6 +292,11 @@ mod tests {
         let mut s = sample();
         s.mem.l1.absorb(10, 3, 1, 2);
         s.mem.dram_lines_read = 7;
+        s.cores[0].committing = 600_000;
+        s.cores[0].frontend = 300_000;
+        s.cores[0].backend = 100_000;
+        s.cores[0].loads = 4;
+        s.cores[0].load_latency_sum = 10;
         let r = s.registry();
         assert_eq!(r.counter("system.cycles"), Some(s.cycles));
         assert_eq!(r.counter("system.core0.flops"), Some(2_400_000));
@@ -289,6 +305,24 @@ mod tests {
         assert_eq!(r.counter("system.dram.lines_read"), Some(7));
         assert_eq!(r.gauge("system.dram.row_hit_rate"), Some(0.5));
         assert_eq!(r.counter("system.l2.hits"), Some(0));
+        // The derived whole-run values are the methods' own results.
+        let (committing, frontend, backend) = s.breakdown();
+        assert_eq!(r.gauge("system.topdown.committing"), Some(committing));
+        assert_eq!(r.gauge("system.topdown.frontend"), Some(frontend));
+        assert_eq!(r.gauge("system.topdown.backend"), Some(backend));
+        assert_eq!((committing, frontend, backend), (0.6, 0.3, 0.1));
+        assert_eq!(r.gauge("system.load_to_use"), Some(2.5));
+        assert_eq!(r.counter("system.flops"), Some(s.flops()));
+        assert_eq!(r.gauge("system.gflops"), Some(s.gflops()));
+        assert_eq!(
+            r.gauge("system.arithmetic_intensity"),
+            Some(s.arithmetic_intensity())
+        );
+        assert_eq!(
+            r.gauge("system.dram.bandwidth_gbs"),
+            Some(s.bandwidth_gbs())
+        );
+        assert_eq!(r.gauge("system.freq_ghz"), Some(2.4));
     }
 
     #[test]

@@ -328,7 +328,7 @@ impl InputId {
 /// `scale` divides the paper's row counts (and nnz proportionally) while
 /// preserving nnz/row; `scale = 1.0` is the repository default
 /// (≈[`DEFAULT_SCALE_DIVISOR`]× smaller than the paper's files), values
-/// below 1.0 shrink the input further (used by the quick criterion benches).
+/// below 1.0 shrink the input further (the reduced-scale smoke runs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaledInput {
     /// Which Table 6 input this is.

@@ -3,8 +3,9 @@
 //! Every end-of-run statistic lives under a dotted path such as
 //! `system.core0.backend` or `system.dram.row_hits`. The registry is the
 //! single source both exporters draw from: the flat text dump renders it
-//! directly, and `tmu-bench` reads its counters back when flattening runs
-//! into `results/bench.json` rows — one counter system, two views.
+//! directly, and `tmu-bench` renders one `results/bench.json` object per
+//! section (a name's first dotted component) — one counter system, two
+//! views.
 
 use std::collections::BTreeMap;
 
@@ -92,6 +93,11 @@ impl StatsRegistry {
         self.stats.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Keeps only the stats whose name satisfies `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.stats.retain(|name, _| keep(name));
+    }
+
     /// Absorbs `other`, overwriting stats that share a name.
     pub fn merge(&mut self, other: &StatsRegistry) {
         for (name, stat) in &other.stats {
@@ -162,5 +168,16 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("x"), Some(2));
         assert_eq!(a.counter("only_a"), Some(5));
+    }
+
+    #[test]
+    fn retain_drops_rejected_names() {
+        let mut r = StatsRegistry::new();
+        r.set_counter("a.x", 1);
+        r.set_gauge("b.y", 0.5);
+        r.retain(|name| !name.starts_with("a."));
+        assert_eq!(r.counter("a.x"), None);
+        assert_eq!(r.gauge("b.y"), Some(0.5));
+        assert_eq!(r.len(), 1);
     }
 }

@@ -39,16 +39,16 @@ echo "== alternative backends: bit-identity suite + four-way matrix smoke =="
 cargo test -q --release -p tmu-backends
 # A reduced-scale four-way comparison (tmu/imp/blocked-sve/sam-stream)
 # over SpMV plus the compiled expressions; exits nonzero if any cell
-# panics, and writes schema-v3 rows to results/bench.json.
+# panics, and writes its rows to results/bench.json.
 TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin matrix -- spmv expr
 
 echo "== formats: level round-trips, conversion faults, autotuner smoke =="
 # Level-format proptests, conversion round-trips, the csr→banded TMU
-# program under the fault grid, and the schema-v4 json pinning.
+# program under the fault grid.
 cargo test -q --release -p tmu-formats
 # Reduced-scale autotuner ablation (best layout vs CSR-always over the
 # Table 6 grid); exits nonzero if any pick or modeled run panics, and
-# writes schema-v4 rows (figure "formats") to results/bench.json.
+# writes its rows (figure "formats") to results/bench.json.
 TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin formats
 
 echo "== serving layer: differential grid + two-tenant smoke (both policies) =="
@@ -84,7 +84,7 @@ cargo test -q --release -p tmu-apps
 cargo test -q --release -p tmu-serve --test apps --test trace_events
 # Reduced-scale GNN + CG: solo stage breakdowns, then a served
 # two-tenant mix whose digests are re-verified at bench time; exits
-# nonzero on any divergence. Writes schema-v6 rows (figure "apps").
+# nonzero on any divergence. Writes its rows (figure "apps").
 TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin apps
 # DAG jobs mixed into the synthetic serve trace with Poisson arrivals.
 TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
