@@ -984,6 +984,37 @@ mod tests {
         assert!(a.contains("system.core0.tmu"));
     }
 
+    /// Every cycle an engine stalls on the double-buffer gate traces one
+    /// `outq_full` event, including the cycles it sleeps through.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn each_backpressure_cycle_traces_one_outq_full_event() {
+        use tmu_trace::{TraceConfig, Tracer};
+        let job = Job::new(
+            "SpKAdd",
+            InputSpec::Rmat {
+                scale: 9,
+                edges: 4096,
+                seed: 7,
+            },
+            EngineVariant::Tmu,
+        );
+        tmu_trace::install(Tracer::new(TraceConfig::default()));
+        let res = job.run();
+        let tracer = tmu_trace::uninstall().expect("tracer installed");
+        let stalls = res
+            .registry
+            .counter("tmu.outq.backpressure_cycles")
+            .expect("TMU runs record backpressure");
+        assert!(stalls > 0, "the fixture must stall on the outQ");
+        assert_eq!(tracer.dropped_total(), 0, "rings sized for this job");
+        let full = tracer
+            .chrome_json()
+            .matches("\"name\":\"outq_full\"")
+            .count();
+        assert_eq!(full as u64, stalls);
+    }
+
     #[test]
     fn expression_jobs_run_and_memoize_by_source() {
         let input = InputSpec::Uniform {

@@ -205,6 +205,38 @@ struct TuTiming {
     consumed_elems: u64,
 }
 
+/// The wake gate. A *quiet* tick — one that pops no stream head, refills
+/// or commits no step, ends no step stream and seals no chunk — repeats
+/// itself exactly until a dep-blocked stream head or the front pending
+/// step's gates become ready (`wake`), or until the core acks a chunk.
+/// Unissued loads and queue-capacity limits add no deadline: only an
+/// active tick moves them. Until then every tick only replays the quiet
+/// tick's per-cycle side effects, one replay per tick, so cycles the
+/// clock jumps over stay uncharged. Engines with a fault plan never sleep
+/// (the plan rolls its RNG every cycle).
+#[derive(Debug, Clone, Copy, Default)]
+struct Sleep {
+    /// First cycle that must tick in full (0 while awake).
+    wake: u64,
+    /// The quiet tick's `debug_counters` increments.
+    counters: [u64; 4],
+    /// Whether the quiet tick stalled on the double-buffer gate.
+    backpressure: bool,
+}
+
+impl Sleep {
+    /// Notes a state change: the next tick runs in full.
+    fn stir(&mut self) {
+        self.wake = 0;
+    }
+
+    /// Notes a stall that ends by itself at cycle `ready`; `UNISSUED`
+    /// (`u64::MAX`) sets no deadline.
+    fn until(&mut self, ready: u64) {
+        self.wake = self.wake.min(ready);
+    }
+}
+
 /// The TMU engine attached to one host core.
 pub struct TmuAccelerator<H: CallbackHandler> {
     cfg: TmuConfig,
@@ -259,6 +291,7 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     /// Diagnostic counters: (cycles with no issue while work pending,
     /// capacity-blocked picks, dep-blocked picks, gate-blocked step waits).
     pub debug_counters: [u64; 4],
+    sleep: Sleep,
     // Tracing state (trace builds only). The component is registered
     // lazily on the first tick — the engine learns its host core index
     // there, not at construction.
@@ -359,6 +392,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             stats: Arc::new(Mutex::new(OutQStats::default())),
             outq_site: Site(u16::MAX),
             debug_counters: [0; 4],
+            sleep: Sleep::default(),
             #[cfg(feature = "trace")]
             trace: None,
             #[cfg(feature = "trace")]
@@ -409,6 +443,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// schedules; rate-based plans normally come from `cfg.faults`).
     pub fn inject_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
+        self.sleep.stir();
     }
 
     /// Fault-injection counters so far (zeroes when no plan is attached).
@@ -599,6 +634,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             stats,
             outq_site: Site(u16::MAX),
             debug_counters: [0; 4],
+            sleep: Sleep::default(),
             #[cfg(feature = "trace")]
             trace: None,
             #[cfg(feature = "trace")]
@@ -716,6 +752,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
     fn refill(&mut self) {
         while self.pending.len() < 512 && !self.steps_done {
+            self.sleep.stir();
             self.batcher.fill(64);
             match self.batcher.pop() {
                 Some(step) => {
@@ -774,6 +811,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         .unwrap_or(0);
                     if deps_ready == UNISSUED || deps_ready > now {
                         self.debug_counters[2] += 1;
+                        self.sleep.until(deps_ready);
                         continue;
                     }
                     let line = tmu_sim::line_of(head.addr);
@@ -791,6 +829,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         sq.last_line = line;
                         sq.last_ready = line_ready.max(1);
                         self.ready.set(head.id, line_ready.max(now));
+                        self.sleep.stir();
                         continue;
                     }
                     if issued_line {
@@ -838,6 +877,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                     self.global_lines[self.global_pos] = (line, done);
                     self.global_pos = (self.global_pos + 1) % self.global_lines.len();
                     self.ready.set(head.id, done);
+                    self.sleep.stir();
                     issued_line = true;
                     self.rr[layer] = (lane + 1) % lanes;
                     #[cfg(feature = "trace")]
@@ -875,16 +915,8 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             // Double-buffer gate: entries may only enter chunk c when the
             // core has acked chunk c-2.
             if !step.entries.is_empty() && self.chunk_id >= self.acked + 2 {
-                self.stats
-                    .lock()
-                    .expect("stats poisoned")
-                    .backpressure_cycles += 1;
-                #[cfg(feature = "trace")]
-                self.emit(
-                    now,
-                    tmu_trace::EventKind::OutQFull,
-                    u64::from(self.chunk_id.saturating_sub(self.acked)),
-                );
+                self.charge_backpressure(now);
+                self.sleep.backpressure = true;
                 break;
             }
             let gates_ready = step
@@ -895,10 +927,12 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 .unwrap_or(0);
             if gates_ready == UNISSUED || gates_ready > now {
                 self.debug_counters[3] += 1;
+                self.sleep.until(gates_ready);
                 break;
             }
             let step = self.pending.pop_front().expect("checked");
             self.steps_committed += 1;
+            self.sleep.stir();
             #[cfg(feature = "trace")]
             {
                 if step.layer != self.trace_layer {
@@ -944,6 +978,22 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         if self.pending.is_empty() && self.steps_done && self.chunk_entries > 0 {
             self.seal_chunk(now, core, mem);
         }
+    }
+
+    /// One cycle stalled on the double-buffer gate.
+    fn charge_backpressure(&mut self, now: u64) {
+        self.stats
+            .lock()
+            .expect("stats poisoned")
+            .backpressure_cycles += 1;
+        #[cfg(feature = "trace")]
+        self.emit(
+            now,
+            tmu_trace::EventKind::OutQFull,
+            u64::from(self.chunk_id.saturating_sub(self.acked)),
+        );
+        #[cfg(not(feature = "trace"))]
+        let _ = now;
     }
 
     fn entry_addr(&self) -> u64 {
@@ -1003,6 +1053,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.chunk_id += 1;
         self.chunk_entries = 0;
         self.chunk_bytes = 0;
+        self.sleep.stir();
     }
 }
 
@@ -1029,6 +1080,16 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             }
         }
         if self.retired.is_some() || self.parked {
+            return;
+        }
+        if now < self.sleep.wake {
+            // Asleep: only the quiet tick's per-cycle side effects.
+            for (count, delta) in self.debug_counters.iter_mut().zip(self.sleep.counters) {
+                *count += delta;
+            }
+            if self.sleep.backpressure {
+                self.charge_backpressure(now);
+            }
             return;
         }
         if self.saved.is_some() {
@@ -1060,6 +1121,11 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
                 _ => self.trap_pending = Some(kind),
             }
         }
+        let before = self.debug_counters;
+        self.sleep = Sleep {
+            wake: u64::MAX,
+            ..Sleep::default()
+        };
         self.refill();
         self.arbitrate(now, core, mem);
         self.advance_steps(now, core, mem);
@@ -1067,6 +1133,13 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             self.take_trap(now);
         }
         self.publish_fault_stats();
+        // Nothing stirred and every deadline lies ahead: the tick was
+        // quiet, and a fault-free engine sleeps until `wake`.
+        if self.faults.is_some() || self.sleep.wake <= now {
+            self.sleep.stir();
+        } else {
+            self.sleep.counters = std::array::from_fn(|i| self.debug_counters[i] - before[i]);
+        }
     }
 
     fn drain_ops(&mut self, out: &mut Vec<Op>) {
@@ -1075,6 +1148,8 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
 
     fn ack_chunk(&mut self, chunk: u32, now: u64) {
         self.acked = self.acked.max(chunk + 1);
+        // The double-buffer gate is the engine's only external unblock.
+        self.sleep.stir();
         let mut stats = self.stats.lock().expect("stats poisoned");
         if let Some(stat) = stats.chunks.get_mut(chunk as usize) {
             stat.ack = now;
@@ -1288,7 +1363,23 @@ mod tests {
             "unacked engine ran {} chunks ahead",
             accel.chunk_id
         );
-        assert!(accel.stats().backpressure_cycles > 0);
+        // Almost every one of these ticks is spent asleep on the gate, so
+        // the per-cycle counters pin that a sleeping engine still charges
+        // each cycle exactly as a full tick would.
+        assert_eq!(accel.stats().backpressure_cycles, 199_256);
+        assert_eq!(accel.debug_counters, [691, 1180, 3919, 616]);
+    }
+
+    #[test]
+    fn standalone_counts_are_pinned() {
+        let (mut accel, _) = spmv_accel(2);
+        let cycles = drive_standalone(&mut accel, 5_000_000).expect("engine must terminate");
+        let st = accel.stats();
+        assert_eq!(cycles, 789);
+        assert_eq!(st.entries, 158);
+        assert_eq!(st.chunks.len(), 3);
+        assert_eq!(st.backpressure_cycles, 0);
+        assert_eq!(accel.debug_counters, [691, 1180, 3919, 630]);
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::system::{SimError, CYCLE_LIMIT};
 /// no op is left and none will arrive.
 pub(crate) trait Feed: OpSource {
     /// Whether the clock may jump over cycles in which no core can act.
-    /// Only a channel can: an engine or an IMP window works every cycle.
+    /// Only a channel can. Engine feeds and IMP windows are ticked every
+    /// cycle; a sleeping engine makes its tick O(1) on its own side.
     const SKIPS_IDLE: bool = false;
 
     /// Runs before the core's tick: stages this cycle's ops.

@@ -362,7 +362,15 @@ fn watchdog_converts_a_wedged_outq_into_a_typed_error() {
         .try_run_accelerated(vec![Box::new(WedgedConsumer(accel)) as Box<dyn Accelerator>])
         .expect_err("a wedged consumer must trip the watchdog");
     match err {
-        SimError::Watchdog { window, dump, .. } => {
+        SimError::Watchdog {
+            cycle,
+            window,
+            dump,
+            ..
+        } => {
+            // The wedged engine sleeps on the double-buffer gate; the
+            // watchdog must still fire on the cycle full ticks would give.
+            assert_eq!(cycle, 20_859);
             assert_eq!(window, 20_000);
             assert!(dump.contains("tmu:"), "dump carries engine state: {dump}");
             assert!(dump.contains("core0:"), "dump carries core state: {dump}");
