@@ -7,9 +7,10 @@
 //! miss's handling is pushed back to the earliest release, which surfaces
 //! as backend stall cycles in the core.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::addr::{line_of, CACHELINE};
+use crate::fasthash::FastMap;
 
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -102,10 +103,11 @@ pub enum Probe {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Entry>>,
+    /// The tag array, set-major: set `s` holds `[s * ways, (s + 1) * ways)`.
+    sets: Vec<Entry>,
     set_mask: u64,
     use_counter: u64,
-    inflight: HashMap<u64, u64>,
+    inflight: FastMap<u64, u64>,
     /// MSHR pool guarding the miss path.
     pub mshrs: MshrPool,
     /// Demand hits.
@@ -135,10 +137,10 @@ impl Cache {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Self {
             cfg,
-            sets: vec![vec![Entry::default(); cfg.ways]; n_sets],
+            sets: vec![Entry::default(); n_sets * cfg.ways],
             set_mask: n_sets as u64 - 1,
             use_counter: 0,
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             mshrs: MshrPool::new(cfg.mshrs),
             hits: 0,
             misses: 0,
@@ -169,8 +171,18 @@ impl Cache {
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        ((line / CACHELINE) & self.set_mask) as usize
+    /// The slice of `sets` holding the ways of the set `line` maps to.
+    fn ways_of(&self, line: u64) -> Range<usize> {
+        let start = ((line / CACHELINE) & self.set_mask) as usize * self.cfg.ways;
+        start..start + self.cfg.ways
+    }
+
+    /// The valid way holding `line`, if any.
+    fn find_mut(&mut self, line: u64) -> Option<&mut Entry> {
+        let ways = self.ways_of(line);
+        self.sets[ways]
+            .iter_mut()
+            .find(|e| e.valid && e.tag == line)
     }
 
     /// Probes for the line containing `addr` at time `t`, updating LRU and
@@ -196,16 +208,12 @@ impl Cache {
         }
         self.use_counter += 1;
         let stamp = self.use_counter;
-        let set = self.set_of(line);
-        for i in 0..self.sets[set].len() {
-            let e = &mut self.sets[set][i];
-            if e.valid && e.tag == line {
-                e.last_use = stamp;
-                self.hits += 1;
-                #[cfg(feature = "trace")]
-                self.emit(t, tmu_trace::EventKind::CacheHit, line);
-                return Probe::Hit;
-            }
+        if let Some(e) = self.find_mut(line) {
+            e.last_use = stamp;
+            self.hits += 1;
+            #[cfg(feature = "trace")]
+            self.emit(t, tmu_trace::EventKind::CacheHit, line);
+            return Probe::Hit;
         }
         self.misses += 1;
         #[cfg(feature = "trace")]
@@ -216,13 +224,18 @@ impl Cache {
     fn touch(&mut self, line: u64) {
         self.use_counter += 1;
         let stamp = self.use_counter;
-        let set = self.set_of(line);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.valid && e.tag == line) {
+        if let Some(e) = self.find_mut(line) {
             e.last_use = stamp;
         }
     }
 
     /// Drops in-flight records that completed before `t` (bounds map size).
+    ///
+    /// Probe times are not monotonic (an op issues when its producers
+    /// complete, and a miss can wait for a free MSHR), so a record dropped
+    /// here can still decide a later probe stamped with an earlier time:
+    /// the size threshold and the `t` each call site passes are model
+    /// behaviour, not just housekeeping.
     pub fn sweep_inflight(&mut self, t: u64) {
         if self.inflight.len() > 4 * self.cfg.mshrs {
             self.inflight.retain(|_, &mut done| done > t);
@@ -232,8 +245,9 @@ impl Cache {
     /// Checks for presence without updating statistics or LRU.
     pub fn contains(&self, addr: u64) -> bool {
         let line = line_of(addr);
-        let set = self.set_of(line);
-        self.sets[set].iter().any(|e| e.valid && e.tag == line)
+        self.sets[self.ways_of(line)]
+            .iter()
+            .any(|e| e.valid && e.tag == line)
     }
 
     /// Records that `line` is being fetched and will arrive at `completion`.
@@ -247,14 +261,14 @@ impl Cache {
         let line = line_of(addr);
         self.use_counter += 1;
         let stamp = self.use_counter;
-        let set = self.set_of(line);
         // Already present (e.g. a racing fill): just update.
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.valid && e.tag == line) {
+        if let Some(e) = self.find_mut(line) {
             e.last_use = stamp;
             e.dirty |= dirty;
             return None;
         }
-        let victim = self.sets[set]
+        let ways = self.ways_of(line);
+        let victim = self.sets[ways]
             .iter_mut()
             .min_by_key(|e| if e.valid { e.last_use } else { 0 })
             .expect("ways > 0");
@@ -277,9 +291,7 @@ impl Cache {
 
     /// Marks the line containing `addr` dirty if present; returns success.
     pub fn set_dirty(&mut self, addr: u64) -> bool {
-        let line = line_of(addr);
-        let set = self.set_of(line);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.valid && e.tag == line) {
+        if let Some(e) = self.find_mut(line_of(addr)) {
             e.dirty = true;
             true
         } else {
@@ -290,9 +302,7 @@ impl Cache {
     /// Removes the line containing `addr`, returning `(found, was_dirty)` —
     /// used by the mostly-exclusive LLC (a hit moves the line up).
     pub fn invalidate(&mut self, addr: u64) -> (bool, bool) {
-        let line = line_of(addr);
-        let set = self.set_of(line);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.valid && e.tag == line) {
+        if let Some(e) = self.find_mut(line_of(addr)) {
             let dirty = e.dirty;
             e.valid = false;
             e.dirty = false;

@@ -12,7 +12,7 @@
 //! the fetch-redirect bubble, which is the first-order effect the paper
 //! measures.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::bpred::BranchPredictor;
 use crate::memsys::MemSys;
@@ -149,6 +149,59 @@ struct RobEntry {
     chunk: Option<u32>,
 }
 
+/// Completion cycles of the ops in the ROB, by sequence number: a seq never
+/// inserted, or removed since, reads 0, as an absent map key would.
+///
+/// Within one op stream ids are dense from 1 and the ROB holds at most
+/// `rob` consecutive ones, and a new stream (ids restarting at 1) starts
+/// only on an idle core. So the live ids fit a ring of
+/// `rob.next_power_of_two()` slots indexed by `seq & mask` and tagged with
+/// the seq.
+#[derive(Debug)]
+struct ReadyTable {
+    /// `(seq, ready)` pairs; seq 0 (`OpId::NONE`, never an op's id) marks
+    /// a free slot.
+    slots: Vec<(u64, u64)>,
+    mask: u64,
+}
+
+impl ReadyTable {
+    fn new(rob: usize) -> Self {
+        let n = rob.next_power_of_two();
+        Self {
+            slots: vec![(0, 0); n],
+            mask: n as u64 - 1,
+        }
+    }
+
+    fn get(&self, seq: u64) -> u64 {
+        let (tag, ready) = self.slots[(seq & self.mask) as usize];
+        if tag == seq {
+            ready
+        } else {
+            0
+        }
+    }
+
+    fn insert(&mut self, seq: u64, ready: u64) {
+        let slot = &mut self.slots[(seq & self.mask) as usize];
+        debug_assert!(
+            slot.0 == 0 || slot.0 == seq,
+            "op {seq} lands on live op {}: live ids must be consecutive within \
+             one stream, and a new stream must start on an idle core",
+            slot.0
+        );
+        *slot = (seq, ready);
+    }
+
+    fn remove(&mut self, seq: u64) {
+        let slot = &mut self.slots[(seq & self.mask) as usize];
+        if slot.0 == seq {
+            *slot = (0, 0);
+        }
+    }
+}
+
 /// Source of the op stream consumed by a core.
 pub trait OpSource {
     /// Returns the next op if one is available and visible at `now`.
@@ -203,7 +256,7 @@ pub struct Core {
     cfg: CoreConfig,
     id: usize,
     rob: VecDeque<RobEntry>,
-    ready: HashMap<u64, u64>,
+    ready: ReadyTable,
     lq: BinaryHeap<std::cmp::Reverse<u64>>,
     sq: BinaryHeap<std::cmp::Reverse<u64>>,
     load_ports: Vec<u64>,
@@ -228,7 +281,7 @@ impl Core {
             cfg,
             id,
             rob: VecDeque::with_capacity(cfg.rob),
-            ready: HashMap::new(),
+            ready: ReadyTable::new(cfg.rob),
             lq: BinaryHeap::new(),
             sq: BinaryHeap::new(),
             load_ports: vec![0; cfg.load_ports.max(1)],
@@ -292,7 +345,7 @@ impl Core {
     fn dep_ready(&self, op: &Op) -> u64 {
         op.deps
             .iter()
-            .map(|d| self.ready.get(&d.0).copied().unwrap_or(0))
+            .map(|d| self.ready.get(d.0))
             .max()
             .unwrap_or(0)
     }
@@ -342,7 +395,7 @@ impl Core {
             match self.rob.front() {
                 Some(head) if head.complete <= now => {
                     let e = self.rob.pop_front().expect("peeked");
-                    self.ready.remove(&e.seq);
+                    self.ready.remove(e.seq);
                     self.stats.committed += 1;
                     self.stats.flops += e.flops as u64;
                     if e.is_load {
@@ -613,6 +666,63 @@ mod tests {
             now += 1;
         }
         assert_eq!(acks, vec![0, 1]);
+    }
+
+    /// Drives a `ReadyTable` and a `HashMap` through the same random mix of
+    /// dispatches, oldest-first commits and lookups. The id stream restarts
+    /// at 1 only once the ROB has drained, as a new engine incarnation on a
+    /// served core does.
+    #[test]
+    fn ready_table_matches_a_map() {
+        use proptest::Strategy;
+        use std::collections::HashMap;
+
+        let mut rng = proptest::TestRng::for_test("core::ready_table_matches_a_map");
+        let steps = proptest::collection::vec((0u8..100, 0u64..1_000_000), 600..1500);
+        for rob in [1, 2, 3, 224] {
+            for case in 0..24 {
+                let mut table = ReadyTable::new(rob);
+                let mut map: HashMap<u64, u64> = HashMap::new();
+                let mut in_rob = VecDeque::new();
+                let mut next = 1;
+                let mut max_id = 1;
+                for (i, (action, value)) in steps.generate(&mut rng).into_iter().enumerate() {
+                    let lookup = match action {
+                        0..=2 if in_rob.is_empty() => {
+                            next = 1;
+                            continue;
+                        }
+                        0..=49 if in_rob.len() < rob => {
+                            table.insert(next, value);
+                            map.insert(next, value);
+                            in_rob.push_back(next);
+                            max_id = max_id.max(next);
+                            next += 1;
+                            next - 1
+                        }
+                        0..=79 => match in_rob.pop_front() {
+                            Some(seq) => {
+                                table.remove(seq);
+                                map.remove(&seq);
+                                seq
+                            }
+                            None => continue,
+                        },
+                        _ => value % (max_id + 2),
+                    };
+                    for seq in [lookup, value % (max_id + 2)]
+                        .into_iter()
+                        .chain(in_rob.iter().copied())
+                    {
+                        assert_eq!(
+                            table.get(seq),
+                            map.get(&seq).copied().unwrap_or(0),
+                            "rob {rob}, case {case}, step {i}: seq {seq}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

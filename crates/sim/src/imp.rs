@@ -14,8 +14,9 @@
 //! thrashing prefetches (the SpMSpM failure mode in §7.3) cost real
 //! bandwidth and evictions.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
+use crate::fasthash::{FastMap, FastSet};
 use crate::memsys::MemSys;
 use crate::op::{Op, OpKind, Site};
 
@@ -27,10 +28,10 @@ const TRAIN_THRESHOLD: u32 = 4;
 #[derive(Debug, Default)]
 pub struct Imp {
     /// Recent load op ids (to recognize load→load dependencies).
-    recent_loads: HashSet<u64>,
+    recent_loads: FastSet<u64>,
     recent_order: VecDeque<u64>,
-    training: HashMap<Site, u32>,
-    indirect_sites: HashSet<Site>,
+    training: FastMap<Site, u32>,
+    indirect_sites: FastSet<Site>,
     /// Prefetches issued.
     pub issued: u64,
 }

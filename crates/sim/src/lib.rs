@@ -44,6 +44,7 @@ pub mod configs;
 mod core;
 mod dram;
 mod driver;
+mod fasthash;
 mod fault;
 pub mod imp;
 mod machine;

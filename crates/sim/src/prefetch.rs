@@ -6,16 +6,15 @@
 //! memory system then fetches through the regular miss path (consuming
 //! bandwidth but not core-visible MSHRs).
 
-use std::collections::HashMap;
-
 use crate::addr::CACHELINE;
+use crate::fasthash::FastMap;
 use crate::op::Site;
 
 /// Per-site stride prefetcher (L1D in Table 5, degree 2).
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     degree: usize,
-    table: HashMap<Site, StrideEntry>,
+    table: FastMap<Site, StrideEntry>,
     /// Prefetches issued.
     pub issued: u64,
 }
@@ -32,7 +31,7 @@ impl StridePrefetcher {
     pub fn new(degree: usize) -> Self {
         Self {
             degree,
-            table: HashMap::new(),
+            table: FastMap::default(),
             issued: 0,
         }
     }
@@ -71,6 +70,13 @@ impl StridePrefetcher {
     }
 }
 
+/// The best-offset prefetcher's candidate offsets, in cache lines.
+const OFFSETS: [i64; 12] = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, -1, -2];
+
+/// The range `MIN_OFFSET..=MAX_OFFSET` spans every candidate offset.
+const MIN_OFFSET: i64 = -2;
+const MAX_OFFSET: i64 = 16;
+
 /// Simplified Best-Offset prefetcher (L2 in Table 5).
 ///
 /// Scores a fixed candidate-offset list against a small history of recent
@@ -78,9 +84,9 @@ impl StridePrefetcher {
 /// used to prefetch `line + offset` on every L2 demand access.
 #[derive(Debug, Clone)]
 pub struct BestOffsetPrefetcher {
-    offsets: Vec<i64>,
-    scores: Vec<u32>,
-    recent: Vec<u64>,
+    scores: [u32; OFFSETS.len()],
+    /// Recent line numbers; `u64::MAX` marks a slot not yet written.
+    recent: [u64; 64],
     recent_pos: usize,
     round_len: u32,
     accesses_in_round: u32,
@@ -93,11 +99,9 @@ impl BestOffsetPrefetcher {
     /// Creates a Best-Offset prefetcher with the canonical small offset
     /// candidate list.
     pub fn new() -> Self {
-        let offsets: Vec<i64> = vec![1, 2, 3, 4, 5, 6, 8, 9, 12, 16, -1, -2];
         Self {
-            scores: vec![0; offsets.len()],
-            offsets,
-            recent: vec![u64::MAX; 64],
+            scores: [0; OFFSETS.len()],
+            recent: [u64::MAX; 64],
             recent_pos: 0,
             round_len: 256,
             accesses_in_round: 0,
@@ -110,12 +114,33 @@ impl BestOffsetPrefetcher {
     /// line address if an offset has been learned.
     pub fn observe(&mut self, line: u64, out: &mut Vec<u64>) {
         let line_no = line / CACHELINE;
-        // Score every candidate: does line - offset appear in history?
-        for (i, &off) in self.offsets.iter().enumerate() {
-            let wanted = line_no as i64 - off;
-            if wanted >= 0 && self.recent.contains(&(wanted as u64)) {
-                self.scores[i] += 1;
+        self.learn(line_no, self.present_offsets(line_no), out);
+    }
+
+    /// The distances `d = line_no - r` to history lines `r` that fall in
+    /// `MIN_OFFSET..=MAX_OFFSET`, as a mask with bit `d - MIN_OFFSET` set:
+    /// one pass, so each offset matches at most once.
+    fn present_offsets(&self, line_no: u64) -> u32 {
+        let mut present = 0;
+        for &r in &self.recent {
+            // An unwritten slot reads -1 as `i64`, which would fake offset
+            // `line_no + 1` for line numbers below 16.
+            if r == u64::MAX {
+                continue;
             }
+            let d = line_no as i64 - r as i64;
+            if (MIN_OFFSET..=MAX_OFFSET).contains(&d) {
+                present |= 1 << (d - MIN_OFFSET);
+            }
+        }
+        present
+    }
+
+    /// Scores the offsets `present` holds, records `line_no` in the
+    /// history, closes the round if it is complete, and emits the prefetch.
+    fn learn(&mut self, line_no: u64, present: u32, out: &mut Vec<u64>) {
+        for (score, off) in self.scores.iter_mut().zip(OFFSETS) {
+            *score += (present >> (off - MIN_OFFSET)) & 1;
         }
         self.recent[self.recent_pos] = line_no;
         self.recent_pos = (self.recent_pos + 1) % self.recent.len();
@@ -129,8 +154,8 @@ impl BestOffsetPrefetcher {
                 .max_by_key(|(_, &s)| s)
                 .expect("non-empty offsets");
             // Require a minimum hit rate before trusting the offset.
-            self.best = (best_score >= self.round_len / 8).then(|| self.offsets[best_idx]);
-            self.scores.iter_mut().for_each(|s| *s = 0);
+            self.best = (best_score >= self.round_len / 8).then(|| OFFSETS[best_idx]);
+            self.scores = [0; OFFSETS.len()];
             self.accesses_in_round = 0;
         }
 
@@ -205,6 +230,65 @@ mod tests {
             (1..=16).contains(&ahead),
             "prefetch must run ahead of the stream, offset = {ahead}"
         );
+    }
+
+    /// The scoring loop `present_offsets` replaced: every candidate offset
+    /// searches the whole history. The reference the one-pass scan must match.
+    fn present_offsets_reference(pf: &BestOffsetPrefetcher, line_no: u64) -> u32 {
+        let mut present = 0;
+        for off in OFFSETS {
+            let wanted = line_no as i64 - off;
+            if wanted >= 0 && pf.recent.contains(&(wanted as u64)) {
+                present |= 1 << (off - MIN_OFFSET);
+            }
+        }
+        present
+    }
+
+    #[test]
+    fn one_pass_scoring_matches_the_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let streams: [(&str, Vec<u64>); 5] = [
+            ("unit stride", (0..1024).map(|i| 5_000 + i).collect()),
+            (
+                "negative stride",
+                (0..1024).map(|i| 90_000 - 2 * i).collect(),
+            ),
+            (
+                "random",
+                (0..1024).map(|_| rng.gen_range(0u64..1_000_000)).collect(),
+            ),
+            (
+                "random near",
+                (0..1024).map(|_| 7_000 + rng.gen_range(0u64..24)).collect(),
+            ),
+            // Line numbers below 16 sit within an offset of the warm-up
+            // slots' `u64::MAX`, which reads as -1 once cast to `i64`.
+            (
+                "below 16",
+                (0..1024).map(|_| rng.gen_range(0u64..16)).collect(),
+            ),
+        ];
+        for (name, lines) in streams {
+            let mut fast = BestOffsetPrefetcher::new();
+            let mut reference = BestOffsetPrefetcher::new();
+            let (mut out_fast, mut out_ref) = (Vec::new(), Vec::new());
+            let mut learned = false;
+            for (i, &line_no) in lines.iter().enumerate() {
+                fast.observe(line_no * CACHELINE, &mut out_fast);
+                let present = present_offsets_reference(&reference, line_no);
+                reference.learn(line_no, present, &mut out_ref);
+                assert_eq!(fast.scores, reference.scores, "{name}: access {i}");
+                assert_eq!(fast.best, reference.best, "{name}: access {i}");
+                assert_eq!(out_fast, out_ref, "{name}: access {i}");
+                learned |= fast.best.is_some();
+            }
+            assert_eq!(lines.len() % 256, 0, "{name}: whole rounds only");
+            if name != "random" {
+                assert!(learned, "{name}: the stream must learn an offset");
+            }
+        }
     }
 
     #[test]

@@ -609,6 +609,94 @@ mod tests {
         assert_eq!(stats.total().committed, 0);
     }
 
+    /// A 2-core Table 5 system with every cache shrunk, so that a short run
+    /// evicts through L1, L2 and the LLC.
+    fn small_caches() -> SystemConfig {
+        let mut cfg = config(2);
+        cfg.mem.l1.size_bytes = 4 << 10;
+        cfg.mem.l2.size_bytes = 32 << 10;
+        cfg.mem.llc_slice.size_bytes = 64 << 10;
+        cfg
+    }
+
+    /// Core `c`'s shard: index loads feeding irregular gathers, with a
+    /// mostly-not-taken branch per element and strided stores every fourth.
+    fn gathers_and_stores(c: u64) -> impl FnOnce(&mut ChannelMachine) + Send {
+        move |m: &mut ChannelMachine| {
+            let base = (c + 1) << 32;
+            let mut x = 0x2545_F491_4F6C_DD1D ^ c;
+            for i in 0..6_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let idx = m.load(Site(1), base + i * 4, 4, Deps::NONE);
+                // Both cores gather from one shared 2 MB array.
+                let g = m.load(Site(2), (x % (1 << 15)) * 64, 8, Deps::from(idx));
+                let f = m.fp_op(2, Deps::from(g));
+                m.branch(Site(3), x.is_multiple_of(16), Deps::from(idx));
+                if i % 4 == 0 {
+                    m.store(Site(4), base + (1 << 28) + i * 192, 8, Deps::from(f));
+                }
+            }
+        }
+    }
+
+    /// The counters the core and memory hot path decide: run cycles; per
+    /// core committing, frontend and backend cycles, mispredicts and the
+    /// load-latency sum; per level hits, misses, merged and writebacks; per
+    /// core L1 and L2 MSHR-full events; DRAM lines read and written, and
+    /// row hits.
+    fn hot_path_counters(sys: &System, stats: &RunStats) -> Vec<u64> {
+        let mut v = vec![stats.cycles];
+        for c in &stats.cores {
+            v.extend([c.committing, c.frontend, c.backend, c.mispredicts]);
+            v.push(c.load_latency_sum);
+        }
+        for l in [stats.mem.l1, stats.mem.l2, stats.mem.llc] {
+            v.extend([l.hits, l.misses, l.merged, l.writebacks]);
+        }
+        for c in 0..stats.cores.len() {
+            v.push(sys.mem().l1(c).mshrs.full_events);
+            v.push(sys.mem().l2(c).mshrs.full_events);
+        }
+        v.extend([stats.mem.dram_lines_read, stats.mem.dram_lines_written]);
+        v.push(stats.mem.dram_row_hits);
+        v
+    }
+
+    /// Exact counters of a plain and an IMP run: a change to the data
+    /// structures of the core, the caches or the prefetchers must leave
+    /// every simulated number as it is.
+    #[test]
+    fn hot_path_counters_are_pinned() {
+        let mut sys = System::new(small_caches());
+        let stats = sys.run(vec![gathers_and_stores(0), gathers_and_stores(1)]);
+        #[rustfmt::skip]
+        assert_eq!(hot_path_counters(&sys, &stats), [
+            143517,
+            7958, 0, 135559, 686, 3192526,
+            8002, 416, 135099, 680, 3232987,
+            11517, 14989, 494, 2986,
+            918, 12690, 2320, 2903,
+            617, 26374, 27, 2814,
+            3629, 0, 3758, 0,
+            26374, 2814, 1645,
+        ]);
+        let mut sys = System::new(small_caches());
+        let stats = sys.run_with_imp(vec![gathers_and_stores(0), gathers_and_stores(1)]);
+        #[rustfmt::skip]
+        assert_eq!(hot_path_counters(&sys, &stats), [
+            49340,
+            8971, 1356, 39013, 686, 137619,
+            9038, 41, 40261, 680, 140879,
+            11567, 14288, 1145, 2986,
+            11446, 12752, 3322, 2902,
+            689, 25652, 46, 2818,
+            1, 505, 0, 571,
+            25652, 2818, 1563,
+        ]);
+    }
+
     #[test]
     fn dram_traffic_is_recorded() {
         let mut sys = System::new(config(1));
