@@ -7,10 +7,16 @@
 //!
 //! In this model the engine's progress is fully determined by the program
 //! plus the number of traversal-group steps completed at the quiesce
-//! point, so a [`ContextSnapshot`] stores exactly that; `restore` rebuilds
-//! an [`Interp`] and replays to the saved step count (the replay is a
-//! simulation-host cost, not simulated time — hardware restores its
-//! registers directly).
+//! point, so a [`ContextSnapshot`] stores exactly that. Hardware restores
+//! its registers directly; the model rebuilds an [`Interp`] positioned
+//! after the saved step count. The snapshot also carries the engine's
+//! newest interpreter checkpoint at or before that step (one is taken
+//! every [`STEP_BATCH`](crate::STEP_BATCH) = 64 generated steps), so a
+//! restore clones the checkpoint and replays fewer than 64 steps instead
+//! of replaying from step 0. The checkpoint is host-side simulation
+//! state, outside the §5.6 architectural context: no simulated number
+//! depends on it, and a snapshot without one restores to the same
+//! interpreter by full replay.
 
 use std::sync::Arc;
 
@@ -23,12 +29,13 @@ use crate::interp::Interp;
 use crate::program::Program;
 
 /// Saved architectural state of a quiesced TMU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContextSnapshot {
     /// Engine configuration (queue types/sizes are derived from it).
     pub config: TmuConfig,
-    /// The traversal program (iteration boundaries, streams, callbacks).
-    pub program: Program,
+    /// The traversal program (iteration boundaries, streams, callbacks),
+    /// shared with the engine and the checkpoint.
+    pub program: Arc<Program>,
     /// Traversal-group steps completed before the switch.
     pub steps_completed: u64,
     /// outQ entries produced before the switch (current writing offset).
@@ -38,13 +45,17 @@ pub struct ContextSnapshot {
     pub chunks_sealed: u32,
     /// Owning tenant of the quiesced context (outQ chunk tag).
     pub tenant: u32,
+    /// Host-side restart point: an interpreter at or before
+    /// `steps_completed` (fewer than 64 steps before it when the engine
+    /// took the snapshot). `None` restores by replay from step 0.
+    pub checkpoint: Option<Interp>,
 }
 
 impl ContextSnapshot {
     /// Captures a snapshot of a quiesced engine.
     pub fn save(
         config: TmuConfig,
-        program: &Program,
+        program: &Arc<Program>,
         steps_completed: u64,
         entries_produced: u64,
     ) -> Self {
@@ -62,11 +73,12 @@ impl ContextSnapshot {
         });
         Self {
             config,
-            program: program.clone(),
+            program: Arc::clone(program),
             steps_completed,
             entries_produced,
             chunks_sealed: 0,
             tenant: 0,
+            checkpoint: None,
         }
     }
 
@@ -78,6 +90,12 @@ impl ContextSnapshot {
     pub fn with_outq(mut self, chunks_sealed: u32, tenant: u32) -> Self {
         self.chunks_sealed = chunks_sealed;
         self.tenant = tenant;
+        self
+    }
+
+    /// Attaches the interpreter checkpoint a restore starts from.
+    pub fn with_checkpoint(mut self, checkpoint: Option<Interp>) -> Self {
+        self.checkpoint = checkpoint;
         self
     }
 
@@ -96,7 +114,9 @@ impl ContextSnapshot {
 
     /// Fallible variant of [`ContextSnapshot::restore`]: a corrupt
     /// snapshot (step count past the end of the program) is reported as a
-    /// typed error instead of a panic.
+    /// typed error instead of a panic. Starts from the checkpoint when it
+    /// lies at or before `steps_completed`, else from step 0, and replays
+    /// the steps in between.
     pub fn try_restore(&self, image: Arc<MemImage>) -> Result<Interp, TmuError> {
         #[cfg(feature = "trace")]
         tmu_trace::with(|t| {
@@ -108,8 +128,15 @@ impl ContextSnapshot {
                 self.entries_produced,
             );
         });
-        let mut interp = Interp::new(Arc::new(self.program.clone()), image);
-        for _ in 0..self.steps_completed {
+        let mut interp = match &self.checkpoint {
+            Some(c) if c.steps_generated() <= self.steps_completed => {
+                let mut interp = c.clone();
+                interp.rebind(image);
+                interp
+            }
+            _ => Interp::new(Arc::clone(&self.program), image),
+        };
+        while interp.steps_generated() < self.steps_completed {
             interp.next_step().ok_or(TmuError::SnapshotOutOfRange {
                 steps: self.steps_completed,
             })?;
@@ -125,7 +152,7 @@ mod tests {
     use crate::program::{Event, LayerMode, ProgramBuilder, StreamTy};
     use tmu_sim::AddressMap;
 
-    fn fixture() -> (Program, Arc<MemImage>) {
+    fn fixture() -> (Arc<Program>, Arc<MemImage>) {
         let mut map = AddressMap::new();
         let ptrs_r = map.alloc_elems("ptrs", 5, 4);
         let idxs_r = map.alloc_elems("idxs", 6, 4);
@@ -144,18 +171,17 @@ mod tests {
         let v = bld.mem_stream(col, vals_r.base, 8, StreamTy::Value);
         let op = bld.vec_operand(l1, &[v]);
         bld.callback(l1, Event::Ite, 0, &[op]);
-        (bld.build().expect("well-formed"), Arc::new(image))
+        (Arc::new(bld.build().expect("well-formed")), Arc::new(image))
     }
 
     #[test]
     fn restore_resumes_identically() {
         let (prog, image) = fixture();
-        let arc_prog = Arc::new(prog.clone());
         // Uninterrupted run.
-        let full = run_functional(&arc_prog, &image);
+        let full = run_functional(&prog, &image);
 
         // Interrupted run: stop after 5 steps, snapshot, restore, finish.
-        let mut interp = Interp::new(Arc::clone(&arc_prog), Arc::clone(&image));
+        let mut interp = Interp::new(Arc::clone(&prog), Arc::clone(&image));
         let mut prefix = Vec::new();
         for _ in 0..5 {
             let s = interp.next_step().expect("program longer than 5 steps");

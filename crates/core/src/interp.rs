@@ -17,8 +17,14 @@ use crate::program::{
 };
 use crate::steps::{ElemId, MemLoad, Operand, OutQEntry, Step, StepKind};
 
-/// A peeked (current) element of one TU.
-#[derive(Debug, Clone, Default)]
+/// Steps [`StepBatcher::fill`] buffers ahead for the timing engine, and the
+/// interval at which it checkpoints the interpreter: a context restore
+/// replays fewer than this many steps.
+pub const STEP_BATCH: usize = 64;
+
+/// One element of a TU. Each lane keeps two of these buffers (the peeked
+/// head and the last consumed element) and swaps them on consume.
+#[derive(Debug, Default)]
 struct ElemRt {
     /// Per-stream values (raw bits).
     vals: Vec<u64>,
@@ -28,8 +34,35 @@ struct ElemRt {
     gates: Vec<ElemId>,
 }
 
+impl ElemRt {
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.mem_by_stream.clear();
+        self.gates.clear();
+    }
+}
+
+impl Clone for ElemRt {
+    fn clone(&self) -> Self {
+        let mut elem = Self::default();
+        elem.clone_from(self);
+        elem
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            vals,
+            mem_by_stream,
+            gates,
+        } = src;
+        self.vals.clone_from(vals);
+        self.mem_by_stream.clone_from(mem_by_stream);
+        self.gates.clone_from(gates);
+    }
+}
+
 /// Runtime state of one TU (lane of a layer).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct LaneRt {
     active: bool,
     i: i64,
@@ -38,7 +71,11 @@ struct LaneRt {
     stride: i64,
     bound_deps: Vec<ElemId>,
     parent_vals: Vec<u64>,
-    cur: Option<ElemRt>,
+    /// Elements peeked so far (the next element's queue-slot ordinal).
+    peeked: u64,
+    /// Whether `cur` holds a peeked, unconsumed element.
+    has_cur: bool,
+    cur: ElemRt,
     last: ElemRt,
 }
 
@@ -52,6 +89,36 @@ impl LaneRt {
     }
 }
 
+impl Clone for LaneRt {
+    fn clone(&self) -> Self {
+        let mut lane = Self::default();
+        lane.clone_from(self);
+        lane
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            active,
+            i,
+            beg,
+            end,
+            stride,
+            bound_deps,
+            parent_vals,
+            peeked,
+            has_cur,
+            cur,
+            last,
+        } = src;
+        (self.active, self.i, self.beg, self.end, self.stride) = (*active, *i, *beg, *end, *stride);
+        (self.peeked, self.has_cur) = (*peeked, *has_cur);
+        self.bound_deps.clone_from(bound_deps);
+        self.parent_vals.clone_from(parent_vals);
+        self.cur.clone_from(cur);
+        self.last.clone_from(last);
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Start(usize),
@@ -60,39 +127,72 @@ enum Phase {
 }
 
 /// Lazily interprets a [`Program`] over a [`MemImage`].
+///
+/// Cloning one is cheap (the program and image are shared) and yields an
+/// interpreter that continues exactly where this one stands: the timing
+/// engine keeps such clones as restart points for context restores.
 #[derive(Debug)]
 pub struct Interp {
     prog: Arc<Program>,
     image: Arc<MemImage>,
     layers: Vec<Vec<LaneRt>>,
-    elem_counts: Vec<Vec<u64>>,
     next_elem: ElemId,
     phase: Phase,
     /// Total outQ entries produced so far.
     pub entries_produced: u64,
+    /// Steps produced so far.
+    steps: u64,
+}
+
+impl Clone for Interp {
+    fn clone(&self) -> Self {
+        Self {
+            prog: Arc::clone(&self.prog),
+            image: Arc::clone(&self.image),
+            layers: self.layers.clone(),
+            next_elem: self.next_elem,
+            phase: self.phase,
+            entries_produced: self.entries_produced,
+            steps: self.steps,
+        }
+    }
+
+    /// Copies into this interpreter's lane buffers, so a reused checkpoint
+    /// slot allocates nothing once it has seen the program.
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            prog,
+            image,
+            layers,
+            next_elem,
+            phase,
+            entries_produced,
+            steps,
+        } = src;
+        self.prog.clone_from(prog);
+        self.image.clone_from(image);
+        self.layers.clone_from(layers);
+        (self.next_elem, self.phase) = (*next_elem, *phase);
+        (self.entries_produced, self.steps) = (*entries_produced, *steps);
+    }
 }
 
 impl Interp {
     /// Creates an interpreter positioned before the first step.
     pub fn new(prog: Arc<Program>, image: Arc<MemImage>) -> Self {
-        let layers: Vec<Vec<LaneRt>> = prog
+        let layers = prog
             .layers
             .iter()
             .map(|l| vec![LaneRt::default(); l.tus.len()])
-            .collect();
-        let elem_counts = prog
-            .layers
-            .iter()
-            .map(|l| vec![0u64; l.tus.len()])
             .collect();
         let mut interp = Self {
             prog,
             image,
             layers,
-            elem_counts,
             next_elem: 0,
             phase: Phase::Start(0),
             entries_produced: 0,
+            steps: 0,
         };
         interp.init_root();
         interp
@@ -105,15 +205,28 @@ impl Interp {
         self.next_elem
     }
 
+    /// Steps produced so far: the step this interpreter resumes at.
+    pub fn steps_generated(&self) -> u64 {
+        self.steps
+    }
+
+    /// Elements TU `(layer, lane)` has consumed: every element it peeked
+    /// except a head still waiting to be consumed. At a step boundary this
+    /// is the TU's committed consumption, which the §5.5 queue-capacity
+    /// check counts from.
+    pub fn consumed_elems(&self, layer: usize, lane: usize) -> u64 {
+        let rt = &self.layers[layer][lane];
+        rt.peeked - u64::from(rt.has_cur)
+    }
+
+    /// Rebinds the memory image the interpreter reads from.
+    pub(crate) fn rebind(&mut self, image: Arc<MemImage>) {
+        self.image = image;
+    }
+
     fn init_root(&mut self) {
-        let defs: Vec<TraversalDef> = self.prog.layers[0]
-            .tus
-            .iter()
-            .map(|t| t.traversal)
-            .collect();
-        for (lane, def) in defs.iter().enumerate() {
-            let rt = &mut self.layers[0][lane];
-            match *def {
+        for (rt, tu) in self.layers[0].iter_mut().zip(&self.prog.layers[0].tus) {
+            match tu.traversal {
                 TraversalDef::Dns { beg, end, stride } => {
                     rt.active = true;
                     rt.i = beg;
@@ -134,25 +247,33 @@ impl Interp {
         }
     }
 
-    /// Peeks the current element of `(l, lane)`, creating its loads.
-    fn peek(&mut self, l: usize, lane: usize, loads: &mut Vec<MemLoad>) {
-        let rt = &self.layers[l][lane];
-        if !rt.active || rt.cur.is_some() || !rt.in_range() {
+    /// Peeks the current element of `(l, lane)` into the lane's `cur`
+    /// buffer, appending its loads to `loads` (their dependency lists reuse
+    /// the buffers in `spare_deps`).
+    fn peek(
+        &mut self,
+        l: usize,
+        lane: usize,
+        spare_deps: &mut Vec<Vec<ElemId>>,
+        loads: &mut Vec<MemLoad>,
+    ) {
+        let rt = &mut self.layers[l][lane];
+        if !rt.active || rt.has_cur || !rt.in_range() {
             return;
         }
-        let i = rt.i;
-        let beg0 = rt.beg;
-        let bound_deps = rt.bound_deps.clone();
-        let parent_vals = rt.parent_vals.clone();
+        let (i, beg0, ordinal) = (rt.i, rt.beg, rt.peeked);
         let tu = &self.prog.layers[l].tus[lane];
         let n = tu.streams.len();
-        let mut vals = vec![0u64; n];
-        let mut mem_by_stream: Vec<Option<ElemId>> = vec![None; n];
-        let mut gates = bound_deps.clone();
-        let ordinal = self.elem_counts[l][lane];
+        let cur = &mut rt.cur;
+        cur.vals.clear();
+        cur.vals.resize(n, 0);
+        cur.mem_by_stream.clear();
+        cur.mem_by_stream.resize(n, None);
+        cur.gates.clear();
+        cur.gates.extend_from_slice(&rt.bound_deps);
         for (si, s) in tu.streams.iter().enumerate() {
             match s {
-                StreamDef::Ite => vals[si] = i as u64,
+                StreamDef::Ite => cur.vals[si] = i as u64,
                 StreamDef::Mem {
                     base,
                     elem,
@@ -161,19 +282,21 @@ impl Interp {
                 } => {
                     let idx = match index {
                         IndexSrc::Ite => i,
-                        IndexSrc::Stream(j) => vals[*j] as i64,
-                        IndexSrc::RelItePlus(j) => (i - beg0) + vals[*j] as i64,
+                        IndexSrc::Stream(j) => cur.vals[*j] as i64,
+                        IndexSrc::RelItePlus(j) => (i - beg0) + cur.vals[*j] as i64,
                     };
                     let addr = (*base as i64 + idx * *elem as i64) as u64;
-                    vals[si] = match ty {
+                    cur.vals[si] = match ty {
                         StreamTy::Index => self.image.read_index(addr) as u64,
                         StreamTy::Value => self.image.read_bits(addr),
                     };
                     let id = self.next_elem;
                     self.next_elem += 1;
-                    let mut deps = bound_deps.clone();
+                    let mut deps = spare_deps.pop().unwrap_or_default();
+                    deps.clear();
+                    deps.extend_from_slice(&rt.bound_deps);
                     if let IndexSrc::Stream(j) | IndexSrc::RelItePlus(j) = index {
-                        if let Some(dep) = mem_by_stream[*j] {
+                        if let Some(dep) = cur.mem_by_stream[*j] {
                             deps.push(dep);
                         }
                     }
@@ -186,47 +309,58 @@ impl Interp {
                         addr,
                         deps,
                     });
-                    mem_by_stream[si] = Some(id);
-                    gates.push(id);
+                    cur.mem_by_stream[si] = Some(id);
+                    cur.gates.push(id);
                 }
                 StreamDef::Lin { a, b, of } => {
-                    vals[si] = (a * (vals[*of] as i64) + b) as u64;
+                    cur.vals[si] = (a * (cur.vals[*of] as i64) + b) as u64;
                 }
                 StreamDef::Map { table, of } => {
-                    vals[si] =
-                        table[(vals[*of] as i64).rem_euclid(table.len() as i64) as usize] as u64;
+                    cur.vals[si] = table
+                        [(cur.vals[*of] as i64).rem_euclid(table.len() as i64) as usize]
+                        as u64;
                 }
                 StreamDef::Ldr { base, elem, of } => {
-                    vals[si] = (*base as i64 + (vals[*of] as i64) * *elem as i64) as u64;
+                    cur.vals[si] = (*base as i64 + (cur.vals[*of] as i64) * *elem as i64) as u64;
                 }
                 StreamDef::Fwd { from } => {
-                    vals[si] = parent_vals.get(from.stream).copied().unwrap_or(0);
+                    cur.vals[si] = rt.parent_vals.get(from.stream).copied().unwrap_or(0);
                 }
             }
         }
-        self.elem_counts[l][lane] += 1;
-        self.layers[l][lane].cur = Some(ElemRt {
-            vals,
-            mem_by_stream,
-            gates,
-        });
+        rt.peeked += 1;
+        rt.has_cur = true;
     }
 
     fn consume(&mut self, l: usize, lane: usize) {
         let rt = &mut self.layers[l][lane];
-        let cur = rt.cur.take().expect("consume requires a peeked element");
-        rt.last = cur;
+        assert!(rt.has_cur, "consume requires a peeked element");
+        std::mem::swap(&mut rt.cur, &mut rt.last);
+        rt.has_cur = false;
         rt.i += rt.stride;
     }
 
     fn key_of(&self, l: usize, lane: usize) -> i64 {
         let tu = &self.prog.layers[l].tus[lane];
         let k = tu.key.unwrap_or(0);
-        let cur = self.layers[l][lane]
-            .cur
-            .as_ref()
-            .expect("key requires a peeked element");
-        cur.vals[k] as i64
+        let rt = &self.layers[l][lane];
+        assert!(rt.has_cur, "key requires a peeked element");
+        rt.cur.vals[k] as i64
+    }
+
+    /// The lanes of `alive` whose peeked key is the smallest: a merge
+    /// step's mask.
+    fn min_key_lanes(&self, l: usize, alive: u64) -> u64 {
+        let lanes = 0..self.layers[l].len();
+        let min = lanes
+            .clone()
+            .filter(|&j| alive & (1 << j) != 0)
+            .map(|j| self.key_of(l, j))
+            .min()
+            .expect("alive non-empty");
+        lanes
+            .filter(|&j| alive & (1 << j) != 0 && self.key_of(l, j) == min)
+            .fold(0, |m, j| m | 1 << j)
     }
 
     fn active_mask(&self, l: usize) -> u64 {
@@ -242,86 +376,115 @@ impl Interp {
     fn alive_mask(&self, l: usize) -> u64 {
         let mut m = 0u64;
         for (lane, rt) in self.layers[l].iter().enumerate() {
-            if rt.active && rt.cur.is_some() {
+            if rt.active && rt.has_cur {
                 m |= 1 << lane;
             }
         }
         m
     }
 
-    /// Evaluates the callbacks registered for `event` on layer `l`.
-    fn entries_for(&mut self, l: usize, event: Event, mask: u64) -> Vec<OutQEntry> {
-        let mut entries = Vec::new();
+    /// Appends the fiber-bound gates of layer `l`'s active lanes.
+    fn bound_gates(&self, l: usize, gates: &mut Vec<ElemId>) {
+        for rt in self.layers[l].iter().filter(|rt| rt.active) {
+            gates.extend_from_slice(&rt.bound_deps);
+        }
+    }
+
+    /// Evaluates the callbacks registered for `event` on layer `l` into
+    /// `out`, refilling the records already there in place.
+    fn fill_entries(&mut self, l: usize, event: Event, mask: u64, out: &mut Vec<OutQEntry>) {
         let layer = &self.prog.layers[l];
-        for cb in &layer.callbacks {
-            if cb.event != event {
-                continue;
+        let mut n = 0;
+        for cb in layer.callbacks.iter().filter(|cb| cb.event == event) {
+            if n == out.len() {
+                out.push(OutQEntry {
+                    callback: cb.id,
+                    mask,
+                    operands: Vec::with_capacity(cb.operands.len()),
+                });
             }
-            let operands = cb
-                .operands
-                .iter()
-                .map(|op| match &layer.operands[op.0] {
+            let entry = &mut out[n];
+            n += 1;
+            entry.callback = cb.id;
+            entry.mask = mask;
+            entry.operands.truncate(cb.operands.len());
+            for (k, op) in cb.operands.iter().enumerate() {
+                if k == entry.operands.len() {
+                    entry.operands.push(Operand::Mask(0));
+                }
+                let slot = &mut entry.operands[k];
+                match &layer.operands[op.0] {
                     OperandDef::Vec { streams } => {
                         let ty = streams
                             .first()
                             .map(|&s| self.stream_ty(s))
                             .unwrap_or(StreamTy::Index);
-                        let vals = streams
-                            .iter()
-                            .map(|s| {
-                                if mask & (1 << s.lane) != 0 {
-                                    self.layers[l][s.lane].last.vals[s.stream]
-                                } else {
-                                    0
-                                }
-                            })
-                            .collect();
-                        Operand::Vec { vals, ty }
+                        if !matches!(slot, Operand::Vec { .. }) {
+                            *slot = Operand::Vec {
+                                vals: Vec::with_capacity(streams.len()),
+                                ty,
+                            };
+                        }
+                        let Operand::Vec { vals, ty: slot_ty } = slot else {
+                            unreachable!("slot was just made a vector operand");
+                        };
+                        *slot_ty = ty;
+                        vals.clear();
+                        vals.extend(streams.iter().map(|s| {
+                            if mask & (1 << s.lane) != 0 {
+                                self.layers[l][s.lane].last.vals[s.stream]
+                            } else {
+                                0
+                            }
+                        }));
                     }
-                    OperandDef::Mask => Operand::Mask(mask),
-                    OperandDef::Scalar { stream } => Operand::Scalar {
-                        val: self.layers[stream.layer][stream.lane]
-                            .last
-                            .vals
-                            .get(stream.stream)
-                            .copied()
-                            .unwrap_or(0),
-                        ty: self.stream_ty(*stream),
-                    },
-                })
-                .collect();
-            entries.push(OutQEntry {
-                callback: cb.id,
-                mask,
-                operands,
-            });
+                    OperandDef::Mask => *slot = Operand::Mask(mask),
+                    OperandDef::Scalar { stream } => {
+                        *slot = Operand::Scalar {
+                            val: self.layers[stream.layer][stream.lane]
+                                .last
+                                .vals
+                                .get(stream.stream)
+                                .copied()
+                                .unwrap_or(0),
+                            ty: self.stream_ty(*stream),
+                        }
+                    }
+                }
+            }
         }
-        self.entries_produced += entries.len() as u64;
-        entries
+        out.truncate(n);
+        self.entries_produced += n as u64;
     }
 
-    /// Initializes layer `l + 1`'s fibers after an `Ite` of layer `l`.
+    /// Initializes layer `l + 1`'s fibers after an `Ite` of layer `l`,
+    /// refilling the child lanes' buffers in place. A lane left inactive
+    /// reads as empty: no bound deps, no parent values, no last element.
     fn descend(&mut self, l: usize, mask: u64) {
         let child = l + 1;
         let parent_mode = self.prog.layers[l].mode;
-        let tus = self.prog.layers[child].tus.clone();
-        for (lane, tu) in tus.iter().enumerate() {
-            let p = tu.parent_lane;
+        let (upper, lower) = self.layers.split_at_mut(child);
+        let parents = &upper[l];
+        for (tu, rt) in self.prog.layers[child].tus.iter().zip(lower[0].iter_mut()) {
             let parent_ok = match parent_mode {
                 LayerMode::Single | LayerMode::Keep => true,
-                _ => mask & (1 << p) != 0,
+                _ => mask & (1 << tu.parent_lane) != 0,
             };
-            let parent_rt = &self.layers[l][p];
+            let parent_rt = &parents[tu.parent_lane];
+            rt.has_cur = false;
+            rt.last.clear();
+            rt.bound_deps.clear();
+            rt.parent_vals.clear();
             if !parent_ok || !parent_rt.active {
-                self.layers[child][lane] = LaneRt::default();
+                (rt.active, rt.i, rt.beg, rt.end, rt.stride) = (false, 0, 0, 0, 0);
                 continue;
             }
-            let pv = parent_rt.last.vals.clone();
-            let pmem = parent_rt.last.mem_by_stream.clone();
+            let pv = &parent_rt.last.vals;
+            let pmem = &parent_rt.last.mem_by_stream;
             // `origin` is the fiber start before any lane phase offset —
             // the reference point of `IndexSrc::RelItePlus`.
-            let (i, origin, end, stride, mut bound_deps) = match tu.traversal {
-                TraversalDef::Dns { beg, end, stride } => (beg, beg, end, stride, Vec::new()),
+            let (i, origin, end, stride) = match tu.traversal {
+                TraversalDef::Dns { beg, end, stride } => (beg, beg, end, stride),
                 TraversalDef::Rng {
                     beg,
                     end,
@@ -330,14 +493,13 @@ impl Interp {
                 } => {
                     let b0 = pv[beg.stream] as i64;
                     let e = pv[end.stream] as i64;
-                    let mut deps = Vec::new();
                     if let Some(Some(d)) = pmem.get(beg.stream) {
-                        deps.push(*d);
+                        rt.bound_deps.push(*d);
                     }
                     if let Some(Some(d)) = pmem.get(end.stream) {
-                        deps.push(*d);
+                        rt.bound_deps.push(*d);
                     }
-                    (b0 + offset, b0, e, stride, deps)
+                    (b0 + offset, b0, e, stride)
                 }
                 TraversalDef::Idx {
                     beg,
@@ -346,81 +508,54 @@ impl Interp {
                     stride,
                 } => {
                     let b0 = pv[beg.stream] as i64;
-                    let mut deps = Vec::new();
                     if let Some(Some(d)) = pmem.get(beg.stream) {
-                        deps.push(*d);
+                        rt.bound_deps.push(*d);
                     }
-                    (b0 + offset, b0, b0 + size, stride, deps)
+                    (b0 + offset, b0, b0 + size, stride)
                 }
             };
             // The child also cannot outrun its parent's own fiber bounds.
-            bound_deps.extend(parent_rt.bound_deps.iter().copied());
-            bound_deps.dedup();
-            self.layers[child][lane] = LaneRt {
-                active: true,
-                i,
-                beg: origin,
-                end,
-                stride,
-                bound_deps,
-                parent_vals: pv,
-                cur: None,
-                last: ElemRt::default(),
-            };
+            rt.bound_deps.extend_from_slice(&parent_rt.bound_deps);
+            rt.bound_deps.dedup();
+            rt.parent_vals.extend_from_slice(pv);
+            (rt.active, rt.i, rt.beg, rt.end, rt.stride) = (true, i, origin, end, stride);
         }
         self.phase = Phase::Start(child);
     }
 
     /// Produces the next step, or `None` when traversal is complete.
     pub fn next_step(&mut self) -> Option<Step> {
-        loop {
-            match self.phase {
-                Phase::Done => return None,
-                Phase::Start(l) => {
-                    let mask = self.active_mask(l);
-                    let gates: Vec<ElemId> = self.layers[l]
-                        .iter()
-                        .filter(|rt| rt.active)
-                        .flat_map(|rt| rt.bound_deps.iter().copied())
-                        .collect();
-                    self.phase = Phase::Step(l);
-                    let entries = self.entries_for(l, Event::Beg, mask);
-                    return Some(Step {
-                        layer: l as u8,
-                        kind: StepKind::Beg,
-                        mask,
-                        loads: Vec::new(),
-                        gates,
-                        consumed: Vec::new(),
-                        entries,
-                    });
-                }
-                Phase::Step(l) => {
-                    let step = self.group_step(l);
-                    if let Some(s) = step {
-                        return Some(s);
-                    }
-                    // group_step only returns None for ConjMrg skips that it
-                    // chose to elide; loop again.
-                }
-            }
-        }
+        self.generate(&mut StepPool::default())
     }
 
-    fn end_step(&mut self, l: usize, loads: Vec<MemLoad>) -> Step {
-        let mask = self.active_mask(l);
-        let gates: Vec<ElemId> = self.layers[l]
-            .iter()
-            .filter(|rt| rt.active)
-            .flat_map(|rt| rt.bound_deps.iter().copied())
-            .collect();
+    /// [`Interp::next_step`], refilling a record from `pool`.
+    fn generate(&mut self, pool: &mut StepPool) -> Option<Step> {
+        let step = match self.phase {
+            Phase::Done => return None,
+            Phase::Start(l) => {
+                let mut step = pool.take(l, StepKind::Beg);
+                step.mask = self.active_mask(l);
+                self.bound_gates(l, &mut step.gates);
+                self.phase = Phase::Step(l);
+                self.fill_entries(l, Event::Beg, step.mask, &mut step.entries);
+                step
+            }
+            Phase::Step(l) => self.group_step(l, pool),
+        };
+        self.steps += 1;
+        Some(step)
+    }
+
+    fn end_step(&mut self, l: usize, step: &mut Step) {
+        step.mask = self.active_mask(l);
+        self.bound_gates(l, &mut step.gates);
         // A conjunctive merge ends as soon as one fiber is exhausted;
         // elements already peeked on the other lanes are discarded by the
         // hardware — mark them consumed so their queue slots free up.
-        let mut consumed = Vec::new();
-        for lane in 0..self.layers[l].len() {
-            if self.layers[l][lane].cur.take().is_some() {
-                consumed.push((l as u8, lane as u8));
+        for (lane, rt) in self.layers[l].iter_mut().enumerate() {
+            if rt.has_cur {
+                rt.has_cur = false;
+                step.consumed.push((l as u8, lane as u8));
             }
         }
         self.phase = if l == 0 {
@@ -428,118 +563,105 @@ impl Interp {
         } else {
             Phase::Step(l - 1)
         };
-        let entries = self.entries_for(l, Event::End, mask);
-        Step {
-            layer: l as u8,
-            kind: StepKind::End,
-            mask,
-            loads,
-            gates,
-            consumed,
-            entries,
-        }
+        self.fill_entries(l, Event::End, step.mask, &mut step.entries);
     }
 
-    fn group_step(&mut self, l: usize) -> Option<Step> {
+    fn group_step(&mut self, l: usize, pool: &mut StepPool) -> Step {
         let mode = self.prog.layers[l].mode;
         let lanes = self.prog.layers[l].tus.len();
-        let mut loads = Vec::new();
+        let mut loads = std::mem::take(&mut pool.loads);
         for lane in 0..lanes {
-            self.peek(l, lane, &mut loads);
+            self.peek(l, lane, &mut pool.deps, &mut loads);
         }
         let active = self.active_mask(l);
         let alive = self.alive_mask(l);
 
         let (mask, ended) = match mode {
-            LayerMode::Single | LayerMode::Keep | LayerMode::LockStep => {
-                if alive == 0 {
-                    (0, true)
-                } else {
-                    (alive, false)
-                }
+            LayerMode::Single | LayerMode::Keep | LayerMode::LockStep => (alive, alive == 0),
+            LayerMode::DisjMrg if alive != 0 => (self.min_key_lanes(l, alive), false),
+            LayerMode::ConjMrg if active != 0 && alive == active => {
+                (self.min_key_lanes(l, alive), false)
             }
-            LayerMode::DisjMrg => {
-                if alive == 0 {
-                    (0, true)
-                } else {
-                    let min = (0..lanes)
-                        .filter(|&j| alive & (1 << j) != 0)
-                        .map(|j| self.key_of(l, j))
-                        .min()
-                        .expect("alive non-empty");
-                    let mut m = 0u64;
-                    for j in 0..lanes {
-                        if alive & (1 << j) != 0 && self.key_of(l, j) == min {
-                            m |= 1 << j;
-                        }
-                    }
-                    (m, false)
-                }
-            }
-            LayerMode::ConjMrg => {
-                if active == 0 || alive != active {
-                    (0, true)
-                } else {
-                    let min = (0..lanes)
-                        .filter(|&j| alive & (1 << j) != 0)
-                        .map(|j| self.key_of(l, j))
-                        .min()
-                        .expect("alive non-empty");
-                    let mut m = 0u64;
-                    for j in 0..lanes {
-                        if alive & (1 << j) != 0 && self.key_of(l, j) == min {
-                            m |= 1 << j;
-                        }
-                    }
-                    (m, false)
-                }
-            }
+            LayerMode::DisjMrg | LayerMode::ConjMrg => (0, true),
         };
-
+        // Conjunctive merge only emits when all active lanes participate.
+        let kind = if ended {
+            StepKind::End
+        } else if mode == LayerMode::ConjMrg && mask != active {
+            StepKind::Skip
+        } else {
+            StepKind::Ite
+        };
+        let mut step = pool.take(l, kind);
+        std::mem::swap(&mut step.loads, &mut loads);
+        pool.loads = loads;
         if ended {
-            return Some(self.end_step(l, loads));
+            self.end_step(l, &mut step);
+            return step;
         }
 
         // Consume the participating lanes, gathering gates.
-        let mut gates = Vec::new();
-        let mut consumed = Vec::new();
+        step.mask = mask;
         for j in 0..lanes {
             if mask & (1 << j) != 0 {
-                if let Some(cur) = self.layers[l][j].cur.as_ref() {
-                    gates.extend(cur.gates.iter().copied());
-                }
+                step.gates.extend_from_slice(&self.layers[l][j].cur.gates);
                 self.consume(l, j);
-                consumed.push((l as u8, j as u8));
+                step.consumed.push((l as u8, j as u8));
             }
         }
+        if kind == StepKind::Ite {
+            self.fill_entries(l, Event::Ite, mask, &mut step.entries);
+            if l + 1 < self.prog.layers.len() {
+                self.descend(l, mask);
+            }
+        }
+        step
+    }
+}
 
-        // Conjunctive merge only emits when all active lanes participate.
-        if mode == LayerMode::ConjMrg && mask != active {
-            return Some(Step {
-                layer: l as u8,
-                kind: StepKind::Skip,
-                mask,
-                loads,
-                gates,
-                consumed,
+/// Retired step records and load-dependency buffers, refilled in place so
+/// their vectors keep their capacity.
+#[derive(Debug, Default)]
+struct StepPool {
+    /// Spare records by `layer * 4 + kind`: a record refilled for the same
+    /// layer and kind already holds entries of the right shape.
+    steps: Vec<Vec<Step>>,
+    /// Spare [`MemLoad::deps`] buffers.
+    deps: Vec<Vec<ElemId>>,
+    /// The loads of the step being generated, gathered before its kind is
+    /// known.
+    loads: Vec<MemLoad>,
+}
+
+impl StepPool {
+    fn slot(layer: usize, kind: StepKind) -> usize {
+        layer * 4 + kind as usize
+    }
+
+    fn take(&mut self, layer: usize, kind: StepKind) -> Step {
+        self.steps
+            .get_mut(Self::slot(layer, kind))
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| Step {
+                layer: layer as u8,
+                kind,
+                mask: 0,
+                loads: Vec::new(),
+                gates: Vec::new(),
+                consumed: Vec::new(),
                 entries: Vec::new(),
-            });
-        }
+            })
+    }
 
-        let entries = self.entries_for(l, Event::Ite, mask);
-        let step = Step {
-            layer: l as u8,
-            kind: StepKind::Ite,
-            mask,
-            loads,
-            gates,
-            consumed,
-            entries,
-        };
-        if l + 1 < self.prog.layers.len() {
-            self.descend(l, mask);
+    fn put(&mut self, mut step: Step) {
+        self.deps.extend(step.loads.drain(..).map(|ld| ld.deps));
+        step.gates.clear();
+        step.consumed.clear();
+        let slot = Self::slot(step.layer as usize, step.kind);
+        if self.steps.len() <= slot {
+            self.steps.resize_with(slot + 1, Vec::new);
         }
-        Some(step)
+        self.steps[slot].push(step);
     }
 }
 
@@ -557,28 +679,57 @@ pub fn run_functional(prog: &Arc<Program>, image: &Arc<MemImage>) -> Vec<OutQEnt
 /// Runs a program to completion, handing each outQ entry to `f`.
 pub fn for_each_entry(prog: &Arc<Program>, image: &Arc<MemImage>, mut f: impl FnMut(&OutQEntry)) {
     let mut interp = Interp::new(Arc::clone(prog), Arc::clone(image));
-    while let Some(step) = interp.next_step() {
+    let mut pool = StepPool::default();
+    while let Some(step) = interp.generate(&mut pool) {
         for e in &step.entries {
             f(e);
         }
+        pool.put(step);
     }
 }
 
 /// Batches steps from an interpreter (used by the timing engine).
+///
+/// The consumer hands every step back through [`StepBatcher::commit`] once
+/// it commits, and every load through [`StepBatcher::recycle_load`] once it
+/// issues; the interpreter refills those records in place, so a warm
+/// batcher allocates nothing per step. Every [`STEP_BATCH`] generated steps
+/// the batcher also checkpoints the interpreter, keeping the newest
+/// checkpoint at or before the committed step for a context save.
 #[derive(Debug)]
 pub struct StepBatcher {
     interp: Interp,
     buf: VecDeque<Step>,
     done: bool,
+    pool: StepPool,
+    /// Steps handed back through `commit`, counted from step 0.
+    committed: u64,
+    /// Interpreter checkpoints in step order. The first retires once the
+    /// second is at or before `committed`.
+    checkpoints: VecDeque<Interp>,
+    /// Retired checkpoint slots, refilled in place by the next checkpoint.
+    spare: Vec<Interp>,
 }
 
 impl StepBatcher {
-    /// Wraps an interpreter.
+    /// Wraps an interpreter. Every step it already produced counts as
+    /// committed, and an interpreter past step 0 (a restored one) is kept
+    /// as the first checkpoint, so a save before the next checkpoint still
+    /// finds one.
     pub fn new(interp: Interp) -> Self {
+        let checkpoints = if interp.steps > 0 {
+            VecDeque::from([interp.clone()])
+        } else {
+            VecDeque::new()
+        };
         Self {
+            committed: interp.steps,
             interp,
             buf: VecDeque::new(),
             done: false,
+            pool: StepPool::default(),
+            checkpoints,
+            spare: Vec::new(),
         }
     }
 
@@ -586,8 +737,20 @@ impl StepBatcher {
     /// returns whether any remain.
     pub fn fill(&mut self, n: usize) -> bool {
         while self.buf.len() < n && !self.done {
-            match self.interp.next_step() {
-                Some(s) => self.buf.push_back(s),
+            match self.interp.generate(&mut self.pool) {
+                Some(s) => {
+                    self.buf.push_back(s);
+                    if self.interp.steps.is_multiple_of(STEP_BATCH as u64) {
+                        let slot = match self.spare.pop() {
+                            Some(mut slot) => {
+                                slot.clone_from(&self.interp);
+                                slot
+                            }
+                            None => self.interp.clone(),
+                        };
+                        self.checkpoints.push_back(slot);
+                    }
+                }
                 None => self.done = true,
             }
         }
@@ -599,20 +762,38 @@ impl StepBatcher {
         self.buf.pop_front()
     }
 
-    /// Peeks the next buffered step.
-    pub fn peek(&mut self) -> Option<&Step> {
-        if self.buf.is_empty() {
-            self.fill(1);
+    /// Hands back a committed step (steps commit in the order they were
+    /// popped): its record is recycled, and a checkpoint retires once a
+    /// newer one is at or before the committed step.
+    pub fn commit(&mut self, step: Step) {
+        self.committed += 1;
+        self.pool.put(step);
+        while self
+            .checkpoints
+            .get(1)
+            .is_some_and(|c| c.steps <= self.committed)
+        {
+            let old = self.checkpoints.pop_front().expect("two checkpoints");
+            self.spare.push(old);
         }
-        self.buf.front()
     }
 
-    /// Whether all steps have been drained.
-    pub fn exhausted(&mut self) -> bool {
-        self.buf.is_empty() && {
-            self.fill(1);
-            self.buf.is_empty()
-        }
+    /// Hands back an issued load, recycling its dependency buffer.
+    pub fn recycle_load(&mut self, load: MemLoad) {
+        self.pool.deps.push(load.deps);
+    }
+
+    /// Steps committed so far, counted from step 0.
+    pub fn committed(&self) -> u64 {
+        self.committed
+    }
+
+    /// The newest checkpoint at or before the committed step, if any (a
+    /// restore without one replays from step 0).
+    pub fn checkpoint(&self) -> Option<&Interp> {
+        self.checkpoints
+            .front()
+            .filter(|c| c.steps <= self.committed)
     }
 }
 

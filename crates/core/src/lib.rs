@@ -72,7 +72,7 @@ pub use config::TmuConfig;
 pub use error::TmuError;
 // Fault-model glue re-exported so kernels and harnesses need only `tmu`.
 pub use image::MemImage;
-pub use interp::{for_each_entry, run_functional, Interp, StepBatcher};
+pub use interp::{for_each_entry, run_functional, Interp, StepBatcher, STEP_BATCH};
 pub use program::{
     CallbackDef, Event, IndexSrc, LayerDef, LayerId, LayerMode, OperandDef, OperandId, Program,
     ProgramBuilder, ProgramError, StreamDef, StreamRef, StreamTy, TraversalDef, TuDef, TuId,

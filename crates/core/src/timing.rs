@@ -29,7 +29,7 @@ use crate::config::TmuConfig;
 use crate::context::ContextSnapshot;
 use crate::error::TmuError;
 use crate::image::MemImage;
-use crate::interp::{Interp, StepBatcher};
+use crate::interp::{Interp, StepBatcher, STEP_BATCH};
 use crate::program::Program;
 use crate::steps::{ElemId, MemLoad, OutQEntry, Step};
 
@@ -249,8 +249,6 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     /// then takes no fault branches and behaviour is byte-identical to
     /// the pre-fault-model engine).
     faults: Option<FaultPlan>,
-    /// TG steps committed in order (the precise-trap quiesce point).
-    steps_committed: u64,
     /// A fault was injected this cycle; trap at the end of the tick.
     trap_pending: Option<FaultKind>,
     /// Saved context while the simulated OS services a fault.
@@ -365,7 +363,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             // Engines sharing one spec (one per core) are decorrelated by
             // their outQ base address.
             faults: FaultPlan::from_spec(cfg.faults, outq_base),
-            steps_committed: 0,
             trap_pending: None,
             saved: None,
             service_until: 0,
@@ -482,7 +479,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// before its first committed step would replay to the same point
     /// forever.
     pub fn steps_committed(&self) -> u64 {
-        self.steps_committed
+        self.batcher.committed()
     }
 
     /// Whether the engine was externally descheduled by
@@ -505,7 +502,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// The committed step count *is* the quiesce point — steps commit
     /// strictly in order, and everything past it (in-flight loads, queued
     /// steps, arbiter state) is speculative and regenerated bit-exactly by
-    /// replay on resume. The open partial outQ chunk is sealed so all
+    /// replay on resume. The snapshot carries the newest interpreter
+    /// checkpoint at or before the committed step, so that replay is fewer
+    /// than 64 steps. The open partial outQ chunk is sealed so all
     /// host-visible state drains with the outgoing context; sealing only
     /// changes chunk packaging, never the marshaled entry stream. If a
     /// fault was mid-service the pending restore is subsumed: the saved
@@ -527,9 +526,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         if self.chunk_entries > 0 {
             self.seal_chunk(now, core, mem);
         }
-        let entries = self.stats.lock().expect("stats poisoned").entries;
-        let snap = ContextSnapshot::save(self.cfg, &self.program, self.steps_committed, entries)
-            .with_outq(self.chunk_id, self.tenant);
+        let snap = self.save_context();
         self.saved = None;
         self.trap_pending = None;
         self.pending.clear();
@@ -541,16 +538,17 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// scheduler-driven reschedule): the dual of
     /// [`TmuAccelerator::quiesce`].
     ///
-    /// Replays the interpreter to the saved step count, rebuilding the
-    /// per-TU committed-consumption ordinals the §5.5 capacity check is
-    /// keyed on; loads of already-committed steps read as ready. The outQ
-    /// control registers resume from the snapshot: the next chunk id
-    /// continues the sealed sequence (the consumer drained every sealed
-    /// chunk before the switch completed, so the double-buffer gate opens
-    /// fully). Pass the descheduled engine's [`stats_handle`] as `stats`
-    /// so entry counts and per-chunk timings accumulate across
-    /// incarnations — chunk ids then stay aligned with the shared
-    /// `chunks` vector.
+    /// Restores the interpreter to the saved step count (from the
+    /// snapshot's checkpoint, see [`ContextSnapshot::try_restore`]) and
+    /// reads off it the per-TU committed-consumption ordinals the §5.5
+    /// capacity check is keyed on; loads of already-committed steps read
+    /// as ready. The outQ control registers resume from the snapshot: the
+    /// next chunk id continues the sealed sequence (the consumer drained
+    /// every sealed chunk before the switch completed, so the
+    /// double-buffer gate opens fully). Pass the descheduled engine's
+    /// [`stats_handle`] as `stats` so entry counts and per-chunk timings
+    /// accumulate across incarnations — chunk ids then stay aligned with
+    /// the shared `chunks` vector.
     ///
     /// A rate-based fault plan restarts its load counter (the plan is
     /// microarchitectural, not architectural state); scripted plans do not
@@ -564,86 +562,50 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         outq_base: u64,
         stats: Arc<Mutex<OutQStats>>,
     ) -> Result<Self, TmuError> {
-        let cfg = snap.config;
-        let program = Arc::new(snap.program.clone());
-        if program.lanes_used() > cfg.lanes {
-            return Err(TmuError::LanesExceeded {
-                used: program.lanes_used(),
-                lanes: cfg.lanes,
-            });
-        }
-        let qdepth = cfg.try_size_queues(&program.weights(), &program.streams_per_layer())?;
-        let mut tus: Vec<Vec<TuTiming>> = program
-            .layers
-            .iter()
-            .map(|l| (0..l.tus.len()).map(|_| TuTiming::default()).collect())
-            .collect();
-        let layers = program.layers.len();
-        let mut interp = Interp::new(Arc::clone(&program), Arc::clone(&image));
-        for _ in 0..snap.steps_completed {
-            let step = interp.next_step().ok_or(TmuError::SnapshotOutOfRange {
-                steps: snap.steps_completed,
-            })?;
-            for &(layer, lane) in &step.consumed {
-                tus[layer as usize][lane as usize].consumed_elems += 1;
+        let mut accel = Self::try_new(
+            snap.config,
+            Arc::clone(&snap.program),
+            Arc::clone(&image),
+            handler,
+            outq_base,
+        )?;
+        accel.restart_from(snap.try_restore(image)?);
+        accel.tenant = snap.tenant;
+        accel.chunk_id = snap.chunks_sealed;
+        accel.acked = snap.chunks_sealed;
+        stats.lock().expect("stats poisoned").tenant = snap.tenant;
+        accel.stats = stats;
+        Ok(accel)
+    }
+
+    /// The architectural context at the committed step, with the newest
+    /// interpreter checkpoint at or before it.
+    fn save_context(&self) -> ContextSnapshot {
+        let entries = self.stats.lock().expect("stats poisoned").entries;
+        ContextSnapshot::save(self.cfg, &self.program, self.steps_committed(), entries)
+            .with_outq(self.chunk_id, self.tenant)
+            .with_checkpoint(self.batcher.checkpoint().cloned())
+    }
+
+    /// Restarts the step stream from an interpreter restored to the
+    /// committed step: speculative state (queued loads, uncommitted steps,
+    /// arbiter state) is dropped, and each TU's committed consumption is
+    /// read off the interpreter. Loads of committed steps have ids below
+    /// the interpreter's next id; the fresh ring reports them ready-at-0.
+    fn restart_from(&mut self, interp: Interp) {
+        for (layer, tus) in self.tus.iter_mut().enumerate() {
+            for (lane, tu) in tus.iter_mut().enumerate() {
+                tu.streams.clear();
+                tu.consumed_elems = interp.consumed_elems(layer, lane);
             }
         }
-        #[cfg(feature = "trace")]
-        tmu_trace::with(|t| {
-            let c = t.component("system.tmu.ctx");
-            t.event(
-                c,
-                snap.steps_completed,
-                tmu_trace::EventKind::CtxRestore,
-                snap.entries_produced,
-            );
-        });
-        let base = interp.elems_issued();
-        stats.lock().expect("stats poisoned").tenant = snap.tenant;
-        Ok(Self {
-            cfg,
-            batcher: StepBatcher::new(interp),
-            handler,
-            program,
-            image,
-            faults: FaultPlan::from_spec(cfg.faults, outq_base),
-            steps_committed: snap.steps_completed,
-            trap_pending: None,
-            saved: None,
-            service_until: 0,
-            outq_stall_until: 0,
-            retired: None,
-            parked: false,
-            tenant: snap.tenant,
-            qdepth,
-            tus,
-            ready: ReadyRing::starting_at(base),
-            global_lines: [(u64::MAX, 0); 32],
-            global_pos: 0,
-            pending: VecDeque::new(),
-            steps_done: false,
-            rr: vec![0; layers],
-            outq_base,
-            chunk_id: snap.chunks_sealed,
-            chunk_entries: 0,
-            chunk_bytes: 0,
-            chunk_open: 0,
-            acked: snap.chunks_sealed,
-            vm: VecMachine::new(),
-            host_ops: VecDeque::new(),
-            stats,
-            outq_site: Site(u16::MAX),
-            debug_counters: [0; 4],
-            sleep: Sleep::default(),
-            #[cfg(feature = "trace")]
-            trace: None,
-            #[cfg(feature = "trace")]
-            trace_layer: u8::MAX,
-            #[cfg(feature = "trace")]
-            sampler: tmu_trace::PeriodicSampler::new(
-                tmu_trace::with(|t| t.config().sample_period).unwrap_or(256),
-            ),
-        })
+        self.ready = ReadyRing::starting_at(interp.elems_issued());
+        self.batcher = StepBatcher::new(interp);
+        self.pending.clear();
+        self.steps_done = false;
+        self.global_lines = [(u64::MAX, 0); 32];
+        self.global_pos = 0;
+        self.rr.fill(0);
     }
 
     /// Retires the engine: abandon all outstanding work, record the typed
@@ -689,54 +651,33 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             return;
         }
         plan.stats.traps += 1;
-        let entries = self.stats.lock().expect("stats poisoned").entries;
-        self.saved = Some(
-            ContextSnapshot::save(self.cfg, &self.program, self.steps_committed, entries)
-                .with_outq(self.chunk_id, self.tenant),
-        );
         self.service_until = now + u64::from(spec.service_cycles).max(1);
+        self.saved = Some(self.save_context());
         #[cfg(feature = "trace")]
-        self.emit(now, tmu_trace::EventKind::TrapRaised, self.steps_committed);
+        self.emit(
+            now,
+            tmu_trace::EventKind::TrapRaised,
+            self.steps_committed(),
+        );
     }
 
-    /// Resumes from the saved context after fault service: rebuild the
-    /// interpreter by replay, discard all speculative (uncommitted)
-    /// engine state, and continue. Committed outQ state — chunk ids,
-    /// entry counts, synthesized host ops, per-TU consumption — is
-    /// architectural and survives untouched.
+    /// Resumes from the saved context after fault service: restore the
+    /// interpreter, discard all speculative (uncommitted) engine state, and
+    /// continue. Committed outQ state — chunk ids, entry counts,
+    /// synthesized host ops — is architectural and survives untouched.
     fn restore_from_trap(&mut self) {
         let Some(snap) = self.saved.take() else {
             return;
         };
-        let interp = match snap.try_restore(Arc::clone(&self.image)) {
-            Ok(interp) => interp,
+        match snap.try_restore(Arc::clone(&self.image)) {
+            Ok(interp) => self.restart_from(interp),
             Err(e) => {
                 // A corrupt snapshot cannot resume: degrade instead of
                 // panicking mid-run.
                 self.retire(e);
                 return;
             }
-        };
-        // Loads of already-committed steps have ids below the replayed
-        // interpreter's next id; the fresh ring reports them ready-at-0.
-        let base = interp.elems_issued();
-        self.batcher = StepBatcher::new(interp);
-        self.pending.clear();
-        self.steps_done = false;
-        for layer in self.tus.iter_mut() {
-            for tu in layer.iter_mut() {
-                // Keep `consumed_elems` (committed consumption — the §5.5
-                // capacity check is in program-order element ordinals);
-                // drop the speculative queue contents.
-                tu.streams.clear();
-            }
         }
-        self.global_lines = [(u64::MAX, 0); 32];
-        self.global_pos = 0;
-        for r in self.rr.iter_mut() {
-            *r = 0;
-        }
-        self.ready = ReadyRing::starting_at(base);
         if let Some(plan) = self.faults.as_mut() {
             plan.stats.restores += 1;
         }
@@ -753,14 +694,11 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     fn refill(&mut self) {
         while self.pending.len() < 512 && !self.steps_done {
             self.sleep.stir();
-            self.batcher.fill(64);
+            self.batcher.fill(STEP_BATCH);
             match self.batcher.pop() {
-                Some(step) => {
-                    for ld in &step.loads {
-                        self.ready.push_unissued(ld.id);
-                    }
-                    let mut step = step;
+                Some(mut step) => {
                     for ld in step.loads.drain(..) {
+                        self.ready.push_unissued(ld.id);
                         let tu = &mut self.tus[ld.layer as usize][ld.lane as usize];
                         let slot = ld.stream as usize;
                         if tu.streams.len() <= slot {
@@ -829,6 +767,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         sq.last_line = line;
                         sq.last_ready = line_ready.max(1);
                         self.ready.set(head.id, line_ready.max(now));
+                        self.batcher.recycle_load(head);
                         self.sleep.stir();
                         continue;
                     }
@@ -877,6 +816,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                     self.global_lines[self.global_pos] = (line, done);
                     self.global_pos = (self.global_pos + 1) % self.global_lines.len();
                     self.ready.set(head.id, done);
+                    self.batcher.recycle_load(head);
                     self.sleep.stir();
                     issued_line = true;
                     self.rr[layer] = (lane + 1) % lanes;
@@ -931,7 +871,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 break;
             }
             let step = self.pending.pop_front().expect("checked");
-            self.steps_committed += 1;
             self.sleep.stir();
             #[cfg(feature = "trace")]
             {
@@ -958,16 +897,18 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             for &(layer, lane) in &step.consumed {
                 self.tus[layer as usize][lane as usize].consumed_elems += 1;
             }
-            if step.entries.is_empty() {
-                free_steps -= 1;
-                continue;
-            }
             // Push the step's entries into the current chunk.
             for entry in &step.entries {
                 if self.chunk_entries == 0 {
                     self.chunk_open = now;
                 }
                 self.push_entry(entry, now, core, mem);
+            }
+            let pushed = !step.entries.is_empty();
+            self.batcher.commit(step);
+            if !pushed {
+                free_steps -= 1;
+                continue;
             }
             pushed_entry = true;
             if self.chunk_entries >= self.cfg.chunk_entries as u32 {
@@ -1186,7 +1127,7 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
         format!(
             "tmu: steps_committed={} pending={} chunk_id={} acked={} chunk_entries={} \
              steps_done={} trapped={} retired={}",
-            self.steps_committed,
+            self.steps_committed(),
             self.pending.len(),
             self.chunk_id,
             self.acked,
@@ -1470,9 +1411,9 @@ mod tests {
                 // guarantee a preemptive scheduler must provide — a
                 // context switched out before its first commit replays
                 // to the same point forever).
-                let resumed_at = accel.steps_committed;
+                let resumed_at = accel.steps_committed();
                 let until = now + quantum;
-                while !accel.done() && (now < until || accel.steps_committed == resumed_at) {
+                while !accel.done() && (now < until || accel.steps_committed() == resumed_at) {
                     accel.tick(now, 0, &mut mem);
                     accel.drain_ops(&mut sink);
                     for op in &sink {

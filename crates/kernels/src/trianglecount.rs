@@ -92,6 +92,16 @@ impl TriangleCount {
         self.reference
     }
 
+    /// Shared memory image (for standalone engine experiments).
+    pub fn image_handle(&self) -> Arc<MemImage> {
+        Arc::clone(&self.image)
+    }
+
+    /// outQ base address of a core.
+    pub fn outq_base(&self, core: usize) -> u64 {
+        self.outq_r[core].base
+    }
+
     fn ctx(&self) -> Ctx {
         Ctx {
             ptrs: Arc::clone(&self.l.ptrs),

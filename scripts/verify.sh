@@ -91,18 +91,21 @@ TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
     TMU_APPS=1 TMU_ARRIVALS=poisson \
     cargo run --release -q -p tmu-bench --bin serve
 
-echo "== host-cost benchmark: build + short tmu-grid and sve-grid runs =="
+echo "== host-cost benchmark: build + short tmu-grid, sve-grid and serve-chaos runs =="
 # perfbench (declared in BENCHMARK.json) is a package of its own; building
 # it here keeps it compiling as the crates' APIs move. A one-second
 # tmu-grid run re-verifies every grid kernel's TMU output, and a one-second
 # sve-grid run every baseline kernel's output through the core and cache
-# hot path; both check that the simulated counts repeat across passes.
-# They run from a temporary directory so the counts they keep never touch
+# hot path. A one-second serve-chaos run checks every served completion's
+# digest against its solo reference, so preemption, park/resume and
+# checkpoint restarts all go through the checkpointed context restore.
+# Each checks that the simulated counts repeat across passes. They run
+# from a temporary directory so the counts they keep never touch
 # perfbench/out.
 cargo build --release --manifest-path perfbench/Cargo.toml
 repo=$(pwd)
 bench_dir=$(mktemp -d)
-for workload in tmu-grid sve-grid; do
+for workload in tmu-grid sve-grid serve-chaos; do
     (cd "$bench_dir" && "$repo/perfbench/target/release/perfbench" \
         --workload "$workload" --seed 1 --seconds 1 --trace 0)
 done

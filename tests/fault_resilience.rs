@@ -11,19 +11,25 @@
 //! Covered: the five Table 4 kernels (SpMV, SpMSpV, SpMSpM, SpKAdd,
 //! SpTTV) on a scripted kind × injection-point grid, two compiled
 //! einsum expressions from the front-end, proptest-random rate-based
-//! schedules on SpMV, graceful retirement on an unserviceable fault,
+//! schedules on SpMV, checkpointed restores against full replay on one
+//! engine per merge mode, graceful retirement on an unserviceable fault,
 //! and the system watchdog firing on a wedged outQ consumer.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use tmu::context::ContextSnapshot;
 use tmu::{
-    CallbackHandler, FaultEvent, FaultKind, FaultPlan, FaultSpec, MemImage, OutQEntry, Program,
-    TmuAccelerator, TmuConfig, TmuError,
+    CallbackHandler, FaultEvent, FaultKind, FaultPlan, FaultSpec, Interp, MemImage, OutQEntry,
+    OutQStats, Program, TmuAccelerator, TmuConfig, TmuError, STEP_BATCH,
 };
 use tmu_front::ExprWorkload;
-use tmu_kernels::{spkadd::Spkadd, spmspm::Spmspm, spmspv::Spmspv, spmv::Spmv, spttv::Spttv};
+use tmu_kernels::{
+    spkadd::Spkadd, spmspm::Spmspm, spmspv::Spmspv, spmv::Spmv, spttv::Spttv,
+    trianglecount::TriangleCount,
+};
 use tmu_sim::{
     drive_standalone, Accelerator, CoreConfig, MemSys, MemSysConfig, Op, OpId, OpKind, SimError,
     System, SystemConfig, VecMachine,
@@ -296,6 +302,193 @@ proptest! {
         let st = stats.lock().expect("stats poisoned");
         prop_assert_eq!(st.entries, clean.stats().entries);
     }
+}
+
+/// Ticks `accel` against `mem` from cycle `now` until it is done or has
+/// committed `steps` steps, acking each sealed chunk the cycle its
+/// `ChunkEnd` op drains; returns the next cycle.
+fn tick_until(
+    accel: &mut TmuAccelerator<Recorder>,
+    mem: &mut MemSys,
+    mut now: u64,
+    steps: u64,
+) -> u64 {
+    let mut sink = Vec::new();
+    while !accel.done() && accel.steps_committed() < steps {
+        accel.tick(now, 0, mem);
+        accel.drain_ops(&mut sink);
+        for op in sink.drain(..) {
+            if let OpKind::ChunkEnd { chunk } = op.kind {
+                accel.ack_chunk(chunk, now);
+            }
+        }
+        now += 1;
+        assert!(now < 20_000_000, "engine must terminate");
+    }
+    now
+}
+
+/// A fresh engine driven to `steps` committed steps and quiesced there:
+/// its snapshot, its recorder, a copy of its outQ stats, and the memory
+/// system and cycle the resumed engine continues from.
+fn quiesced_at(
+    prog: &Arc<Program>,
+    image: &Arc<MemImage>,
+    base: u64,
+    steps: u64,
+) -> (ContextSnapshot, Recorder, OutQStats, MemSys, u64) {
+    let mut accel = recorder_accel(prog, image, base, FaultSpec::none());
+    let mut mem = MemSys::new(MemSysConfig::table5(1));
+    let mut now = tick_until(&mut accel, &mut mem, 0, steps);
+    assert_eq!(accel.steps_committed(), steps, "quiesce point reachable");
+    let snap = accel.quiesce(now, 0, &mut mem).expect("engine is live");
+    now = tick_until(&mut accel, &mut mem, now, u64::MAX);
+    let stats = accel.stats();
+    (snap, accel.into_handler(), stats, mem, now)
+}
+
+/// Each TU's committed consumption, rebuilt by replay from step 0:
+/// `step.consumed` summed over the first `steps` steps of a fresh
+/// interpreter.
+fn replayed_consumption(prog: &Arc<Program>, image: &Arc<MemImage>, steps: u64) -> Vec<Vec<u64>> {
+    let mut counts: Vec<Vec<u64>> = prog.layers().iter().map(|l| vec![0; l.tus.len()]).collect();
+    let mut interp = Interp::new(Arc::clone(prog), Arc::clone(image));
+    for _ in 0..steps {
+        let step = interp.next_step().expect("step within the program");
+        for &(layer, lane) in &step.consumed {
+            counts[layer as usize][lane as usize] += 1;
+        }
+    }
+    counts
+}
+
+fn consumption(prog: &Arc<Program>, interp: &Interp) -> Vec<Vec<u64>> {
+    prog.layers()
+        .iter()
+        .enumerate()
+        .map(|(l, layer)| {
+            (0..layer.tus.len())
+                .map(|lane| interp.consumed_elems(l, lane))
+                .collect()
+        })
+        .collect()
+}
+
+/// A restore from the snapshot's interpreter checkpoint must resume the
+/// engine exactly as a replay from step 0 does (the same snapshot with
+/// its checkpoint removed), at quiesce points on both sides of a
+/// checkpoint boundary, and must replay fewer than `STEP_BATCH` steps.
+///
+/// One tick may commit several steps, so an engine can only be quiesced
+/// at the committed counts a clean run passes through between ticks. Each
+/// target step is tested at the nearest such count on either side (the
+/// target itself when it is one).
+fn assert_checkpoint_restore_matches_replay(
+    what: &str,
+    prog: Arc<Program>,
+    image: Arc<MemImage>,
+    base: u64,
+) {
+    let mut clean = recorder_accel(&prog, &image, base, FaultSpec::none());
+    let mut mem = MemSys::new(MemSysConfig::table5(1));
+    let mut reachable = BTreeSet::from([0]);
+    let mut now = 0;
+    while !clean.done() {
+        let next = clean.steps_committed() + 1;
+        now = tick_until(&mut clean, &mut mem, now, next);
+        reachable.insert(clean.steps_committed());
+    }
+    let last = clean.steps_committed();
+    let batch = STEP_BATCH as u64;
+    assert!(
+        last > 2 * batch,
+        "{what}: fixture spans several checkpoints"
+    );
+    let mut points = BTreeSet::new();
+    for target in [0, 1, batch - 1, batch, batch + 1, last / 2, last] {
+        points.extend(reachable.range(..=target).next_back());
+        points.extend(reachable.range(target..).next());
+    }
+    assert!(
+        points.iter().any(|&p| 0 < p && p < batch)
+            && points.iter().any(|&p| batch <= p && p < 2 * batch),
+        "{what}: quiesce points straddle the first checkpoint: {points:?}"
+    );
+    for steps in points {
+        let (snap, recorder, stats, mut mem, now) = quiesced_at(&prog, &image, base, steps);
+        let checkpoint_at = snap.checkpoint.as_ref().map_or(0, Interp::steps_generated);
+        assert!(
+            snap.steps_completed - checkpoint_at < batch,
+            "{what} at {steps}: checkpoint at {checkpoint_at} is too old"
+        );
+        let mut replay = snap.clone();
+        replay.checkpoint = None;
+
+        let restored = snap.try_restore(Arc::clone(&image)).expect("restores");
+        let replayed = replay.try_restore(Arc::clone(&image)).expect("restores");
+        assert_eq!(
+            restored.elems_issued(),
+            replayed.elems_issued(),
+            "{what} at {steps}"
+        );
+        assert_eq!(consumption(&prog, &restored), consumption(&prog, &replayed));
+        assert_eq!(
+            consumption(&prog, &restored),
+            replayed_consumption(&prog, &image, steps),
+            "{what} at {steps}: committed consumption"
+        );
+
+        let mut fast = TmuAccelerator::resume_from(
+            &snap,
+            Arc::clone(&image),
+            recorder,
+            base,
+            Arc::new(Mutex::new(stats.clone())),
+        )
+        .expect("snapshot restores");
+        let fast_end = tick_until(&mut fast, &mut mem, now, u64::MAX);
+
+        let (_, recorder, stats, mut mem, now) = quiesced_at(&prog, &image, base, steps);
+        let mut slow = TmuAccelerator::resume_from(
+            &replay,
+            Arc::clone(&image),
+            recorder,
+            base,
+            Arc::new(Mutex::new(stats)),
+        )
+        .expect("snapshot restores");
+        let slow_end = tick_until(&mut slow, &mut mem, now, u64::MAX);
+
+        assert_eq!(fast_end, slow_end, "{what} at {steps}: finish cycle");
+        assert_eq!(fast.handler().entries, slow.handler().entries);
+        assert_eq!(fast.handler().entries, clean.handler().entries);
+        assert_eq!(fast.stats(), slow.stats(), "{what} at {steps}: outQ stats");
+    }
+}
+
+#[test]
+fn checkpointed_restore_matches_full_replay() {
+    let spmv = Spmv::new(&gen::uniform(96, 96, 4, 21));
+    assert_checkpoint_restore_matches_replay(
+        "SpMV (LockStep)",
+        Arc::new(spmv.build_program((0, 96), 8)),
+        spmv.image_handle(),
+        spmv.outq_base(0),
+    );
+    let spkadd = Spkadd::new(&gen::uniform(128, 96, 3, 24));
+    assert_checkpoint_restore_matches_replay(
+        "SpKAdd (DisjMrg)",
+        Arc::new(spkadd.build_program((0, spkadd.reference().rows()), 8)),
+        spkadd.image_handle(),
+        spkadd.outq_base(0),
+    );
+    let tc = TriangleCount::new(&gen::uniform(64, 64, 4, 26));
+    assert_checkpoint_restore_matches_replay(
+        "TC (ConjMrg)",
+        Arc::new(tc.build_program((0, 64))),
+        tc.image_handle(),
+        tc.outq_base(0),
+    );
 }
 
 #[test]
