@@ -332,7 +332,6 @@ fn emit_compute<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, grs: (usize, usize), 
     }
 }
 
-#[cfg(feature = "trace")]
 fn trace_tiles(b: &BcsrMatrix) {
     tmu_trace::with(|tr| {
         let c = tr.component("backends.blocked");
@@ -358,7 +357,6 @@ fn trace_tiles(b: &BcsrMatrix) {
 /// tile count. `rank` is 1 for SpMV and `RANK` for SpMM.
 fn run_csr(a: &CsrMatrix, cfg: SystemConfig, rank: usize) -> BlockedRun {
     let bcsr = Arc::new(BcsrMatrix::from_csr(a, BR, BC));
-    #[cfg(feature = "trace")]
     trace_tiles(&bcsr);
     let (grid_rows, grid_cols) = bcsr.grid();
     let mut map = AddressMap::new();

@@ -520,7 +520,6 @@ fn tick_sim(fabric: &Fabric, cycle0: u64, apply: &mut dyn FnMut(usize)) -> SimOu
                     }
                     produced[n] += 1;
                     out.tokens += 1;
-                    #[cfg(feature = "trace")]
                     tmu_trace::with(|tr| {
                         let c = tr.component("backends.sam");
                         tr.event(
@@ -542,7 +541,6 @@ fn tick_sim(fabric: &Fabric, cycle0: u64, apply: &mut dyn FnMut(usize)) -> SimOu
                 fired = true;
             } else if matches!(node.kind, NodeKind::Intersect | NodeKind::Union) {
                 out.merger_stalls += 1;
-                #[cfg(feature = "trace")]
                 tmu_trace::with(|tr| {
                     let c = tr.component("backends.sam");
                     tr.event(
@@ -565,8 +563,6 @@ fn tick_sim(fabric: &Fabric, cycle0: u64, apply: &mut dyn FnMut(usize)) -> SimOu
         out.ticks += 1;
         out.busy += 1;
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = (cycle0, &produced);
     out
 }
 

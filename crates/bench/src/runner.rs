@@ -951,7 +951,6 @@ mod tests {
     /// [`parallel_runs_are_deterministic`]): the Chrome export of one
     /// traced job is byte-identical no matter the `TMU_JOBS` worker
     /// count, and well-formed per the vendored parser in [`crate::json`].
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_export_is_deterministic_across_worker_counts() {
         use tmu_trace::{TraceConfig, Tracer};
@@ -986,7 +985,6 @@ mod tests {
 
     /// Every cycle an engine stalls on the double-buffer gate traces one
     /// `outq_full` event, including the cycles it sleeps through.
-    #[cfg(feature = "trace")]
     #[test]
     fn each_backpressure_cycle_traces_one_outq_full_event() {
         use tmu_trace::{TraceConfig, Tracer};
@@ -1048,10 +1046,9 @@ mod tests {
         );
     }
 
-    /// The trace feature composes with compiled expressions: a traced
+    /// Tracing composes with compiled expressions: a traced
     /// expression job exports a well-formed Chrome trace, same as the
     /// hand-written kernels.
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_expression_job_exports_valid_chrome_trace() {
         use tmu_trace::{TraceConfig, Tracer};

@@ -2,12 +2,10 @@
 //! [`tmu_trace::Tracer`] installed on its thread and writes Chrome
 //! trace-event JSON under `results/`.
 //!
-//! Lives in the library so both the workspace-root `trace` bin
-//! (`cargo run --release --features trace --bin trace`) and the
-//! `tmu-bench` one are the same thin wrapper around [`main`]. The code
-//! compiles with or without the `trace` feature — without it the
-//! simulator's call sites are compiled out and the trace comes back
-//! empty, which is why both bins declare `required-features = ["trace"]`.
+//! The `tmu-bench` `trace` bin (`cargo run --release --bin trace`) is a
+//! thin wrapper around [`main`]. It needs no special build: every
+//! instrumentation site is compiled in and records only while the tracer
+//! installed here is on the thread.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -69,7 +67,7 @@ fn engine(arg: &str) -> Result<EngineVariant, crate::runner::UnknownEngine> {
     EngineVariant::parse(&arg.to_ascii_lowercase())
 }
 
-/// Entry point shared by the `trace` binaries. `args` are the CLI
+/// Entry point of the `trace` binary. `args` are the CLI
 /// arguments after the program name: `[kernel] [input] [engine]`.
 pub fn main(args: &[String]) -> ExitCode {
     let arg = |i: usize, default: &str| -> String {

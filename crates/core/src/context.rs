@@ -61,7 +61,6 @@ impl ContextSnapshot {
     ) -> Self {
         // Context switches are step-indexed, not cycle-indexed (the engine
         // is quiesced): the event timestamp carries the step count.
-        #[cfg(feature = "trace")]
         tmu_trace::with(|t| {
             let c = t.component("system.tmu.ctx");
             t.event(
@@ -118,7 +117,6 @@ impl ContextSnapshot {
     /// lies at or before `steps_completed`, else from step 0, and replays
     /// the steps in between.
     pub fn try_restore(&self, image: Arc<MemImage>) -> Result<Interp, TmuError> {
-        #[cfg(feature = "trace")]
         tmu_trace::with(|t| {
             let c = t.component("system.tmu.ctx");
             t.event(

@@ -290,14 +290,11 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     /// capacity-blocked picks, dep-blocked picks, gate-blocked step waits).
     pub debug_counters: [u64; 4],
     sleep: Sleep,
-    // Tracing state (trace builds only). The component is registered
+    // Tracing state. The component is registered
     // lazily on the first tick — the engine learns its host core index
     // there, not at construction.
-    #[cfg(feature = "trace")]
     trace: Option<tmu_trace::ComponentId>,
-    #[cfg(feature = "trace")]
     trace_layer: u8,
-    #[cfg(feature = "trace")]
     sampler: tmu_trace::PeriodicSampler,
 }
 
@@ -390,22 +387,18 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             outq_site: Site(u16::MAX),
             debug_counters: [0; 4],
             sleep: Sleep::default(),
-            #[cfg(feature = "trace")]
             trace: None,
-            #[cfg(feature = "trace")]
             trace_layer: u8::MAX,
-            #[cfg(feature = "trace")]
             sampler: tmu_trace::PeriodicSampler::new(
                 tmu_trace::with(|t| t.config().sample_period).unwrap_or(256),
             ),
         })
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn emit(&self, cycle: u64, kind: tmu_trace::EventKind, payload: u64) {
         if let Some(id) = self.trace {
-            tmu_trace::with(|t| t.event(id, cycle, kind, payload));
+            tmu_trace::record(id, cycle, kind, payload);
         }
     }
 
@@ -653,7 +646,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         plan.stats.traps += 1;
         self.service_until = now + u64::from(spec.service_cycles).max(1);
         self.saved = Some(self.save_context());
-        #[cfg(feature = "trace")]
         self.emit(
             now,
             tmu_trace::EventKind::TrapRaised,
@@ -786,7 +778,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         plan.on_load().map(|k| (k, retry))
                     });
                     if let Some((kind, retry)) = injected {
-                        #[cfg(feature = "trace")]
                         self.emit(
                             now,
                             tmu_trace::EventKind::FaultInjected,
@@ -820,7 +811,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                     self.sleep.stir();
                     issued_line = true;
                     self.rr[layer] = (lane + 1) % lanes;
-                    #[cfg(feature = "trace")]
                     self.emit(
                         now,
                         tmu_trace::EventKind::TuFetch,
@@ -872,28 +862,25 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             }
             let step = self.pending.pop_front().expect("checked");
             self.sleep.stir();
-            #[cfg(feature = "trace")]
-            {
-                if step.layer != self.trace_layer {
-                    self.trace_layer = step.layer;
-                    self.emit(
-                        now,
-                        tmu_trace::EventKind::LayerTransition,
-                        u64::from(step.layer),
-                    );
-                }
-                let fsm = match step.kind {
-                    crate::steps::StepKind::Beg => 0u32,
-                    crate::steps::StepKind::Ite => 1,
-                    crate::steps::StepKind::End => 2,
-                    crate::steps::StepKind::Skip => 3,
-                };
+            if step.layer != self.trace_layer {
+                self.trace_layer = step.layer;
                 self.emit(
                     now,
-                    tmu_trace::EventKind::TgStep,
-                    tmu_trace::pack_dur_extra(1, ((step.layer as u32) << 8) | fsm),
+                    tmu_trace::EventKind::LayerTransition,
+                    u64::from(step.layer),
                 );
             }
+            let fsm = match step.kind {
+                crate::steps::StepKind::Beg => 0u32,
+                crate::steps::StepKind::Ite => 1,
+                crate::steps::StepKind::End => 2,
+                crate::steps::StepKind::Skip => 3,
+            };
+            self.emit(
+                now,
+                tmu_trace::EventKind::TgStep,
+                tmu_trace::pack_dur_extra(1, ((step.layer as u32) << 8) | fsm),
+            );
             for &(layer, lane) in &step.consumed {
                 self.tus[layer as usize][lane as usize].consumed_elems += 1;
             }
@@ -927,14 +914,11 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             .lock()
             .expect("stats poisoned")
             .backpressure_cycles += 1;
-        #[cfg(feature = "trace")]
         self.emit(
             now,
             tmu_trace::EventKind::OutQFull,
             u64::from(self.chunk_id.saturating_sub(self.acked)),
         );
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
     }
 
     fn entry_addr(&self) -> u64 {
@@ -953,7 +937,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.chunk_entries += 1;
         self.chunk_bytes += bytes.max(64);
         self.stats.lock().expect("stats poisoned").entries += 1;
-        #[cfg(feature = "trace")]
         self.emit(
             now,
             tmu_trace::EventKind::OutQPush,
@@ -985,7 +968,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 ack: 0,
                 entries: self.chunk_entries,
             });
-        #[cfg(feature = "trace")]
         self.emit(
             self.chunk_open,
             tmu_trace::EventKind::ChunkWrite,
@@ -1000,25 +982,22 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
 impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
     fn tick(&mut self, now: u64, core: usize, mem: &mut MemSys) {
-        #[cfg(feature = "trace")]
-        {
-            // The engine learns its host core index here, so the tracer
-            // component is registered on the first traced tick.
-            if self.trace.is_none() && tmu_trace::is_active() {
-                self.trace = tmu_trace::with(|t| t.component(&format!("system.core{core}.tmu")));
-            }
-            if self.trace.is_some() && self.sampler.due(now) {
-                self.emit(
-                    now,
-                    tmu_trace::EventKind::OutQOccupancy,
-                    u64::from(self.chunk_entries),
-                );
-                self.emit(
-                    now,
-                    tmu_trace::EventKind::OutQChunksAhead,
-                    u64::from(self.chunk_id.saturating_sub(self.acked)),
-                );
-            }
+        // The engine learns its host core index here, so the tracer
+        // component is registered on the first traced tick.
+        if self.trace.is_none() && tmu_trace::is_active() {
+            self.trace = tmu_trace::with(|t| t.component(&format!("system.core{core}.tmu")));
+        }
+        if self.trace.is_some() && self.sampler.due(now) {
+            self.emit(
+                now,
+                tmu_trace::EventKind::OutQOccupancy,
+                u64::from(self.chunk_entries),
+            );
+            self.emit(
+                now,
+                tmu_trace::EventKind::OutQChunksAhead,
+                u64::from(self.chunk_id.saturating_sub(self.acked)),
+            );
         }
         if self.retired.is_some() || self.parked {
             return;
@@ -1049,7 +1028,6 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             plan.on_cycle(now).map(|k| (k, stall))
         });
         if let Some((kind, stall)) = cycle_fault {
-            #[cfg(feature = "trace")]
             self.emit(
                 now,
                 tmu_trace::EventKind::FaultInjected,
@@ -1094,16 +1072,13 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
         let mut stats = self.stats.lock().expect("stats poisoned");
         if let Some(stat) = stats.chunks.get_mut(chunk as usize) {
             stat.ack = now;
-            #[cfg(feature = "trace")]
-            {
-                let ready = stat.ready;
-                drop(stats);
-                self.emit(
-                    ready,
-                    tmu_trace::EventKind::ChunkRead,
-                    tmu_trace::pack_dur_extra(now.saturating_sub(ready), chunk),
-                );
-            }
+            let ready = stat.ready;
+            drop(stats);
+            self.emit(
+                ready,
+                tmu_trace::EventKind::ChunkRead,
+                tmu_trace::pack_dur_extra(now.saturating_sub(ready), chunk),
+            );
         }
     }
 

@@ -161,7 +161,6 @@ pub fn pick(a: &CsrMatrix) -> Choice {
         .iter()
         .fold(estimates[0], |best, &e| if e.1 < best.1 { e } else { best })
         .0;
-    #[cfg(feature = "trace")]
     tmu_trace::with(|tr| {
         let c = tr.component("formats.autotune");
         let idx = FormatKind::ALL.iter().position(|&k| k == pick).unwrap_or(0) as u64;

@@ -198,7 +198,6 @@ fn emit_to_bcsr<M: Machine + ?Sized>(
     }
 }
 
-#[cfg(feature = "trace")]
 fn trace_convert(src: FormatKind, dst: FormatKind) {
     tmu_trace::with(|tr| {
         let c = tr.component("formats.convert");
@@ -215,7 +214,6 @@ fn trace_convert(src: FormatKind, dst: FormatKind) {
 /// Replays the csr→`dst` conversion's op stream through `cfg`'s cores and
 /// returns its cost. `dst = Csr` is the identity: zero work, zero cycles.
 pub fn conversion_cycles(a: &CsrMatrix, dst: FormatKind, cfg: SystemConfig) -> RunStats {
-    #[cfg(feature = "trace")]
     trace_convert(FormatKind::Csr, dst);
     if dst == FormatKind::Csr {
         return RunStats::default();

@@ -121,7 +121,6 @@ pub struct Cache {
     pub merged: u64,
     /// Dirty lines evicted (writeback traffic).
     pub writebacks: u64,
-    #[cfg(feature = "trace")]
     trace: Option<tmu_trace::ComponentId>,
 }
 
@@ -146,7 +145,6 @@ impl Cache {
             misses: 0,
             merged: 0,
             writebacks: 0,
-            #[cfg(feature = "trace")]
             trace: None,
         }
     }
@@ -158,16 +156,14 @@ impl Cache {
 
     /// Attaches this cache to a tracer component: subsequent probes emit
     /// hit/miss/merge events against `id` when a tracer is installed.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, id: tmu_trace::ComponentId) {
         self.trace = Some(id);
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn emit(&self, t: u64, kind: tmu_trace::EventKind, line: u64) {
         if let Some(id) = self.trace {
-            tmu_trace::with(|tr| tr.event(id, t, kind, line));
+            tmu_trace::record(id, t, kind, line);
         }
     }
 
@@ -200,7 +196,6 @@ impl Cache {
             if done > t {
                 self.touch(line);
                 self.merged += 1;
-                #[cfg(feature = "trace")]
                 self.emit(t, tmu_trace::EventKind::CacheMerge, line);
                 return Probe::InFlight(done);
             }
@@ -211,12 +206,10 @@ impl Cache {
         if let Some(e) = self.find_mut(line) {
             e.last_use = stamp;
             self.hits += 1;
-            #[cfg(feature = "trace")]
             self.emit(t, tmu_trace::EventKind::CacheHit, line);
             return Probe::Hit;
         }
         self.misses += 1;
-        #[cfg(feature = "trace")]
         self.emit(t, tmu_trace::EventKind::CacheMiss, line);
         Probe::Miss
     }

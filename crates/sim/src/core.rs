@@ -266,11 +266,9 @@ pub struct Core {
     fetch_blocked_until: u64,
     /// Accumulated statistics.
     pub stats: CoreStats,
-    #[cfg(feature = "trace")]
     trace: Option<tmu_trace::ComponentId>,
     /// Last emitted top-down class (0 committing, 1 frontend, 2 backend);
     /// 3 means "none yet" so the first classified cycle always emits.
-    #[cfg(feature = "trace")]
     last_class: u8,
 }
 
@@ -290,9 +288,7 @@ impl Core {
             bpred: BranchPredictor::default(),
             fetch_blocked_until: 0,
             stats: CoreStats::default(),
-            #[cfg(feature = "trace")]
             trace: None,
-            #[cfg(feature = "trace")]
             last_class: 3,
         }
     }
@@ -305,7 +301,6 @@ impl Core {
     /// Attaches this core to a tracer component: subsequent ticks emit
     /// stall-class transitions and LSQ-stall events against `id` when a
     /// tracer is installed.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, id: tmu_trace::ComponentId) {
         self.trace = Some(id);
     }
@@ -442,17 +437,12 @@ impl Core {
             self.stats.backend += 1;
             2
         };
-        #[cfg(feature = "trace")]
         if class != self.last_class {
             self.last_class = class;
             if let Some(id) = self.trace {
-                tmu_trace::with(|tr| {
-                    tr.event(id, now, tmu_trace::EventKind::StallClass, u64::from(class));
-                });
+                tmu_trace::record(id, now, tmu_trace::EventKind::StallClass, u64::from(class));
             }
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = class;
         committed
     }
 
@@ -486,12 +476,14 @@ impl Core {
                     _ => unreachable!(),
                 };
                 let gated = Self::queue_gate(&mut self.lq, cfg.lq, exec_start).max(exec_start);
-                #[cfg(feature = "trace")]
                 if gated > exec_start {
                     if let Some(id) = self.trace {
-                        tmu_trace::with(|tr| {
-                            tr.event(id, now, tmu_trace::EventKind::LsqStall, gated - exec_start);
-                        });
+                        tmu_trace::record(
+                            id,
+                            now,
+                            tmu_trace::EventKind::LsqStall,
+                            gated - exec_start,
+                        );
                     }
                 }
                 let issue = Self::claim_port(&mut self.load_ports, gated);
@@ -503,12 +495,14 @@ impl Core {
             }
             OpKind::Store { addr, bytes } => {
                 let gated = Self::queue_gate(&mut self.sq, cfg.sq, exec_start).max(exec_start);
-                #[cfg(feature = "trace")]
                 if gated > exec_start {
                     if let Some(id) = self.trace {
-                        tmu_trace::with(|tr| {
-                            tr.event(id, now, tmu_trace::EventKind::LsqStall, gated - exec_start);
-                        });
+                        tmu_trace::record(
+                            id,
+                            now,
+                            tmu_trace::EventKind::LsqStall,
+                            gated - exec_start,
+                        );
                     }
                 }
                 let issue = Self::claim_port(&mut self.store_ports, gated);

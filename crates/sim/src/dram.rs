@@ -77,7 +77,6 @@ pub struct Dram {
     pub row_hits: u64,
     /// Row-buffer misses observed.
     pub row_misses: u64,
-    #[cfg(feature = "trace")]
     trace: Option<tmu_trace::ComponentId>,
 }
 
@@ -98,7 +97,6 @@ impl Dram {
             lines_written: 0,
             row_hits: 0,
             row_misses: 0,
-            #[cfg(feature = "trace")]
             trace: None,
         }
     }
@@ -110,7 +108,6 @@ impl Dram {
 
     /// Attaches the DRAM model to a tracer component: subsequent accesses
     /// emit row-open/row-hit events against `id` when a tracer is installed.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, id: tmu_trace::ComponentId) {
         self.trace = Some(id);
     }
@@ -146,7 +143,6 @@ impl Dram {
             self.row_misses += 1;
             ch.open_rows[bank] = row;
         }
-        #[cfg(feature = "trace")]
         if let Some(id) = self.trace {
             let kind = if row_hit {
                 tmu_trace::EventKind::DramRowHit
@@ -154,7 +150,7 @@ impl Dram {
                 tmu_trace::EventKind::DramRowOpen
             };
             let payload = ((ch_idx as u64) << 48) | (row & 0xFFFF_FFFF_FFFF);
-            tmu_trace::with(|tr| tr.event(id, cycle, kind, payload));
+            tmu_trace::record(id, cycle, kind, payload);
         }
         let access_lat = if row_hit {
             cfg.t_row_hit

@@ -47,7 +47,6 @@ pub(crate) struct Clock {
     sig: [u64; 4],
     last_change: u64,
     acks: Vec<u32>,
-    #[cfg(feature = "trace")]
     sampler: Option<tmu_trace::PeriodicSampler>,
 }
 
@@ -60,7 +59,6 @@ impl Clock {
             sig: [u64::MAX; 4],
             last_change: 0,
             acks: Vec::new(),
-            #[cfg(feature = "trace")]
             sampler: tmu_trace::with(|t| tmu_trace::PeriodicSampler::new(t.config().sample_period)),
         }
     }
@@ -90,7 +88,6 @@ impl Clock {
                     all_done = false;
                 }
             }
-            #[cfg(feature = "trace")]
             self.sample(mem, feeds.len());
             self.now += 1;
             if all_done {
@@ -191,8 +188,6 @@ impl Clock {
         for (i, line) in status.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
             let _ = writeln!(dump, "accel{i}: {line}");
         }
-        // Not feature-gated: firing is cold, and the serving layer traces
-        // its slot faults in every build.
         tmu_trace::with(|t| {
             let c = t.component("system");
             t.event(
@@ -211,7 +206,6 @@ impl Clock {
 
     /// Periodic pressure samples: DRAM row-buffer state and the first
     /// `engines` cores' outstanding-request (MSHR) pool occupancy.
-    #[cfg(feature = "trace")]
     fn sample(&mut self, mem: &MemSys, engines: usize) {
         let now = self.now;
         if !self.sampler.as_mut().is_some_and(|s| s.due(now)) {

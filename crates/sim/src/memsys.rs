@@ -133,7 +133,6 @@ impl MemSys {
     /// Registers every cache level and the DRAM model as components of the
     /// installed tracer and attaches their trace ids, so subsequent probes
     /// and accesses emit events. No-op when no tracer is installed.
-    #[cfg(feature = "trace")]
     pub fn register_trace(&mut self) {
         tmu_trace::with(|t| {
             for (i, c) in self.l1.iter_mut().enumerate() {

@@ -16,11 +16,10 @@ pub struct Mesh {
     link_cycles: u64,
     core_nodes: Vec<(usize, usize)>,
     slice_nodes: Vec<(usize, usize)>,
-    // Utilization accounting (trace builds only). `Cell` because latency
+    // Utilization accounting, published to an installed tracer's registry
+    // at the end of a run (`System::collect_stats`). `Cell` because latency
     // queries take `&self`; the mesh is owned by one simulation thread.
-    #[cfg(feature = "trace")]
     traversals: std::cell::Cell<u64>,
-    #[cfg(feature = "trace")]
     hop_cycles: std::cell::Cell<u64>,
 }
 
@@ -42,9 +41,7 @@ impl Mesh {
             link_cycles: 1,
             core_nodes,
             slice_nodes,
-            #[cfg(feature = "trace")]
             traversals: std::cell::Cell::new(0),
-            #[cfg(feature = "trace")]
             hop_cycles: std::cell::Cell::new(0),
         }
     }
@@ -52,7 +49,6 @@ impl Mesh {
     /// Accumulated `(traversals, hop_cycles)` since construction: how many
     /// round trips crossed the mesh and the total per-hop cycles they paid
     /// (link-utilization telemetry; the ratio is the mean traversal cost).
-    #[cfg(feature = "trace")]
     pub fn traffic(&self) -> (u64, u64) {
         (self.traversals.get(), self.hop_cycles.get())
     }
@@ -73,11 +69,8 @@ impl Mesh {
     pub fn round_trip(&self, core: usize, slice: usize) -> u64 {
         let per_hop = self.router_cycles + self.link_cycles;
         let cycles = 2 * per_hop * self.hops(core, slice).max(1);
-        #[cfg(feature = "trace")]
-        {
-            self.traversals.set(self.traversals.get() + 1);
-            self.hop_cycles.set(self.hop_cycles.get() + cycles);
-        }
+        self.traversals.set(self.traversals.get() + 1);
+        self.hop_cycles.set(self.hop_cycles.get() + cycles);
         cycles
     }
 

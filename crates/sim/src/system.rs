@@ -263,22 +263,18 @@ pub struct System {
 impl System {
     /// Builds a system from `cfg`.
     pub fn new(cfg: SystemConfig) -> Self {
-        #[allow(unused_mut)]
         let mut sys = Self {
             mem: MemSys::new(cfg.mem),
             cores: (0..cfg.cores()).map(|i| Core::new(i, cfg.core)).collect(),
             cfg,
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
         };
-        #[cfg(feature = "trace")]
-        {
-            sys.mem.register_trace();
-            tmu_trace::with(|t| {
-                for (i, core) in sys.cores.iter_mut().enumerate() {
-                    core.set_trace(t.component(&format!("system.core{i}")));
-                }
-            });
-        }
+        sys.mem.register_trace();
+        tmu_trace::with(|t| {
+            for (i, core) in sys.cores.iter_mut().enumerate() {
+                core.set_trace(t.component(&format!("system.core{i}")));
+            }
+        });
         sys
     }
 
@@ -465,7 +461,6 @@ impl System {
         };
         // Publish the end-of-run registry to the installed tracer: the flat
         // stats dump and the figure pipeline then read one counter system.
-        #[cfg(feature = "trace")]
         tmu_trace::with(|t| {
             t.registry_mut().merge(&stats.registry());
             let (traversals, hop_cycles) = self.mem.mesh().traffic();

@@ -109,7 +109,6 @@ mod tests {
 
     fn sample_tracer() -> Tracer {
         let mut t = Tracer::new(TraceConfig {
-            enabled: true,
             ring_capacity: 4,
             sample_period: 64,
         });

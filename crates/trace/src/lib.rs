@@ -14,11 +14,12 @@
 //!    [`StatsRegistry::dump_text`] renders the registry as a flat gem5-style
 //!    stats file.
 //!
-//! Instrumentation call sites in the simulator are compiled out unless the
-//! `trace` cargo feature of the instrumented crate is enabled, and even
-//! then they are skipped unless a [`Tracer`] has been [`install`]ed on
-//! the running thread — so the default benchmark configuration pays
-//! nothing.
+//! Instrumentation call sites are compiled into every build and gated at
+//! run time: a site records only while a [`Tracer`] is [`install`]ed on
+//! the running thread. With none installed, a site costs one relaxed
+//! atomic load ([`with`]) or one branch on a component handle that stays
+//! `None`; handle sites emit through the cold, out-of-line [`record`].
+//! DESIGN.md §7 has the measured cost.
 
 #![warn(missing_docs)]
 
@@ -32,13 +33,10 @@ pub use ring::{pack_dur_extra, unpack_dur_extra, EventKind, EventRing, TraceEven
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runtime tracing knobs. Compile-time gating (the `trace` feature)
-/// decides whether call sites exist at all; this decides what an
-/// installed tracer records.
+/// Runtime tracing knobs: how much an installed tracer keeps and how
+/// often the periodic samplers fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch: a disabled tracer records nothing.
-    pub enabled: bool,
     /// Per-component event-ring capacity (events).
     pub ring_capacity: usize,
     /// Period, in cycles, between occupancy/pressure samples.
@@ -48,7 +46,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             ring_capacity: 1 << 16,
             sample_period: 256,
         }
@@ -117,13 +114,10 @@ impl Tracer {
         ComponentId((self.components.len() - 1) as u32)
     }
 
-    /// Records one event against `component`. No-op when the tracer is
-    /// disabled; drop-counted when the component's ring is full.
+    /// Records one event against `component`; drop-counted when the
+    /// component's ring is full.
     #[inline]
     pub fn event(&mut self, component: ComponentId, cycle: u64, kind: EventKind, payload: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
         if let Some(ring) = self.rings.get_mut(component.0 as usize) {
             ring.push(TraceEvent {
                 cycle,
@@ -253,6 +247,16 @@ pub fn with<R>(f: impl FnOnce(&mut Tracer) -> R) -> Option<R> {
     TRACER.with(|slot| slot.borrow_mut().as_mut().map(f))
 }
 
+/// Records one event against `component` on the calling thread's tracer,
+/// if any. Out of line and cold, so a hot path that holds a component
+/// handle compiles to a branch on the handle and a call, with nothing
+/// spilled for a closure while untraced.
+#[cold]
+#[inline(never)]
+pub fn record(component: ComponentId, cycle: u64, kind: EventKind, payload: u64) {
+    with(|t| t.event(component, cycle, kind, payload));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,18 +270,6 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(t.components(), ["system.dram", "system.core0.l1"]);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::new(TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        });
-        let c = t.component("system.dram");
-        t.event(c, 1, EventKind::DramRowOpen, 0);
-        assert!(t.ring(c).is_empty());
-        assert_eq!(t.dropped_total(), 0);
     }
 
     #[test]

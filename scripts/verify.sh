@@ -10,18 +10,20 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: build + test =="
+echo "== tier-1: build + test (every crate in the workspace) =="
 cargo build --release
 cargo test -q
 
-echo "== expression front-end: unit + differential + robustness suites =="
-cargo test -q -p tmu-front
+# The smokes below run the release binaries tier-1 just built from one
+# temporary directory, so the rows they write never touch the repo's own
+# results/.
+repo=$(pwd)
+bin="$repo/target/release"
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
 
-echo "== trace feature: build + test (keeps the gated code from rotting) =="
-cargo build --release --features trace
-cargo test -q -p tmu-trace
-# Includes the traced-expression compose test (front-end × trace).
-cargo test -q -p tmu-bench --features trace
+echo "== trace bin: one traced SpMV run, self-validated Chrome export =="
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/trace" spmv rmat tmu)
 
 echo "== fault model: differential resume suite + panic-free grid smoke =="
 # clippy above already denies unwrap_used in sim/core (the #![warn] in
@@ -31,7 +33,7 @@ cargo test -q --release --test fault_resilience
 # A nonzero injection rate through the public harness must exit 0: every
 # fault schedule is serviced (or degrades gracefully) and the deliberate
 # panic is caught and typed.
-TMU_FAULT_RATE=50 cargo run --release -q -p tmu-bench --bin faults
+(cd "$smoke_dir" && TMU_FAULT_RATE=50 "$bin/faults")
 
 echo "== alternative backends: bit-identity suite + four-way matrix smoke =="
 # Both engines (blocked-sve, sam-stream) must stay bit-identical to the
@@ -39,8 +41,8 @@ echo "== alternative backends: bit-identity suite + four-way matrix smoke =="
 cargo test -q --release -p tmu-backends
 # A reduced-scale four-way comparison (tmu/imp/blocked-sve/sam-stream)
 # over SpMV plus the compiled expressions; exits nonzero if any cell
-# panics, and writes its rows to results/bench.json.
-TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin matrix -- spmv expr
+# panics, and writes its rows to the smoke directory's results/bench.json.
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/matrix" spmv expr)
 
 echo "== formats: level round-trips, conversion faults, autotuner smoke =="
 # Level-format proptests, conversion round-trips, the csr→banded TMU
@@ -48,17 +50,16 @@ echo "== formats: level round-trips, conversion faults, autotuner smoke =="
 cargo test -q --release -p tmu-formats
 # Reduced-scale autotuner ablation (best layout vs CSR-always over the
 # Table 6 grid); exits nonzero if any pick or modeled run panics, and
-# writes its rows (figure "formats") to results/bench.json.
-TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin formats
+# writes its rows (figure "formats") to the smoke directory's
+# results/bench.json.
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/formats")
 
 echo "== serving layer: differential grid + two-tenant smoke (both policies) =="
 cargo test -q --release -p tmu-serve
 # A small contended trace under each policy; the serving DES is
 # single-threaded, so the rows must come out deterministic.
-TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=rr \
-    cargo run --release -q -p tmu-bench --bin serve
-TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
-    cargo run --release -q -p tmu-bench --bin serve
+(cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=rr "$bin/serve")
+(cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf "$bin/serve")
 
 echo "== resilience: chaos differential suite + grid smoke + knob-exercising serve =="
 # Slot faults (crash/hang/degrade) × slot counts × policies: every
@@ -68,12 +69,11 @@ echo "== resilience: chaos differential suite + grid smoke + knob-exercising ser
 cargo test -q --release -p tmu-serve --test chaos
 # Reduced grid through the standalone bin; exits nonzero on any
 # LOST/DIVERGED cell or if no fault was injected anywhere.
-TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin chaos
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/chaos")
 # The serve bin's resilience knobs must parse and run end-to-end
 # (validated through parse_pos_int like every other knob).
-TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=edf \
-    TMU_CHAOS=150 TMU_RETRY_BUDGET=5 TMU_CHECKPOINT_EVERY=600 \
-    cargo run --release -q -p tmu-bench --bin serve
+(cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=edf \
+    TMU_CHAOS=150 TMU_RETRY_BUDGET=5 TMU_CHECKPOINT_EVERY=600 "$bin/serve")
 
 echo "== application pipelines: DAG suite + trace events + GNN/CG serve smoke =="
 # The apps crate's DAG/executor/cache unit suites, then the served-DAG
@@ -85,11 +85,10 @@ cargo test -q --release -p tmu-serve --test apps --test trace_events
 # Reduced-scale GNN + CG: solo stage breakdowns, then a served
 # two-tenant mix whose digests are re-verified at bench time; exits
 # nonzero on any divergence. Writes its rows (figure "apps").
-TMU_SCALE=0.05 cargo run --release -q -p tmu-bench --bin apps
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/apps")
 # DAG jobs mixed into the synthetic serve trace with Poisson arrivals.
-TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
-    TMU_APPS=1 TMU_ARRIVALS=poisson \
-    cargo run --release -q -p tmu-bench --bin serve
+(cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
+    TMU_APPS=1 TMU_ARRIVALS=poisson "$bin/serve")
 
 echo "== host-cost benchmark: build + short tmu-grid, sve-grid and serve-chaos runs =="
 # perfbench (declared in BENCHMARK.json) is a package of its own; building
@@ -100,15 +99,12 @@ echo "== host-cost benchmark: build + short tmu-grid, sve-grid and serve-chaos r
 # digest against its solo reference, so preemption, park/resume and
 # checkpoint restarts all go through the checkpointed context restore.
 # Each checks that the simulated counts repeat across passes. They run
-# from a temporary directory so the counts they keep never touch
+# from the smoke directory so the counts they keep never touch
 # perfbench/out.
 cargo build --release --manifest-path perfbench/Cargo.toml
-repo=$(pwd)
-bench_dir=$(mktemp -d)
 for workload in tmu-grid sve-grid serve-chaos; do
-    (cd "$bench_dir" && "$repo/perfbench/target/release/perfbench" \
+    (cd "$smoke_dir" && "$repo/perfbench/target/release/perfbench" \
         --workload "$workload" --seed 1 --seconds 1 --trace 0)
 done
-rm -rf "$bench_dir"
 
 echo "verify.sh: all gates passed"
