@@ -25,9 +25,8 @@ use tmu_front::{ExprWorkload, LoopKind};
 use tmu_kernels::data::partition_rows;
 use tmu_kernels::spmm::RANK;
 use tmu_kernels::util::fold_deps;
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, Region, RunStats, Site, System, SystemConfig,
-};
+use tmu_kernels::workload::run_cores;
+use tmu_sim::{AddressMap, Deps, Machine, Region, RunStats, Site, SystemConfig};
 use tmu_tensor::{BcsrMatrix, CsrMatrix};
 
 /// Tile rows (one tile spans `BR` matrix rows).
@@ -210,11 +209,11 @@ pub fn expr_values(w: &ExprWorkload) -> Option<BTreeMap<Vec<u32>, f64>> {
     Some(out)
 }
 
-/// The shard context captured by the emit closures: the CSR source, the
-/// blocked layout, and every simulated region they live in.
-struct Ctx {
-    bcsr: Arc<BcsrMatrix>,
-    csr_ptrs: Arc<Vec<u32>>,
+/// What the emitters read: the CSR source pointers, the blocked layout,
+/// and every simulated region they live in.
+struct Ctx<'a> {
+    bcsr: &'a BcsrMatrix,
+    csr_ptrs: &'a [u32],
     ptrs_r: Region,
     idxs_r: Region,
     vals_r: Region,
@@ -231,7 +230,7 @@ struct Ctx {
 /// CSR fibers once (pointer loads + chunked index/value vector loads) and
 /// scatter them into the tile store.
 fn emit_extract<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, grs: (usize, usize), vl: usize) {
-    let b = &ctx.bcsr;
+    let b = ctx.bcsr;
     let rows = b.rows();
     for gr in grs.0..grs.1 {
         for i in gr * BR..((gr + 1) * BR).min(rows) {
@@ -275,7 +274,7 @@ fn emit_extract<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, grs: (usize, usize), 
 /// is charged in full — `2·BR·BC·rank` FLOPs and whole-tile loads — with
 /// no per-element gathers and no data-dependent branches inside a tile.
 fn emit_compute<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, grs: (usize, usize), vl: usize) {
-    let b = &ctx.bcsr;
+    let b = ctx.bcsr;
     let rows = b.rows();
     for gr in grs.0..grs.1 {
         let q0 = m.load(Site(S_BPTR), ctx.bptrs_r.u32_at(gr), 4, Deps::NONE);
@@ -356,49 +355,30 @@ fn trace_tiles(b: &BcsrMatrix) {
 /// plus dense micro-kernels, block rows sharded across cores by stored
 /// tile count. `rank` is 1 for SpMV and `RANK` for SpMM.
 fn run_csr(a: &CsrMatrix, cfg: SystemConfig, rank: usize) -> BlockedRun {
-    let bcsr = Arc::new(BcsrMatrix::from_csr(a, BR, BC));
+    let bcsr = BcsrMatrix::from_csr(a, BR, BC);
     trace_tiles(&bcsr);
     let (grid_rows, grid_cols) = bcsr.grid();
     let mut map = AddressMap::new();
-    let ptrs_r = map.alloc_elems("a.ptrs", a.rows() + 1, 4);
-    let idxs_r = map.alloc_elems("a.idxs", a.nnz().max(1), 4);
-    let vals_r = map.alloc_elems("a.vals", a.nnz().max(1), 8);
-    let bptrs_r = map.alloc_elems("blk.ptrs", grid_rows + 1, 4);
-    let bidx_r = map.alloc_elems("blk.cols", bcsr.num_blocks().max(1), 4);
-    let bmask_r = map.alloc_elems("blk.masks", bcsr.num_blocks().max(1), 8);
-    let bvals_r = map.alloc_elems("blk.vals", (bcsr.num_blocks() * BR * BC).max(1), 8);
-    let x_r = map.alloc_elems("x", (grid_cols * BC * rank).max(1), 8);
-    let y_r = map.alloc_elems("y", (a.rows() * rank).max(1), 8);
-    let csr_ptrs = Arc::new(a.row_ptrs().to_vec());
-
-    let shards = partition_rows(bcsr.ptrs(), cfg.cores());
+    let ctx = Ctx {
+        bcsr: &bcsr,
+        csr_ptrs: a.row_ptrs(),
+        ptrs_r: map.alloc_elems("a.ptrs", a.rows() + 1, 4),
+        idxs_r: map.alloc_elems("a.idxs", a.nnz().max(1), 4),
+        vals_r: map.alloc_elems("a.vals", a.nnz().max(1), 8),
+        bptrs_r: map.alloc_elems("blk.ptrs", grid_rows + 1, 4),
+        bidx_r: map.alloc_elems("blk.cols", bcsr.num_blocks().max(1), 4),
+        bmask_r: map.alloc_elems("blk.masks", bcsr.num_blocks().max(1), 8),
+        bvals_r: map.alloc_elems("blk.vals", (bcsr.num_blocks() * BR * BC).max(1), 8),
+        x_r: map.alloc_elems("x", (grid_cols * BC * rank).max(1), 8),
+        y_r: map.alloc_elems("y", (a.rows() * rank).max(1), 8),
+        rank,
+    };
     let vl = cfg.core.sve_lanes();
-    let mut sys = System::new(cfg);
-    let stats = sys.run(
-        shards
-            .into_iter()
-            .map(|grs| {
-                let ctx = Ctx {
-                    bcsr: Arc::clone(&bcsr),
-                    csr_ptrs: Arc::clone(&csr_ptrs),
-                    ptrs_r,
-                    idxs_r,
-                    vals_r,
-                    bptrs_r,
-                    bidx_r,
-                    bmask_r,
-                    bvals_r,
-                    x_r,
-                    y_r,
-                    rank,
-                };
-                move |m: &mut ChannelMachine| {
-                    emit_extract(m, &ctx, grs, vl);
-                    emit_compute(m, &ctx, grs, vl);
-                }
-            })
-            .collect(),
-    );
+    let shards = partition_rows(bcsr.ptrs(), cfg.cores());
+    let stats = run_cores(cfg, &shards, |m, _, grs| {
+        emit_extract(m, &ctx, grs, vl);
+        emit_compute(m, &ctx, grs, vl);
+    });
     BlockedRun {
         stats,
         tile_occupancy: bcsr.occupancy(),

@@ -26,10 +26,8 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
 };
 use tmu_kernels::data::{partition_rows, CsrOnSim, HashedOnSim};
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_kernels::workload::run_cores;
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::{BcsrMatrix, CsrMatrix, DcsrMatrix};
 
 use crate::banded::BandedMatrix;
@@ -46,9 +44,10 @@ const S_BR: u16 = 624;
 const CB_ENTRY: u32 = 0;
 const CB_ROW_END: u32 = 1;
 
-/// The shard context of the conversion op streams.
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
+/// The source row pointers and the source and destination regions of a
+/// conversion op stream.
+struct Ctx<'a> {
+    ptrs: &'a [u32],
     ptrs_r: Region,
     idxs_r: Region,
     vals_r: Region,
@@ -221,107 +220,60 @@ pub fn conversion_cycles(a: &CsrMatrix, dst: FormatKind, cfg: SystemConfig) -> R
     let vl = cfg.core.sve_lanes();
     let cores = cfg.cores();
     let mut map = AddressMap::new();
-    let ptrs = Arc::new(a.row_ptrs().to_vec());
-    let ptrs_r = map.alloc_elems("c.ptrs", ptrs.len(), 4);
+    let ptrs_r = map.alloc_elems("c.ptrs", a.row_ptrs().len(), 4);
     let idxs_r = map.alloc_elems("c.idxs", a.nnz().max(1), 4);
     let vals_r = map.alloc_elems("c.vals", a.nnz().max(1), 8);
-    let shards = partition_rows(&ptrs, cores);
-    let mut sys = System::new(cfg);
+    let shards = partition_rows(a.row_ptrs(), cores);
+    let with_dst = |dst_idx_r, dst_val_r, dst_ptr_r| Ctx {
+        ptrs: a.row_ptrs(),
+        ptrs_r,
+        idxs_r,
+        vals_r,
+        dst_idx_r,
+        dst_val_r,
+        dst_ptr_r,
+    };
     match dst {
         FormatKind::Csr | FormatKind::Dcsr => {
             let d = DcsrMatrix::from_csr(a);
-            let ctx = Arc::new(Ctx {
-                ptrs,
-                ptrs_r,
-                idxs_r,
-                vals_r,
-                dst_idx_r: map.alloc_elems("d.row_idxs", d.num_stored_rows().max(1), 4),
-                dst_val_r: map.alloc_elems("d.unused", 1, 8),
-                dst_ptr_r: map.alloc_elems("d.row_ptrs", d.row_ptrs().len(), 4),
-            });
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        move |m: &mut ChannelMachine| emit_to_dcsr(m, &ctx, range)
-                    })
-                    .collect(),
-            )
+            let ctx = with_dst(
+                map.alloc_elems("d.row_idxs", d.num_stored_rows().max(1), 4),
+                map.alloc_elems("d.unused", 1, 8),
+                map.alloc_elems("d.row_ptrs", d.row_ptrs().len(), 4),
+            );
+            run_cores(cfg, &shards, |m, _, rows| emit_to_dcsr(m, &ctx, rows))
         }
         FormatKind::Banded => {
             let b = BandedMatrix::from_csr(a);
-            let ctx = Arc::new(Ctx {
-                ptrs,
-                ptrs_r,
-                idxs_r,
-                vals_r,
-                dst_idx_r: map.alloc_elems("b.deltas", b.nnz().max(1), 4),
-                dst_val_r: map.alloc_elems("b.vals", b.nnz().max(1), 8),
-                dst_ptr_r: map.alloc_elems("b.ptrs", b.ptrs().len(), 4),
-            });
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        move |m: &mut ChannelMachine| emit_to_banded(m, &ctx, range, vl)
-                    })
-                    .collect(),
-            )
+            let ctx = with_dst(
+                map.alloc_elems("b.deltas", b.nnz().max(1), 4),
+                map.alloc_elems("b.vals", b.nnz().max(1), 8),
+                map.alloc_elems("b.ptrs", b.ptrs().len(), 4),
+            );
+            run_cores(cfg, &shards, |m, _, rows| emit_to_banded(m, &ctx, rows, vl))
         }
         FormatKind::Hashed => {
-            let h = Arc::new(HashedMatrix::from_csr(a));
-            let a = Arc::new(a.clone());
-            let ctx = Arc::new(Ctx {
-                ptrs,
-                ptrs_r,
-                idxs_r,
-                vals_r,
-                dst_idx_r: map.alloc_elems("h.slots", h.slots().len().max(1), 4),
-                dst_val_r: map.alloc_elems("h.svals", h.svals().len().max(1), 8),
-                dst_ptr_r: map.alloc_elems("h.row_base", h.row_base().len(), 4),
-            });
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        let h = Arc::clone(&h);
-                        let a = Arc::clone(&a);
-                        move |m: &mut ChannelMachine| emit_to_hashed(m, &ctx, &h, &a, range, vl)
-                    })
-                    .collect(),
-            )
+            let h = HashedMatrix::from_csr(a);
+            let ctx = with_dst(
+                map.alloc_elems("h.slots", h.slots().len().max(1), 4),
+                map.alloc_elems("h.svals", h.svals().len().max(1), 8),
+                map.alloc_elems("h.row_base", h.row_base().len(), 4),
+            );
+            run_cores(cfg, &shards, |m, _, rows| {
+                emit_to_hashed(m, &ctx, &h, a, rows, vl)
+            })
         }
         FormatKind::Bcsr => {
-            let b = Arc::new(BcsrMatrix::from_csr(a, BLOCK_ROWS, BLOCK_COLS));
-            let (grid_rows, _) = b.grid();
-            let ctx = Arc::new(Ctx {
-                ptrs,
-                ptrs_r,
-                idxs_r,
-                vals_r,
-                dst_idx_r: map.alloc_elems("t.cols", b.num_blocks().max(1), 4),
-                dst_val_r: map.alloc_elems(
-                    "t.vals",
-                    (b.num_blocks() * BLOCK_ROWS * BLOCK_COLS).max(1),
-                    8,
-                ),
-                dst_ptr_r: map.alloc_elems("t.masks", b.num_blocks().max(1), 8),
-            });
-            let _ = grid_rows;
-            let gshards = partition_rows(b.ptrs(), cores);
-            sys.run(
-                gshards
-                    .into_iter()
-                    .map(|grs| {
-                        let ctx = Arc::clone(&ctx);
-                        let b = Arc::clone(&b);
-                        move |m: &mut ChannelMachine| emit_to_bcsr(m, &ctx, &b, grs, vl)
-                    })
-                    .collect(),
-            )
+            let b = BcsrMatrix::from_csr(a, BLOCK_ROWS, BLOCK_COLS);
+            let tile_elems = (b.num_blocks() * BLOCK_ROWS * BLOCK_COLS).max(1);
+            let ctx = with_dst(
+                map.alloc_elems("t.cols", b.num_blocks().max(1), 4),
+                map.alloc_elems("t.vals", tile_elems, 8),
+                map.alloc_elems("t.masks", b.num_blocks().max(1), 8),
+            );
+            run_cores(cfg, &partition_rows(b.ptrs(), cores), |m, _, grs| {
+                emit_to_bcsr(m, &ctx, &b, grs, vl);
+            })
         }
     }
 }

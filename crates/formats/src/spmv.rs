@@ -17,13 +17,10 @@
 //! ordered stream *is* the hashed→csr conversion — so [`run_spmv`]
 //! returns `None` for it.
 
-use std::sync::Arc;
-
 use tmu_kernels::data::partition_rows;
 use tmu_kernels::util::fold_deps;
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-};
+use tmu_kernels::workload::run_cores;
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig};
 use tmu_tensor::{BcsrMatrix, CsrMatrix, DcsrMatrix};
 
 use crate::banded::BandedMatrix;
@@ -114,18 +111,41 @@ pub fn spmv_values(kind: FormatKind, a: &CsrMatrix) -> Vec<f64> {
     y
 }
 
-/// Shared shard context of the op-stream emitters.
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
+/// One layout's arrays and simulated regions, as the op-stream emitters
+/// see them.
+struct Ctx<'a> {
+    ptrs: &'a [u32],
     /// Decoded column per stored position (drives gather/segment
-    /// addresses so the cache model sees the real access pattern; empty
-    /// for the tile-addressed BCSR stream).
-    cols: Arc<Vec<u32>>,
+    /// addresses so the cache model sees the real access pattern; the
+    /// block column per stored tile for the tile-addressed BCSR stream).
+    cols: &'a [u32],
     ptrs_r: Region,
     idxs_r: Region,
     vals_r: Region,
     x_r: Region,
     y_r: Region,
+}
+
+impl<'a> Ctx<'a> {
+    /// Allocates the pointer, index, value, `x` and `y` regions of `a`'s
+    /// SpMV stored as `ptrs`/`cols` with `val_n` values.
+    fn bind(
+        map: &mut AddressMap,
+        a: &CsrMatrix,
+        ptrs: &'a [u32],
+        cols: &'a [u32],
+        val_n: usize,
+    ) -> Self {
+        Self {
+            ptrs_r: map.alloc_elems("f.ptrs", ptrs.len(), 4),
+            idxs_r: map.alloc_elems("f.idxs", cols.len().max(1), 4),
+            vals_r: map.alloc_elems("f.vals", val_n.max(1), 8),
+            x_r: map.alloc_elems("f.x", a.cols().max(1), 8),
+            y_r: map.alloc_elems("f.y", a.rows().max(1), 8),
+            ptrs,
+            cols,
+        }
+    }
 }
 
 /// The gather-chain SpMV (CSR; also the DCSR inner loop): per chunk, a
@@ -305,59 +325,21 @@ pub fn run_spmv(kind: FormatKind, a: &CsrMatrix, cfg: SystemConfig) -> Option<Ru
     let vl = cfg.core.sve_lanes();
     let cores = cfg.cores();
     let mut map = AddressMap::new();
-    let build_ctx = |map: &mut AddressMap, ptrs: Vec<u32>, cols: Vec<u32>, val_n: usize| {
-        let ptrs = Arc::new(ptrs);
-        let idx_n = cols.len();
-        Ctx {
-            ptrs_r: map.alloc_elems("f.ptrs", ptrs.len(), 4),
-            idxs_r: map.alloc_elems("f.idxs", idx_n.max(1), 4),
-            vals_r: map.alloc_elems("f.vals", val_n.max(1), 8),
-            x_r: map.alloc_elems("f.x", a.cols().max(1), 8),
-            y_r: map.alloc_elems("f.y", a.rows().max(1), 8),
-            ptrs,
-            cols: Arc::new(cols),
-        }
-    };
-    let mut sys = System::new(cfg);
     let stats = match kind {
         FormatKind::Hashed => return None,
         FormatKind::Csr => {
-            let ctx = Arc::new(build_ctx(
-                &mut map,
-                a.row_ptrs().to_vec(),
-                a.col_idxs().to_vec(),
-                a.nnz(),
-            ));
-            let shards = partition_rows(&ctx.ptrs, cores);
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        move |m: &mut ChannelMachine| emit_csr(m, &ctx, range, vl)
-                    })
-                    .collect(),
-            )
+            let ctx = Ctx::bind(&mut map, a, a.row_ptrs(), a.col_idxs(), a.nnz());
+            run_cores(cfg, &partition_rows(ctx.ptrs, cores), |m, _, rows| {
+                emit_csr(m, &ctx, rows, vl);
+            })
         }
         FormatKind::Dcsr => {
             let d = DcsrMatrix::from_csr(a);
             let row_idxs_r = map.alloc_elems("f.row_idxs", d.num_stored_rows().max(1), 4);
-            let ctx = Arc::new(build_ctx(
-                &mut map,
-                d.row_ptrs().to_vec(),
-                d.col_idxs().to_vec(),
-                a.nnz(),
-            ));
-            let shards = partition_rows(&ctx.ptrs, cores);
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        move |m: &mut ChannelMachine| emit_dcsr(m, &ctx, row_idxs_r, range, vl)
-                    })
-                    .collect(),
-            )
+            let ctx = Ctx::bind(&mut map, a, d.row_ptrs(), d.col_idxs(), a.nnz());
+            run_cores(cfg, &partition_rows(ctx.ptrs, cores), |m, _, rows| {
+                emit_dcsr(m, &ctx, row_idxs_r, rows, vl);
+            })
         }
         FormatKind::Banded => {
             let b = BandedMatrix::from_csr(a);
@@ -369,39 +351,19 @@ pub fn run_spmv(kind: FormatKind, a: &CsrMatrix, cfg: SystemConfig) -> Option<Ru
                 .map(|(r, p)| b.coord(r, p))
                 .collect();
             let band = (b.bw_lo() as usize, b.bw_hi() as usize, a.cols());
-            let ctx = Arc::new(build_ctx(&mut map, b.ptrs().to_vec(), coords, b.nnz()));
-            let shards = partition_rows(&ctx.ptrs, cores);
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = Arc::clone(&ctx);
-                        move |m: &mut ChannelMachine| emit_banded(m, &ctx, band, range, vl)
-                    })
-                    .collect(),
-            )
+            let ctx = Ctx::bind(&mut map, a, b.ptrs(), &coords, b.nnz());
+            run_cores(cfg, &partition_rows(ctx.ptrs, cores), |m, _, rows| {
+                emit_banded(m, &ctx, band, rows, vl);
+            })
         }
         FormatKind::Bcsr => {
-            let b = Arc::new(BcsrMatrix::from_csr(a, BLOCK_ROWS, BLOCK_COLS));
+            let b = BcsrMatrix::from_csr(a, BLOCK_ROWS, BLOCK_COLS);
             let tile_elems = (b.num_blocks() * BLOCK_ROWS * BLOCK_COLS).max(1);
             let block_cols: Vec<u32> = (0..b.num_blocks()).map(|blk| b.block_col(blk)).collect();
-            let ctx = Arc::new(build_ctx(
-                &mut map,
-                b.ptrs().to_vec(),
-                block_cols,
-                tile_elems,
-            ));
-            let shards = partition_rows(&ctx.ptrs, cores);
-            sys.run(
-                shards
-                    .into_iter()
-                    .map(|grs| {
-                        let ctx = Arc::clone(&ctx);
-                        let b = Arc::clone(&b);
-                        move |m: &mut ChannelMachine| emit_bcsr(m, &ctx, &b, grs, vl)
-                    })
-                    .collect(),
-            )
+            let ctx = Ctx::bind(&mut map, a, b.ptrs(), &block_cols, tile_elems);
+            run_cores(cfg, &partition_rows(ctx.ptrs, cores), |m, _, grs| {
+                emit_bcsr(m, &ctx, &b, grs, vl);
+            })
         }
     };
     Some(stats)

@@ -12,11 +12,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmu::{CallbackHandler, MemImage, TmuConfig};
-use tmu_kernels::workload::{run_engines, KernelKind, TmuRun, Workload};
-use tmu_sim::{
-    ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig, VecMachine,
-};
+use tmu::{CallbackHandler, MemImage, Program, TmuConfig};
+use tmu_kernels::workload::{run_cores, run_engines, KernelKind, TmuRun, Workload};
+use tmu_sim::{Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::ast::Expr;
@@ -136,14 +134,20 @@ impl ExprWorkload {
     ///
     /// Propagates lowering errors.
     pub fn run_functional(&self, lanes: usize) -> Result<BTreeMap<Vec<u32>, f64>, FrontError> {
-        let lowered = self.lowered(lanes)?;
-        let prog = Arc::new(lowered.program);
-        let mut handler = ExprHandler::new(lowered.plan, self.z_r, self.z_cap);
+        let (program, mut handler) = self.engine(lanes)?;
         let mut vm = VecMachine::new();
-        tmu::for_each_entry(&prog, &self.image, |e| {
+        tmu::for_each_entry(&Arc::new(program), &self.image, |e| {
             handler.handle(e, OpId::NONE, &mut vm);
         });
         Ok(handler.into_out())
+    }
+
+    /// The engine mapping: the program lowered with `lanes` lockstep lanes
+    /// and its plan-driven handler.
+    fn engine(&self, lanes: usize) -> Result<(Program, ExprHandler), FrontError> {
+        let lowered = self.lowered(lanes)?;
+        let handler = ExprHandler::new(lowered.plan, self.z_r, self.z_cap);
+        Ok((lowered.program, handler))
     }
 }
 
@@ -220,36 +224,26 @@ impl Workload for ExprWorkload {
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
         let vl = cfg.core.sve_lanes();
-        let factors: Vec<TensorData> = self
-            .expr
-            .rhs_accesses()
-            .map(|a| {
-                self.binds
-                    .get(&a.tensor, a.span)
-                    .expect("bindings validated in new")
-                    .clone()
-            })
-            .collect();
-        let stores = self.oracle.len();
-        let z_r = self.z_r;
-        let z_cap = self.z_cap;
-        let mut sys = System::new(cfg);
-        sys.run(vec![move |m: &mut ChannelMachine| {
-            for d in &factors {
-                walk_factor(m, d, 0, 0, vl);
+        run_cores(cfg, &[()], |m, _, ()| {
+            for a in self.expr.rhs_accesses() {
+                let d = self.binds.get(&a.tensor, a.span);
+                walk_factor(m, d.expect("bindings validated in new"), 0, 0, vl);
             }
-            for i in 0..stores {
-                m.store(Site(S_STORE), z_r.f64_at(i % z_cap), 8, Deps::NONE);
+            for i in 0..self.oracle.len() {
+                m.store(
+                    Site(S_STORE),
+                    self.z_r.f64_at(i % self.z_cap),
+                    8,
+                    Deps::NONE,
+                );
             }
-        }])
+        })
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let outq = std::slice::from_ref(&self.outq_r);
         run_engines(cfg, tmu, &self.image, outq, &[()], |_, ()| {
-            let lowered = self.lowered(tmu.lanes).expect("lowering validated in new");
-            let handler = ExprHandler::new(lowered.plan, self.z_r, self.z_cap);
-            (lowered.program, handler)
+            self.engine(tmu.lanes).expect("lowering validated in new")
         })
     }
 

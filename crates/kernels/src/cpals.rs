@@ -14,12 +14,12 @@
 //! the Gauss-Seidel variant while keeping the bound memory image static.
 
 use tmu::TmuConfig;
-use tmu_sim::{ChannelMachine, Deps, Machine, RunStats, Site, System, SystemConfig};
+use tmu_sim::{Deps, Machine, RunStats, Site, SystemConfig};
 use tmu_tensor::{CooTensor, Idx};
 
 use crate::data::partition_flat;
 use crate::mttkrp::{Mttkrp, MttkrpVariant, RANK};
-use crate::workload::{KernelKind, TmuRun, Workload};
+use crate::workload::{add_phase, run_cores, KernelKind, TmuRun, Workload};
 
 const S_GRAM_LD: u16 = 330;
 const S_GRAM_ST: u16 = 331;
@@ -67,45 +67,55 @@ impl CpAls {
     /// versions): Gram assembly over the factor rows and a rank-sized
     /// triangular solve per output row.
     fn run_solve_phase(&self, cfg: SystemConfig, mode: usize) -> RunStats {
-        let dim = self.dims[mode];
-        let shards = partition_flat(dim, cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|(r0, r1)| {
-                    move |m: &mut ChannelMachine| {
-                        for _row in r0..r1 {
-                            // Per row: RANK-length load, R²/vl FMAs against
-                            // the inverted Gram, store back.
-                            let mut r = 0;
-                            while r < RANK {
-                                let n = (RANK - r).min(vl);
-                                let ld = m.vec_load(
-                                    Site(S_GRAM_LD),
-                                    0x10_000 + (r * 8) as u64,
-                                    (n * 8) as u32,
-                                    Deps::NONE,
-                                );
-                                let mut acc = ld;
-                                for _ in 0..RANK / n.max(1) {
-                                    acc = m.vec_op((2 * n) as u32, Deps::from(acc));
-                                }
-                                m.store(
-                                    Site(S_GRAM_ST),
-                                    0x20_000 + (r * 8) as u64,
-                                    (n * 8) as u32,
-                                    Deps::from(acc),
-                                );
-                                r += n;
-                                m.branch(Site(S_SOLVE_BR), r < RANK, Deps::NONE);
-                            }
-                        }
+        let shards = partition_flat(self.dims[mode], cfg.cores());
+        run_cores(cfg, &shards, |m, _, (r0, r1)| {
+            for _row in r0..r1 {
+                // Per row: RANK-length load, R²/vl FMAs against the
+                // inverted Gram, store back.
+                let mut r = 0;
+                while r < RANK {
+                    let n = (RANK - r).min(vl);
+                    let bytes = (n * 8) as u32;
+                    let ld = m.vec_load(
+                        Site(S_GRAM_LD),
+                        0x10_000 + (r * 8) as u64,
+                        bytes,
+                        Deps::NONE,
+                    );
+                    let mut acc = ld;
+                    for _ in 0..RANK / n.max(1) {
+                        acc = m.vec_op((2 * n) as u32, Deps::from(acc));
                     }
-                })
-                .collect(),
-        )
+                    m.store(
+                        Site(S_GRAM_ST),
+                        0x20_000 + (r * 8) as u64,
+                        bytes,
+                        Deps::from(acc),
+                    );
+                    r += n;
+                    m.branch(Site(S_SOLVE_BR), r < RANK, Deps::NONE);
+                }
+            }
+        })
+    }
+
+    /// One ALS sweep: per mode, the MTTKRP `run` and then the dense solve,
+    /// summed as sequential phases; the outQ stats concatenate.
+    fn sweep(&self, cfg: SystemConfig, run: impl Fn(&Mttkrp) -> TmuRun) -> TmuRun {
+        let mut total: Option<TmuRun> = None;
+        for (mode, mt) in self.modes.iter().enumerate() {
+            let mut phase = run(mt);
+            add_phase(&mut phase.stats, &self.run_solve_phase(cfg, mode));
+            match &mut total {
+                None => total = Some(phase),
+                Some(acc) => {
+                    add_phase(&mut acc.stats, &phase.stats);
+                    acc.outq.extend(phase.outq);
+                }
+            }
+        }
+        total.expect("three modes")
     }
 }
 
@@ -119,34 +129,15 @@ impl Workload for CpAls {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let mut total: Option<RunStats> = None;
-        for (mode, mt) in self.modes.iter().enumerate() {
-            let mttkrp = mt.run_baseline(cfg);
-            let solve = self.run_solve_phase(cfg, mode);
-            total = Some(match total {
-                None => accumulate(mttkrp, &solve),
-                Some(acc) => accumulate(accumulate(acc, &mttkrp), &solve),
-            });
-        }
-        total.expect("three modes")
+        let stats = |mt: &Mttkrp| TmuRun {
+            stats: mt.run_baseline(cfg),
+            outq: Vec::new(),
+        };
+        self.sweep(cfg, stats).stats
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
-        let mut stats: Option<RunStats> = None;
-        let mut outq = Vec::new();
-        for (mode, mt) in self.modes.iter().enumerate() {
-            let run = mt.run_tmu(cfg, tmu);
-            let solve = self.run_solve_phase(cfg, mode);
-            outq.extend(run.outq);
-            stats = Some(match stats {
-                None => accumulate(run.stats, &solve),
-                Some(acc) => accumulate(accumulate(acc, &run.stats), &solve),
-            });
-        }
-        TmuRun {
-            stats: stats.expect("three modes"),
-            outq,
-        }
+        self.sweep(cfg, |mt| mt.run_tmu(cfg, tmu))
     }
 
     fn verify(&self) -> Result<(), String> {
@@ -155,18 +146,6 @@ impl Workload for CpAls {
         }
         Ok(())
     }
-}
-
-/// Adds a sequential phase's cycles and traffic into an accumulator.
-fn accumulate(mut acc: RunStats, phase: &RunStats) -> RunStats {
-    acc.cycles += phase.cycles;
-    acc.dram_bytes += phase.dram_bytes;
-    if acc.cores.len() == phase.cores.len() {
-        for (a, p) in acc.cores.iter_mut().zip(&phase.cores) {
-            a.merge(p);
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -23,15 +23,12 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CooTensor;
 
 use crate::data::{partition_flat, CooOnSim, DenseOnSim};
 use crate::util::check_close;
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 /// Factor-matrix rank (GenTen-style small dense rank).
 pub const RANK: usize = 16;
@@ -55,20 +52,6 @@ pub enum MttkrpVariant {
     Mp,
     /// Coordinate-level parallelism: TMU marshals nnz coordinate vectors.
     Cp,
-}
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    idx_i: Arc<Vec<u32>>,
-    idx_k: Arc<Vec<u32>>,
-    idx_l: Arc<Vec<u32>>,
-    idx_i_r: Region,
-    idx_k_r: Region,
-    idx_l_r: Region,
-    vals_r: Region,
-    b_r: Region,
-    c_r: Region,
-    z_r: Region,
 }
 
 /// An MTTKRP workload bound to the simulator.
@@ -176,21 +159,6 @@ impl Mttkrp {
         &self.reference
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            idx_i: Arc::clone(&self.t.idxs[0]),
-            idx_k: Arc::clone(&self.k_of),
-            idx_l: Arc::clone(&self.l_of),
-            idx_i_r: self.t.idxs_r[0],
-            idx_k_r: self.t.idxs_r[1],
-            idx_l_r: self.t.idxs_r[2],
-            vals_r: self.t.vals_r,
-            b_r: self.b.region,
-            c_r: self.c.region,
-            z_r: self.z_r,
-        }
-    }
-
     /// nnz shards aligned to output-coordinate boundaries (the permutation
     /// optimization keeps same-`i` runs on one core).
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
@@ -207,6 +175,14 @@ impl Mttkrp {
             parts[w].0 = cut;
         }
         parts
+    }
+
+    /// The variant's mapping of an nnz shard.
+    fn engine(&self, range: (usize, usize), lanes: usize) -> (Program, MttkrpHandler) {
+        (
+            self.build_program(range, lanes),
+            MttkrpHandler::new(self, lanes),
+        )
     }
 
     /// Builds the TMU program for an nnz range.
@@ -281,16 +257,17 @@ impl Mttkrp {
 }
 
 /// Emits the vectorized GenTen-style baseline for an nnz range.
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, (p0, p1): (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Mttkrp, (p0, p1): (usize, usize), vl: usize) {
+    let t = &w.t;
     let mut cur_i: Option<u32> = None;
     for p in p0..p1 {
-        let ild = m.load(Site(S_COORD), ctx.idx_i_r.u32_at(p), 4, Deps::NONE);
-        let kld = m.load(Site(S_COORD), ctx.idx_k_r.u32_at(p), 4, Deps::NONE);
-        let lld = m.load(Site(S_COORD), ctx.idx_l_r.u32_at(p), 4, Deps::NONE);
-        let vld = m.load(Site(S_VAL), ctx.vals_r.f64_at(p), 8, Deps::NONE);
-        let i = ctx.idx_i[p];
-        let k = ctx.idx_k[p] as usize;
-        let l = ctx.idx_l[p] as usize;
+        let ild = m.load(Site(S_COORD), t.idxs_r[0].u32_at(p), 4, Deps::NONE);
+        let kld = m.load(Site(S_COORD), t.idxs_r[1].u32_at(p), 4, Deps::NONE);
+        let lld = m.load(Site(S_COORD), t.idxs_r[2].u32_at(p), 4, Deps::NONE);
+        let vld = m.load(Site(S_VAL), t.vals_r.f64_at(p), 8, Deps::NONE);
+        let i = t.idxs[0][p];
+        let k = w.k_of[p] as usize;
+        let l = w.l_of[p] as usize;
         // Flush the accumulated output row when `i` changes.
         if let Some(iprev) = cur_i.filter(|&prev| prev != i) {
             let iprev = iprev as usize;
@@ -299,7 +276,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, (p0, p1): (usize, us
                 let n = (RANK - r).min(vl);
                 m.store(
                     Site(S_ZSTORE),
-                    ctx.z_r.f64_at(iprev * RANK + r),
+                    w.z_r.f64_at(iprev * RANK + r),
                     (n * 8) as u32,
                     Deps::NONE,
                 );
@@ -312,13 +289,13 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, (p0, p1): (usize, us
             let n = (RANK - r).min(vl);
             let bl = m.vec_load(
                 Site(S_BROW),
-                ctx.b_r.f64_at(k * RANK + r),
+                w.b.region.f64_at(k * RANK + r),
                 (n * 8) as u32,
                 Deps::from(kld),
             );
             let cl = m.vec_load(
                 Site(S_CROW),
-                ctx.c_r.f64_at(l * RANK + r),
+                w.c.region.f64_at(l * RANK + r),
                 (n * 8) as u32,
                 Deps::from(lld),
             );
@@ -336,7 +313,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, (p0, p1): (usize, us
             let n = (RANK - r).min(vl);
             m.store(
                 Site(S_ZSTORE),
-                ctx.z_r.f64_at(i as usize * RANK + r),
+                w.z_r.f64_at(i as usize * RANK + r),
                 (n * 8) as u32,
                 Deps::NONE,
             );
@@ -490,39 +467,24 @@ impl Workload for Mttkrp {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, _, range| {
+            emit_baseline(m, self, range, vl)
+        })
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
         run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = MttkrpHandler::new(self, tmu.lanes);
-            (self.build_program(range, tmu.lanes), handler)
+            self.engine(range, tmu.lanes)
         })
     }
 
     fn verify(&self) -> Result<(), String> {
         let mut got = vec![0.0f64; self.dim_i * RANK];
-        for &range in &self.shards(8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let mut handler = MttkrpHandler::new(self, 8);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            handler.flush(&mut vm);
+        let shards = self.shards(8);
+        for mut handler in run_functional(&self.image, &shards, |_, range| self.engine(range, 8)) {
+            handler.flush(&mut VecMachine::new());
             for (i, row) in handler.rows {
                 for (r, v) in row.into_iter().enumerate() {
                     got[i as usize * RANK + r] += v;

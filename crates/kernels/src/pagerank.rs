@@ -16,15 +16,14 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_flat, partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::{check_close, fold_deps};
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{
+    add_phase, run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload,
+};
 
 const S_RANK: u16 = 160;
 const S_DEG: u16 = 161;
@@ -43,20 +42,6 @@ const CB_RE: u32 = 1;
 /// Damping factor used by the GAP benchmark.
 pub const DAMPING: f64 = 0.85;
 
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
-    idxs: Arc<Vec<u32>>,
-    ptrs_r: Region,
-    idxs_r: Region,
-    rank_r: Region,
-    deg_r: Region,
-    contrib_r: Region,
-    out_r: Region,
-    #[allow(dead_code)] // graph size, kept for diagnostics
-    n: usize,
-}
-
 /// A PageRank workload bound to the simulator.
 #[derive(Debug)]
 pub struct PageRank {
@@ -68,7 +53,6 @@ pub struct PageRank {
     outq_r: Vec<Region>,
     image: Arc<MemImage>,
     reference: Vec<f64>,
-    contrib_vals: Arc<Vec<f64>>,
 }
 
 impl PageRank {
@@ -119,7 +103,6 @@ impl PageRank {
             outq_r,
             image: Arc::new(image),
             reference,
-            contrib_vals: contrib_arc,
         }
     }
 
@@ -138,11 +121,6 @@ impl PageRank {
         self.outq_r[core].base
     }
 
-    /// Output-ranks region (for standalone handlers).
-    pub fn out_region(&self) -> Region {
-        self.out_r
-    }
-
     /// Vertex count.
     pub fn vertices(&self) -> usize {
         self.adj.rows
@@ -151,27 +129,20 @@ impl PageRank {
     /// Functional gather-phase execution over the full vertex range:
     /// next-iteration ranks exactly as the callback handler computes them.
     pub fn functional(&self, lanes: usize) -> Vec<f64> {
-        let prog = Arc::new(self.build_program((0, self.adj.rows), lanes));
-        let mut handler = PageRankHandler::new(self.out_r, 0, self.adj.rows);
-        let mut vm = VecMachine::new();
-        tmu::for_each_entry(&prog, &self.image, |e| {
-            handler.handle(e, OpId::NONE, &mut vm);
-        });
-        handler.out
+        self.functional_shards(&[(0, self.adj.rows)], lanes)
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptrs: Arc::clone(&self.adj.ptrs),
-            idxs: Arc::clone(&self.adj.idxs),
-            ptrs_r: self.adj.ptrs_r,
-            idxs_r: self.adj.idxs_r,
-            rank_r: self.rank.region,
-            deg_r: self.deg.region,
-            contrib_r: self.contrib_r,
-            out_r: self.out_r,
-            n: self.adj.rows,
-        }
+    fn functional_shards(&self, shards: &[(usize, usize)], lanes: usize) -> Vec<f64> {
+        run_functional(&self.image, shards, |_, rows| self.engine(rows, lanes))
+            .into_iter()
+            .flat_map(|h| h.out)
+            .collect()
+    }
+
+    /// The gather-phase mapping of a row shard.
+    fn engine(&self, rows: (usize, usize), lanes: usize) -> (Program, PageRankHandler) {
+        let handler = PageRankHandler::new(self.out_r, rows.0, self.adj.rows);
+        (self.build_program(rows, lanes), handler)
     }
 
     /// Builds the gather-phase TMU program (Table 4 PageRank row).
@@ -199,84 +170,45 @@ impl PageRank {
 
     /// Dense weight-update phase (runs on the core in both versions).
     fn run_dense_phase(&self, cfg: SystemConfig) -> RunStats {
+        let vl = cfg.core.sve_lanes();
         let shards = partition_flat(self.adj.rows, cfg.cores());
-        let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| {
-                        let (j0, j1) = range;
-                        let mut j = j0;
-                        while j < j1 {
-                            let n = (j1 - j).min(vl);
-                            let r = m.vec_load(
-                                Site(S_RANK),
-                                ctx.rank_r.f64_at(j),
-                                (n * 8) as u32,
-                                Deps::NONE,
-                            );
-                            let d = m.vec_load(
-                                Site(S_DEG),
-                                ctx.deg_r.f64_at(j),
-                                (n * 8) as u32,
-                                Deps::NONE,
-                            );
-                            let div = m.vec_op(n as u32, Deps::on(&[r, d]));
-                            m.store(
-                                Site(S_CONTRIB_ST),
-                                ctx.contrib_r.f64_at(j),
-                                (n * 8) as u32,
-                                Deps::from(div),
-                            );
-                            j += n;
-                            m.branch(Site(S_DENSE_BR), j < j1, Deps::NONE);
-                        }
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    fn run_gather_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = partition_rows(&self.adj.ptrs, cfg.cores());
-        let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| gather_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &shards, |m, _, (j0, j1)| {
+            let mut j = j0;
+            while j < j1 {
+                let n = (j1 - j).min(vl);
+                let bytes = (n * 8) as u32;
+                let r = m.vec_load(Site(S_RANK), self.rank.region.f64_at(j), bytes, Deps::NONE);
+                let d = m.vec_load(Site(S_DEG), self.deg.region.f64_at(j), bytes, Deps::NONE);
+                let div = m.vec_op(n as u32, Deps::on(&[r, d]));
+                let contrib = self.contrib_r.f64_at(j);
+                m.store(Site(S_CONTRIB_ST), contrib, bytes, Deps::from(div));
+                j += n;
+                m.branch(Site(S_DENSE_BR), j < j1, Deps::NONE);
+            }
+        })
     }
 }
 
-fn gather_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize), vl: usize) {
+fn gather_baseline<M: Machine + ?Sized>(m: &mut M, w: &PageRank, rows: (usize, usize), vl: usize) {
     let (r0, r1) = rows;
     if r0 >= r1 {
         return;
     }
-    let mut ptr_prev = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(r0), 4, Deps::NONE);
+    let adj = &w.adj;
+    let mut ptr_prev = m.load(Site(S_PTR), adj.ptrs_r.u32_at(r0), 4, Deps::NONE);
     for i in r0..r1 {
-        let ptr_next = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let (beg, end) = (ctx.ptrs[i] as usize, ctx.ptrs[i + 1] as usize);
+        let ptr_next = m.load(Site(S_PTR), adj.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let (beg, end) = (adj.ptrs[i] as usize, adj.ptrs[i + 1] as usize);
         let mut sum = OpId::NONE;
         let mut p = beg;
         while p < end {
             let n = (end - p).min(vl);
             let bounds = Deps::on(&[ptr_prev, ptr_next]);
-            let idxv = m.vec_load(Site(S_IDX), ctx.idxs_r.u32_at(p), (n * 4) as u32, bounds);
+            let idxv = m.vec_load(Site(S_IDX), adj.idxs_r.u32_at(p), (n * 4) as u32, bounds);
             let mut adds = Vec::with_capacity(n + 1);
             for e in 0..n {
-                let j = ctx.idxs[p + e] as usize;
-                adds.push(m.load(Site(S_GATHER), ctx.contrib_r.f64_at(j), 8, Deps::from(idxv)));
+                let j = adj.idxs[p + e] as usize;
+                adds.push(m.load(Site(S_GATHER), w.contrib_r.f64_at(j), 8, Deps::from(idxv)));
             }
             if sum.is_some() {
                 adds.push(sum);
@@ -288,7 +220,7 @@ fn gather_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usiz
         }
         // rank_new = base + d·sum.
         let fin = m.fp_op(2, Deps::from(sum));
-        m.store(Site(S_STORE), ctx.out_r.f64_at(i), 8, Deps::from(fin));
+        m.store(Site(S_STORE), w.out_r.f64_at(i), 8, Deps::from(fin));
         m.branch(Site(S_OUTER_BR), i + 1 < r1, Deps::NONE);
         ptr_prev = ptr_next;
     }
@@ -360,42 +292,27 @@ impl Workload for PageRank {
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
         let dense = self.run_dense_phase(cfg);
-        let mut gather = self.run_gather_baseline(cfg);
-        gather.cycles += dense.cycles;
-        gather.dram_bytes += dense.dram_bytes;
-        for (g, d) in gather.cores.iter_mut().zip(&dense.cores) {
-            g.merge(d);
-        }
+        let vl = cfg.core.sve_lanes();
+        let shards = partition_rows(&self.adj.ptrs, cfg.cores());
+        let mut gather = run_cores(cfg, &shards, |m, _, rows| {
+            gather_baseline(m, self, rows, vl)
+        });
+        add_phase(&mut gather, &dense);
         gather
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let dense = self.run_dense_phase(cfg);
         let shards = partition_rows(&self.adj.ptrs, cfg.cores());
-        let mut run = run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = PageRankHandler::new(self.out_r, range.0, self.adj.rows);
-            (self.build_program(range, tmu.lanes), handler)
+        let mut run = run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows, tmu.lanes)
         });
-        run.stats.cycles += dense.cycles;
-        run.stats.dram_bytes += dense.dram_bytes;
-        for (g, d) in run.stats.cores.iter_mut().zip(&dense.cores) {
-            g.merge(d);
-        }
+        add_phase(&mut run.stats, &dense);
         run
     }
 
     fn verify(&self) -> Result<(), String> {
-        let mut got = Vec::new();
-        for &range in &partition_rows(&self.adj.ptrs, 8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let mut handler = PageRankHandler::new(self.out_r, range.0, self.adj.rows);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.out);
-        }
-        let _ = &self.contrib_vals;
+        let got = self.functional_shards(&partition_rows(&self.adj.ptrs, 8), 8);
         check_close("PageRank", &got, &self.reference, 1e-9)
     }
 }

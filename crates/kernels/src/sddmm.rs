@@ -20,6 +20,7 @@ use tmu_tensor::CsrMatrix;
 
 use crate::data::{CsrOnSim, DenseOnSim};
 use crate::spmm::RANK;
+use crate::workload::run_functional;
 
 const S_STORE: u16 = 290;
 
@@ -103,16 +104,6 @@ impl Sddmm {
         self.outq_r[core].base
     }
 
-    /// Output-values region (for standalone handlers).
-    pub fn s_region(&self) -> Region {
-        self.s_r
-    }
-
-    /// The host-resident `U` factor.
-    pub fn u_factor(&self) -> Arc<Vec<f64>> {
-        Arc::clone(&self.u)
-    }
-
     /// Assembles the sparse output `S` from computed values: `S` shares
     /// `A`'s sparsity pattern, only the stored values differ.
     ///
@@ -173,13 +164,11 @@ impl Sddmm {
     /// Functional execution over the full row range: output values in
     /// non-zero order, exactly as the callback handler computes them.
     pub fn functional(&self, lanes: usize) -> Vec<f64> {
-        let prog = Arc::new(self.build_program((0, self.a.rows), lanes));
-        let mut handler = SddmmHandler::new(self.s_r, Arc::clone(&self.u), 0, lanes);
-        let mut vm = VecMachine::new();
-        tmu::for_each_entry(&prog, &self.image, |e| {
-            handler.handle(e, OpId::NONE, &mut vm);
+        let handlers = run_functional(&self.image, &[(0, self.a.rows)], |_, rows| {
+            let handler = SddmmHandler::new(self.s_r, Arc::clone(&self.u), rows.0, lanes);
+            (self.build_program(rows, lanes), handler)
         });
-        handler.s_vals
+        handlers.into_iter().flat_map(|h| h.s_vals).collect()
     }
 }
 

@@ -13,15 +13,12 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::check_close;
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 /// Dense matrix columns (the SpMM rank).
 pub const RANK: usize = 16;
@@ -38,17 +35,6 @@ const S_I_BR: u16 = 267;
 const CB_RI: u32 = 0;
 const CB_K_END: u32 = 1;
 const CB_ROW_END: u32 = 2;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
-    idxs: Arc<Vec<u32>>,
-    ptrs_r: Region,
-    idxs_r: Region,
-    vals_r: Region,
-    b_r: Region,
-    z_r: Region,
-}
 
 /// An SpMM workload bound to the simulator.
 #[derive(Debug)]
@@ -108,33 +94,23 @@ impl Spmm {
         self.outq_r[core].base
     }
 
-    /// Output region (for standalone handlers).
-    pub fn z_region(&self) -> Region {
-        self.z_r
-    }
-
     /// Functional execution over the full row range: the product rows
     /// (row-major) exactly as the callback handler computes them.
     pub fn functional(&self, lanes: usize) -> Vec<f64> {
-        let prog = Arc::new(self.build_program((0, self.a.rows), lanes));
-        let mut handler = SpmmHandler::new(self.z_r, 0, lanes);
-        let mut vm = VecMachine::new();
-        tmu::for_each_entry(&prog, &self.image, |e| {
-            handler.handle(e, OpId::NONE, &mut vm);
-        });
-        handler.z
+        self.functional_shards(&[(0, self.a.rows)], lanes)
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptrs: Arc::clone(&self.a.ptrs),
-            idxs: Arc::clone(&self.a.idxs),
-            ptrs_r: self.a.ptrs_r,
-            idxs_r: self.a.idxs_r,
-            vals_r: self.a.vals_r,
-            b_r: self.b.region,
-            z_r: self.z_r,
-        }
+    fn functional_shards(&self, shards: &[(usize, usize)], lanes: usize) -> Vec<f64> {
+        run_functional(&self.image, shards, |_, rows| self.engine(rows, lanes))
+            .into_iter()
+            .flat_map(|h| h.z)
+            .collect()
+    }
+
+    /// The "P1" mapping of a row shard.
+    fn engine(&self, rows: (usize, usize), lanes: usize) -> (Program, SpmmHandler) {
+        let handler = SpmmHandler::new(self.z_r, rows.0, lanes);
+        (self.build_program(rows, lanes), handler)
     }
 
     /// Builds the Table 4 "SpMM P1" TMU program for a row range.
@@ -176,23 +152,24 @@ impl Spmm {
     }
 }
 
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spmm, rows: (usize, usize), vl: usize) {
     let (r0, r1) = rows;
+    let a = &w.a;
     for i in r0..r1 {
-        let p0 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i), 4, Deps::NONE);
-        let p1 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let (kb, ke) = (ctx.ptrs[i] as usize, ctx.ptrs[i + 1] as usize);
+        let p0 = m.load(Site(S_PTR), a.ptrs_r.u32_at(i), 4, Deps::NONE);
+        let p1 = m.load(Site(S_PTR), a.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let (kb, ke) = (a.ptrs[i] as usize, a.ptrs[i + 1] as usize);
         for p in kb..ke {
             let bounds = Deps::on(&[p0, p1]);
-            let kld = m.load(Site(S_KIDX), ctx.idxs_r.u32_at(p), 4, bounds);
-            let vld = m.load(Site(S_KVAL), ctx.vals_r.f64_at(p), 8, bounds);
-            let k = ctx.idxs[p] as usize;
+            let kld = m.load(Site(S_KIDX), a.idxs_r.u32_at(p), 4, bounds);
+            let vld = m.load(Site(S_KVAL), a.vals_r.f64_at(p), 8, bounds);
+            let k = a.idxs[p] as usize;
             let mut r = 0;
             while r < RANK {
                 let n = (RANK - r).min(vl);
                 let bl = m.vec_load(
                     Site(S_BROW),
-                    ctx.b_r.f64_at(k * RANK + r),
+                    w.b.region.f64_at(k * RANK + r),
                     (n * 8) as u32,
                     Deps::from(kld),
                 );
@@ -207,7 +184,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)
             let n = (RANK - r).min(vl);
             m.store(
                 Site(S_STORE),
-                ctx.z_r.f64_at(i * RANK + r),
+                w.z_r.f64_at(i * RANK + r),
                 (n * 8) as u32,
                 Deps::NONE,
             );
@@ -292,40 +269,20 @@ impl Workload for Spmm {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = partition_rows(&self.a.ptrs, cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        let shards = partition_rows(&self.a.ptrs, cfg.cores());
+        run_cores(cfg, &shards, |m, _, rows| emit_baseline(m, self, rows, vl))
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = partition_rows(&self.a.ptrs, cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = SpmmHandler::new(self.z_r, range.0, tmu.lanes);
-            (self.build_program(range, tmu.lanes), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows, tmu.lanes)
         })
     }
 
     fn verify(&self) -> Result<(), String> {
-        let mut got = Vec::new();
-        for &range in &partition_rows(&self.a.ptrs, 8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let mut handler = SpmmHandler::new(self.z_r, range.0, 8);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.z);
-        }
+        let got = self.functional_shards(&partition_rows(&self.a.ptrs, 8), 8);
         check_close("SpMM", &got, &self.reference, 1e-9)
     }
 }

@@ -19,15 +19,14 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim};
 use crate::util::check_close;
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{
+    run_cores, run_cores_imp, run_engines, run_functional, KernelKind, TmuRun, Workload,
+};
 
 const S_APTR: u16 = 120;
 const S_AIDX: u16 = 121;
@@ -46,24 +45,6 @@ const S_I_BR: u16 = 133;
 
 const CB_JI: u32 = 0;
 const CB_ROW_END: u32 = 1;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    a_ptrs: Arc<Vec<u32>>,
-    a_idxs: Arc<Vec<u32>>,
-    b_ptrs: Arc<Vec<u32>>,
-    b_idxs: Arc<Vec<u32>>,
-    a_ptrs_r: Region,
-    a_idxs_r: Region,
-    a_vals_r: Region,
-    b_ptrs_r: Region,
-    b_idxs_r: Region,
-    b_vals_r: Region,
-    acc_r: Region,
-    z_r: Region,
-    cols: usize,
-    z_offsets: Arc<Vec<u32>>,
-}
 
 /// A Gustavson SpMSpM workload (`Z = A·Aᵀ`) bound to the simulator.
 #[derive(Debug)]
@@ -128,46 +109,22 @@ impl Spmspm {
     pub fn functional(&self) -> (Vec<u32>, Vec<f64>) {
         let mut z = Vec::new();
         let mut z_cols = Vec::new();
-        for &range in &self.shards(8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let mut handler = SpmspmHandler::new(
-                self.acc_r,
-                self.z_r,
-                Arc::clone(&self.z_offsets),
-                range.0,
-                self.a.cols,
-            );
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            z.extend(handler.z);
-            z_cols.extend(handler.z_cols);
+        for h in run_functional(&self.image, &self.shards(8), |_, rows| self.engine(rows, 8)) {
+            z.extend(h.z);
+            z_cols.extend(h.z_cols);
         }
         (z_cols, z)
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            a_ptrs: Arc::clone(&self.a.ptrs),
-            a_idxs: Arc::clone(&self.a.idxs),
-            b_ptrs: Arc::clone(&self.b.ptrs),
-            b_idxs: Arc::clone(&self.b.idxs),
-            a_ptrs_r: self.a.ptrs_r,
-            a_idxs_r: self.a.idxs_r,
-            a_vals_r: self.a.vals_r,
-            b_ptrs_r: self.b.ptrs_r,
-            b_idxs_r: self.b.idxs_r,
-            b_vals_r: self.b.vals_r,
-            acc_r: self.acc_r,
-            z_r: self.z_r,
-            cols: self.a.cols,
-            z_offsets: Arc::clone(&self.z_offsets),
-        }
-    }
-
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
         partition_rows(&self.a.ptrs, cores)
+    }
+
+    /// The "P2" mapping of a row shard.
+    fn engine(&self, rows: (usize, usize), lanes: usize) -> (Program, SpmspmHandler) {
+        let offsets = Arc::clone(&self.z_offsets);
+        let handler = SpmspmHandler::new(self.acc_r, self.z_r, offsets, rows.0, self.a.cols);
+        (self.build_program(rows, lanes), handler)
     }
 
     /// Builds the Table 4 "SpMSpM P2" TMU program for a row range.
@@ -211,48 +168,44 @@ impl Spmspm {
 }
 
 /// Emits the vectorized Gustavson baseline for a row shard.
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spmspm, rows: (usize, usize), vl: usize) {
     let (r0, r1) = rows;
     if r0 >= r1 {
         return;
     }
+    let (a, b) = (&w.a, &w.b);
     // Per-shard dense accumulator state (functional side).
-    let mut acc = vec![0.0f64; ctx.cols];
+    let mut acc = vec![0.0f64; a.cols];
     let mut occ: Vec<u32> = Vec::new();
-    let mut aptr_prev = m.load(Site(S_APTR), ctx.a_ptrs_r.u32_at(r0), 4, Deps::NONE);
+    let mut aptr_prev = m.load(Site(S_APTR), a.ptrs_r.u32_at(r0), 4, Deps::NONE);
     for i in r0..r1 {
-        let aptr_next = m.load(Site(S_APTR), ctx.a_ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let (abeg, aend) = (ctx.a_ptrs[i] as usize, ctx.a_ptrs[i + 1] as usize);
+        let aptr_next = m.load(Site(S_APTR), a.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let (abeg, aend) = (a.ptrs[i] as usize, a.ptrs[i + 1] as usize);
         for p in abeg..aend {
             let bounds = Deps::on(&[aptr_prev, aptr_next]);
-            let kld = m.load(Site(S_AIDX), ctx.a_idxs_r.u32_at(p), 4, bounds);
-            let avld = m.load(Site(S_AVAL), ctx.a_vals_r.f64_at(p), 8, bounds);
-            let kk = ctx.a_idxs[p] as usize;
-            let bp0 = m.load(Site(S_BPTR), ctx.b_ptrs_r.u32_at(kk), 4, Deps::from(kld));
-            let bp1 = m.load(
-                Site(S_BPTR),
-                ctx.b_ptrs_r.u32_at(kk + 1),
-                4,
-                Deps::from(kld),
-            );
-            let (bbeg, bend) = (ctx.b_ptrs[kk] as usize, ctx.b_ptrs[kk + 1] as usize);
+            let kld = m.load(Site(S_AIDX), a.idxs_r.u32_at(p), 4, bounds);
+            let avld = m.load(Site(S_AVAL), a.vals_r.f64_at(p), 8, bounds);
+            let kk = a.idxs[p] as usize;
+            let bp0 = m.load(Site(S_BPTR), b.ptrs_r.u32_at(kk), 4, Deps::from(kld));
+            let bp1 = m.load(Site(S_BPTR), b.ptrs_r.u32_at(kk + 1), 4, Deps::from(kld));
+            let (bbeg, bend) = (b.ptrs[kk] as usize, b.ptrs[kk + 1] as usize);
             let mut q = bbeg;
             while q < bend {
                 let n = (bend - q).min(vl);
                 let bb = Deps::on(&[bp0, bp1]);
-                let bidxv = m.vec_load(Site(S_BIDX), ctx.b_idxs_r.u32_at(q), (n * 4) as u32, bb);
-                let bvalv = m.vec_load(Site(S_BVAL), ctx.b_vals_r.f64_at(q), (n * 8) as u32, bb);
+                let bidxv = m.vec_load(Site(S_BIDX), b.idxs_r.u32_at(q), (n * 4) as u32, bb);
+                let bvalv = m.vec_load(Site(S_BVAL), b.vals_r.f64_at(q), (n * 8) as u32, bb);
                 let mul = m.vec_op(n as u32, Deps::on(&[bvalv, avld]));
                 // Scatter-accumulate into the workspace.
                 for e in 0..n {
-                    let j = ctx.b_idxs[q + e] as usize;
+                    let j = b.idxs[q + e] as usize;
                     // Functional update.
                     if acc[j] == 0.0 {
                         occ.push(j as u32);
                     }
                     // NOTE: products are strictly positive by construction
                     // of the generators, so 0.0 marks "unoccupied".
-                    let addr = ctx.acc_r.f64_at(j);
+                    let addr = w.acc_r.f64_at(j);
                     let old = m.load(Site(S_ACC_LD), addr, 8, Deps::on(&[bidxv, mul]));
                     let add = m.fp_op(1, Deps::from(old));
                     m.store(Site(S_ACC_ST), addr, 8, Deps::from(add));
@@ -262,27 +215,21 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)
             }
             m.branch(Site(S_K_BR), p + 1 < aend, Deps::NONE);
         }
-        // Functional accumulate (kept exact, outside the op stream).
-        for p in abeg..aend {
-            let kk = ctx.a_idxs[p] as usize;
-            // values looked up functionally below in flush; recompute here:
-            let _ = kk;
-        }
         // Flush occupied entries to the output row.
         occ.sort_unstable();
-        let zoff = ctx.z_offsets[i] as usize;
+        let zoff = w.z_offsets[i] as usize;
         let mut f = 0usize;
         while f < occ.len() {
             let n = (occ.len() - f).min(vl);
             let ld = m.vec_load(
                 Site(S_FLUSH_LD),
-                ctx.acc_r.f64_at(occ[f] as usize),
+                w.acc_r.f64_at(occ[f] as usize),
                 (n * 8) as u32,
                 Deps::NONE,
             );
             m.store(
                 Site(S_FLUSH_ST),
-                ctx.z_r.f64_at(zoff + f),
+                w.z_r.f64_at(zoff + f),
                 (n * 8) as u32,
                 Deps::from(ld),
             );
@@ -429,50 +376,24 @@ impl Workload for Spmspm {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, _, rows| {
+            emit_baseline(m, self, rows, vl)
+        })
     }
 
     fn run_baseline_imp(&self, cfg: SystemConfig) -> Option<RunStats> {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        Some(
-            sys.run_with_imp(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = ctx.clone();
-                        move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                    })
-                    .collect(),
-            ),
-        )
+        let shards = self.shards(cfg.cores());
+        Some(run_cores_imp(cfg, &shards, |m, _, rows| {
+            emit_baseline(m, self, rows, vl)
+        }))
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = SpmspmHandler::new(
-                self.acc_r,
-                self.z_r,
-                Arc::clone(&self.z_offsets),
-                range.0,
-                self.a.cols,
-            );
-            (self.build_program(range, tmu.lanes), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows, tmu.lanes)
         })
     }
 

@@ -13,15 +13,12 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim};
 use crate::util::check_close;
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 const S_PTR: u16 = 280;
 const S_AHEAD: u16 = 281;
@@ -35,25 +32,11 @@ const S_I_BR: u16 = 287;
 const CB_MATCH: u32 = 0;
 const CB_ROW_END: u32 = 1;
 
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
-    a_idxs: Arc<Vec<u32>>,
-    b_idxs: Arc<Vec<u32>>,
-    ptrs_r: Region,
-    a_idxs_r: Region,
-    a_vals_r: Region,
-    b_idxs_r: Region,
-    b_vals_r: Region,
-    z_r: Region,
-}
-
 /// An SpMSpV workload bound to the simulator.
 #[derive(Debug)]
 pub struct Spmspv {
     a: CsrOnSim,
     b_idxs: Arc<Vec<u32>>,
-    b_vals: Arc<Vec<f64>>,
     b_idxs_r: Region,
     b_vals_r: Region,
     z_r: Region,
@@ -87,11 +70,10 @@ impl Spmspv {
         let mut image = MemImage::new();
         let a = CsrOnSim::bind(&mut map, &mut image, "a", a_mat);
         let b_idxs = Arc::new(b_idx);
-        let b_vals = Arc::new(b_val);
         let b_idxs_r = map.alloc_elems("b.idxs", b_idxs.len().max(1), 4);
-        let b_vals_r = map.alloc_elems("b.vals", b_vals.len().max(1), 8);
+        let b_vals_r = map.alloc_elems("b.vals", b_val.len().max(1), 8);
         image.bind_u32(b_idxs_r, Arc::clone(&b_idxs));
-        image.bind_f64(b_vals_r, Arc::clone(&b_vals));
+        image.bind_f64(b_vals_r, Arc::new(b_val));
         let z_r = map.alloc_elems("z", a_mat.rows().max(1), 8);
         let outq_r = (0..8)
             .map(|c| map.alloc(&format!("outq{c}"), 1 << 20))
@@ -99,7 +81,6 @@ impl Spmspv {
         Self {
             a,
             b_idxs,
-            b_vals,
             b_idxs_r,
             b_vals_r,
             z_r,
@@ -127,31 +108,19 @@ impl Spmspv {
     /// Functional TMU execution (8 shards): per-row results in row order,
     /// exactly as the callback handler computes them.
     pub fn functional(&self) -> Vec<f64> {
-        let mut got = Vec::new();
-        for &range in &partition_rows(&self.a.ptrs, 8) {
-            let prog = Arc::new(self.build_program(range));
-            let mut handler = SpmspvHandler::new(self.z_r, range.0);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.z);
-        }
-        got
+        let shards = partition_rows(&self.a.ptrs, 8);
+        run_functional(&self.image, &shards, |_, rows| self.engine(rows))
+            .into_iter()
+            .flat_map(|h| h.z)
+            .collect()
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptrs: Arc::clone(&self.a.ptrs),
-            a_idxs: Arc::clone(&self.a.idxs),
-            b_idxs: Arc::clone(&self.b_idxs),
-            ptrs_r: self.a.ptrs_r,
-            a_idxs_r: self.a.idxs_r,
-            a_vals_r: self.a.vals_r,
-            b_idxs_r: self.b_idxs_r,
-            b_vals_r: self.b_vals_r,
-            z_r: self.z_r,
-        }
+    /// The conjunctive-merge mapping of a row shard.
+    fn engine(&self, rows: (usize, usize)) -> (Program, SpmspvHandler) {
+        (
+            self.build_program(rows),
+            SpmspvHandler::new(self.z_r, rows.0),
+        )
     }
 
     /// Builds the Table 4 SpMSpV TMU program for a row range.
@@ -184,30 +153,31 @@ impl Spmspv {
     }
 }
 
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spmspv, rows: (usize, usize)) {
     let (r0, r1) = rows;
+    let a_mat = &w.a;
     for i in r0..r1 {
-        let p0 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i), 4, Deps::NONE);
-        let p1 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let (mut a, enda) = (ctx.ptrs[i] as usize, ctx.ptrs[i + 1] as usize);
+        let p0 = m.load(Site(S_PTR), a_mat.ptrs_r.u32_at(i), 4, Deps::NONE);
+        let p1 = m.load(Site(S_PTR), a_mat.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let (mut a, enda) = (a_mat.ptrs[i] as usize, a_mat.ptrs[i + 1] as usize);
         let mut b = 0usize;
-        let endb = ctx.b_idxs.len();
+        let endb = w.b_idxs.len();
         let mut sum = OpId::NONE;
         while a < enda && b < endb {
             let ha = m.load(
                 Site(S_AHEAD),
-                ctx.a_idxs_r.u32_at(a),
+                a_mat.idxs_r.u32_at(a),
                 4,
                 Deps::on(&[p0, p1]),
             );
-            let hb = m.load(Site(S_BHEAD), ctx.b_idxs_r.u32_at(b), 4, Deps::NONE);
-            let ka = ctx.a_idxs[a];
-            let kb = ctx.b_idxs[b];
+            let hb = m.load(Site(S_BHEAD), w.b_idxs_r.u32_at(b), 4, Deps::NONE);
+            let ka = a_mat.idxs[a];
+            let kb = w.b_idxs[b];
             m.branch(Site(S_CMP), ka < kb, Deps::on(&[ha, hb]));
             m.branch(Site(S_CMP), ka > kb, Deps::on(&[ha, hb]));
             if ka == kb {
-                let av = m.load(Site(S_AVAL), ctx.a_vals_r.f64_at(a), 8, Deps::NONE);
-                let bv = m.load(Site(S_BVAL), ctx.b_vals_r.f64_at(b), 8, Deps::NONE);
+                let av = m.load(Site(S_AVAL), a_mat.vals_r.f64_at(a), 8, Deps::NONE);
+                let bv = m.load(Site(S_BVAL), w.b_vals_r.f64_at(b), 8, Deps::NONE);
                 sum = m.fp_op(2, Deps::on(&[av, bv, sum]));
                 a += 1;
                 b += 1;
@@ -217,7 +187,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)
                 b += 1;
             }
         }
-        m.store(Site(S_STORE), ctx.z_r.f64_at(i), 8, Deps::from(sum));
+        m.store(Site(S_STORE), w.z_r.f64_at(i), 8, Deps::from(sum));
         m.branch(Site(S_I_BR), i + 1 < r1, Deps::NONE);
     }
 }
@@ -282,29 +252,17 @@ impl Workload for Spmspv {
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
         let shards = partition_rows(&self.a.ptrs, cfg.cores());
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &shards, |m, _, rows| emit_baseline(m, self, rows))
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = partition_rows(&self.a.ptrs, cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = SpmspvHandler::new(self.z_r, range.0);
-            (self.build_program(range), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows)
         })
     }
 
     fn verify(&self) -> Result<(), String> {
-        let _ = &self.b_vals;
         check_close("SpMSpV", &self.functional(), &self.reference, 1e-9)
     }
 }

@@ -18,15 +18,14 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::CsrMatrix;
 
 use crate::data::{partition_rows, CsrOnSim, DenseOnSim};
 use crate::util::{check_close, fold_deps};
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{
+    run_cores, run_cores_imp, run_engines, run_functional, KernelKind, TmuRun, Workload,
+};
 
 const S_PTR: u16 = 100;
 const S_IDX: u16 = 101;
@@ -39,18 +38,6 @@ const S_OUTER_BR: u16 = 106;
 /// Callback ids of the Figure 6 program.
 const CB_RI: u32 = 0;
 const CB_RE: u32 = 1;
-
-/// Shareable slice of the input bindings captured by shard closures.
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
-    idxs: Arc<Vec<u32>>,
-    ptrs_r: Region,
-    idxs_r: Region,
-    vals_r: Region,
-    b_r: Region,
-    x_r: Region,
-}
 
 /// An SpMV workload instance bound to the simulator.
 #[derive(Debug)]
@@ -119,33 +106,20 @@ impl Spmv {
     /// Functional TMU execution (8 shards, 8 lanes): per-row results in
     /// row order, exactly as the callback handler computes them.
     pub fn functional(&self) -> Vec<f64> {
-        let mut got = Vec::new();
-        for &range in &self.shards(8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let mut handler = SpmvHandler::new(self.x_r, range.0);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.x);
-        }
-        got
-    }
-
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptrs: Arc::clone(&self.sim.ptrs),
-            idxs: Arc::clone(&self.sim.idxs),
-            ptrs_r: self.sim.ptrs_r,
-            idxs_r: self.sim.idxs_r,
-            vals_r: self.sim.vals_r,
-            b_r: self.b.region,
-            x_r: self.x_r,
-        }
+        run_functional(&self.image, &self.shards(8), |_, rows| self.engine(rows, 8))
+            .into_iter()
+            .flat_map(|h| h.x)
+            .collect()
     }
 
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
         partition_rows(&self.sim.ptrs, cores)
+    }
+
+    /// The Figure 6/8 mapping of a row shard.
+    fn engine(&self, rows: (usize, usize), lanes: usize) -> (Program, SpmvHandler) {
+        let handler = SpmvHandler::new(self.x_r, rows.0);
+        (self.build_program(rows, lanes), handler)
     }
 
     /// Builds the Figure 8 TMU program for a row range.
@@ -285,27 +259,28 @@ impl CallbackHandler for SpmvP0Handler {
 }
 
 /// Emits the vectorized baseline for a row shard.
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spmv, rows: (usize, usize), vl: usize) {
     let (r0, r1) = rows;
     if r0 >= r1 {
         return;
     }
-    let mut ptr_prev = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(r0), 4, Deps::NONE);
+    let a = &w.sim;
+    let mut ptr_prev = m.load(Site(S_PTR), a.ptrs_r.u32_at(r0), 4, Deps::NONE);
     for i in r0..r1 {
-        let ptr_next = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let beg = ctx.ptrs[i] as usize;
-        let end = ctx.ptrs[i + 1] as usize;
+        let ptr_next = m.load(Site(S_PTR), a.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let beg = a.ptrs[i] as usize;
+        let end = a.ptrs[i + 1] as usize;
         let mut sum = OpId::NONE;
         let mut p = beg;
         while p < end {
             let n = (end - p).min(vl);
             let bounds = Deps::on(&[ptr_prev, ptr_next]);
-            let idxv = m.vec_load(Site(S_IDX), ctx.idxs_r.u32_at(p), (n * 4) as u32, bounds);
-            let valv = m.vec_load(Site(S_VAL), ctx.vals_r.f64_at(p), (n * 8) as u32, bounds);
+            let idxv = m.vec_load(Site(S_IDX), a.idxs_r.u32_at(p), (n * 4) as u32, bounds);
+            let valv = m.vec_load(Site(S_VAL), a.vals_r.f64_at(p), (n * 8) as u32, bounds);
             let mut prods = Vec::with_capacity(n + 2);
             for e in 0..n {
-                let col = ctx.idxs[p + e] as usize;
-                prods.push(m.load(Site(S_GATHER), ctx.b_r.f64_at(col), 8, Deps::from(idxv)));
+                let col = a.idxs[p + e] as usize;
+                prods.push(m.load(Site(S_GATHER), w.b.region.f64_at(col), 8, Deps::from(idxv)));
             }
             prods.push(valv);
             if sum.is_some() {
@@ -316,7 +291,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)
             p += n;
             m.branch(Site(S_INNER_BR), p < end, Deps::on(&[ptr_prev, ptr_next]));
         }
-        m.store(Site(S_STORE), ctx.x_r.f64_at(i), 8, Deps::from(sum));
+        m.store(Site(S_STORE), w.x_r.f64_at(i), 8, Deps::from(sum));
         m.branch(Site(S_OUTER_BR), i + 1 < r1, Deps::NONE);
         ptr_prev = ptr_next;
     }
@@ -391,44 +366,24 @@ impl Workload for Spmv {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, _, rows| {
+            emit_baseline(m, self, rows, vl)
+        })
     }
 
     fn run_baseline_imp(&self, cfg: SystemConfig) -> Option<RunStats> {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        Some(
-            sys.run_with_imp(
-                shards
-                    .into_iter()
-                    .map(|range| {
-                        let ctx = ctx.clone();
-                        move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                    })
-                    .collect(),
-            ),
-        )
+        let shards = self.shards(cfg.cores());
+        Some(run_cores_imp(cfg, &shards, |m, _, rows| {
+            emit_baseline(m, self, rows, vl)
+        }))
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let handler = SpmvHandler::new(self.x_r, range.0);
-            (self.build_program(range, tmu.lanes), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows, tmu.lanes)
         })
     }
 
@@ -463,7 +418,7 @@ mod tests {
     fn baseline_op_mix_is_sane() {
         let w = workload();
         let mut m = CountingMachine::new();
-        emit_baseline(&mut m, &w.ctx(), (0, 512), 8);
+        emit_baseline(&mut m, &w, (0, 512), 8);
         // ≈ 8 nnz/row: per row ≥ 1 chunk (idx+val vec loads + 8 gathers).
         assert!(m.loads as usize >= w.sim.nnz() + 512);
         assert_eq!(m.stores, 512);

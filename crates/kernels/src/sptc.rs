@@ -19,14 +19,11 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::{CooTensor, CsfTensor};
 
 use crate::data::{partition_flat, CsfOnSim};
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 const S_APTR: u16 = 300;
 const S_AKIDX: u16 = 301;
@@ -43,28 +40,6 @@ const S_WALK_BR: u16 = 311;
 
 const CB_I: u32 = 0;
 const CB_J: u32 = 1;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    a_ptr0: Arc<Vec<u32>>,
-    a_ptr1: Arc<Vec<u32>>,
-    a_idx1: Arc<Vec<u32>>,
-    a_idx2: Arc<Vec<u32>>,
-    b_lptr: Arc<Vec<u32>>,
-    b_kidx: Arc<Vec<u32>>,
-    b_kptr: Arc<Vec<u32>>,
-    b_jidx: Arc<Vec<u32>>,
-    a_ptr0_r: Region,
-    a_ptr1_r: Region,
-    a_idx1_r: Region,
-    a_idx2_r: Region,
-    b_lptr_r: Region,
-    b_kidx_r: Region,
-    b_kptr_r: Region,
-    b_jidx_r: Region,
-    bitmap_r: Region,
-    dim_j: usize,
-}
 
 /// An SpTC (symbolic) workload bound to the simulator.
 #[derive(Debug)]
@@ -183,31 +158,14 @@ impl Sptc {
         self.reference
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            a_ptr0: Arc::clone(&self.a.ptrs[0]),
-            a_ptr1: Arc::clone(&self.a.ptrs[1]),
-            a_idx1: Arc::clone(&self.a.idxs[1]),
-            a_idx2: Arc::clone(&self.a.idxs[2]),
-            b_lptr: Arc::clone(&self.b_lptr),
-            b_kidx: Arc::clone(&self.b_kidx),
-            b_kptr: Arc::clone(&self.b_kptr),
-            b_jidx: Arc::clone(&self.b_jidx),
-            a_ptr0_r: self.a.ptrs_r[0],
-            a_ptr1_r: self.a.ptrs_r[1],
-            a_idx1_r: self.a.idxs_r[1],
-            a_idx2_r: self.a.idxs_r[2],
-            b_lptr_r: self.b_lptr_r,
-            b_kidx_r: self.b_kidx_r,
-            b_kptr_r: self.b_kptr_r,
-            b_jidx_r: self.b_jidx_r,
-            bitmap_r: self.bitmap_r,
-            dim_j: self.dim_j,
-        }
-    }
-
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
         partition_flat(self.a.idxs[0].len(), cores)
+    }
+
+    /// The symbolic-phase mapping of core `core`'s root-node shard.
+    fn engine(&self, core: usize, roots: (usize, usize)) -> (Program, SptcHandler) {
+        let handler = SptcHandler::new(self.bitmap_r, core, self.dim_j);
+        (self.build_program(roots), handler)
     }
 
     /// Builds the Table 4 SpTC TMU program for a root-node range.
@@ -268,8 +226,9 @@ impl Sptc {
     }
 }
 
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize), core: usize) {
-    let words = ctx.dim_j.div_ceil(64);
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, sp: &Sptc, roots: (usize, usize), core: usize) {
+    let a = &sp.a;
+    let words = sp.dim_j.div_ceil(64);
     let mut bitmap = vec![0u64; words];
     let bitmap_base = core * words;
     let (n0, n1) = roots;
@@ -277,56 +236,46 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize
         // New output row: reset the bitmap (cost amortized: one store per
         // word touched in the previous row, already counted at set time).
         bitmap.iter_mut().for_each(|w| *w = 0);
-        let r0 = m.load(Site(S_APTR), ctx.a_ptr0_r.u32_at(n), 4, Deps::NONE);
-        let r1 = m.load(Site(S_APTR), ctx.a_ptr0_r.u32_at(n + 1), 4, Deps::NONE);
-        let (kb, ke) = (ctx.a_ptr0[n] as usize, ctx.a_ptr0[n + 1] as usize);
+        let r0 = m.load(Site(S_APTR), a.ptrs_r[0].u32_at(n), 4, Deps::NONE);
+        let r1 = m.load(Site(S_APTR), a.ptrs_r[0].u32_at(n + 1), 4, Deps::NONE);
+        let (kb, ke) = (a.ptrs[0][n] as usize, a.ptrs[0][n + 1] as usize);
         for kn in kb..ke {
             let kld = m.load(
                 Site(S_AKIDX),
-                ctx.a_idx1_r.u32_at(kn),
+                a.idxs_r[1].u32_at(kn),
                 4,
                 Deps::on(&[r0, r1]),
             );
-            let q0 = m.load(
-                Site(S_APTR),
-                ctx.a_ptr1_r.u32_at(kn),
-                4,
-                Deps::on(&[r0, r1]),
-            );
+            let q0 = m.load(Site(S_APTR), a.ptrs_r[1].u32_at(kn), 4, Deps::on(&[r0, r1]));
             let q1 = m.load(
                 Site(S_APTR),
-                ctx.a_ptr1_r.u32_at(kn + 1),
+                a.ptrs_r[1].u32_at(kn + 1),
                 4,
                 Deps::on(&[r0, r1]),
             );
-            let k = ctx.a_idx1[kn];
-            let (lb, le) = (ctx.a_ptr1[kn] as usize, ctx.a_ptr1[kn + 1] as usize);
+            let k = a.idxs[1][kn];
+            let (lb, le) = (a.ptrs[1][kn] as usize, a.ptrs[1][kn + 1] as usize);
             for ln in lb..le {
                 let lld = m.load(
                     Site(S_ALIDX),
-                    ctx.a_idx2_r.u32_at(ln),
+                    a.idxs_r[2].u32_at(ln),
                     4,
                     Deps::on(&[q0, q1]),
                 );
-                let l = ctx.a_idx2[ln] as usize;
-                let bl0 = m.load(Site(S_BLPTR), ctx.b_lptr_r.u32_at(l), 4, Deps::from(lld));
-                let bl1 = m.load(
-                    Site(S_BLPTR),
-                    ctx.b_lptr_r.u32_at(l + 1),
-                    4,
-                    Deps::from(lld),
-                );
+                let l = a.idxs[2][ln] as usize;
+                let bl0 = m.load(Site(S_BLPTR), sp.b_lptr_r.u32_at(l), 4, Deps::from(lld));
+                let bl1 = m.load(Site(S_BLPTR), sp.b_lptr_r.u32_at(l + 1), 4, Deps::from(lld));
                 // Scan B(l)'s k fiber for k (merge-style, branch per step).
-                let (mut s, se) = (ctx.b_lptr[l] as usize, ctx.b_lptr[l + 1] as usize);
+                let (mut s, se) = (sp.b_lptr[l] as usize, sp.b_lptr[l + 1] as usize);
                 let mut matched = None;
                 while s < se {
                     let bkld = m.load(
                         Site(S_BKIDX),
-                        ctx.b_kidx_r.u32_at(s),
+                        sp.b_kidx_r.u32_at(s),
                         4,
                         Deps::on(&[bl0, bl1]),
                     );
-                    let bk = ctx.b_kidx[s];
+                    let bk = sp.b_kidx[s];
                     m.branch(Site(S_SCAN_BR), bk < k, Deps::on(&[bkld, kld]));
                     if bk == k {
                         matched = Some(s);
@@ -338,29 +287,29 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize
                     s += 1;
                 }
                 if let Some(kn_b) = matched {
-                    let j0 = m.load(Site(S_BKPTR), ctx.b_kptr_r.u32_at(kn_b), 4, Deps::NONE);
-                    let j1 = m.load(Site(S_BKPTR), ctx.b_kptr_r.u32_at(kn_b + 1), 4, Deps::NONE);
-                    let (jb, je) = (ctx.b_kptr[kn_b] as usize, ctx.b_kptr[kn_b + 1] as usize);
+                    let j0 = m.load(Site(S_BKPTR), sp.b_kptr_r.u32_at(kn_b), 4, Deps::NONE);
+                    let j1 = m.load(Site(S_BKPTR), sp.b_kptr_r.u32_at(kn_b + 1), 4, Deps::NONE);
+                    let (jb, je) = (sp.b_kptr[kn_b] as usize, sp.b_kptr[kn_b + 1] as usize);
                     for jp in jb..je {
                         let jld = m.load(
                             Site(S_BJIDX),
-                            ctx.b_jidx_r.u32_at(jp),
+                            sp.b_jidx_r.u32_at(jp),
                             4,
                             Deps::on(&[j0, j1]),
                         );
-                        let j = ctx.b_jidx[jp] as usize;
+                        let j = sp.b_jidx[jp] as usize;
                         let word = j / 64;
                         // Bitmap insert: load word, or, store.
                         let w = m.load(
                             Site(S_BIT_LD),
-                            ctx.bitmap_r.f64_at(bitmap_base + word),
+                            sp.bitmap_r.f64_at(bitmap_base + word),
                             8,
                             Deps::from(jld),
                         );
                         let orop = m.int_op(Deps::from(w));
                         m.store(
                             Site(S_BIT_ST),
-                            ctx.bitmap_r.f64_at(bitmap_base + word),
+                            sp.bitmap_r.f64_at(bitmap_base + word),
                             8,
                             Deps::from(orop),
                         );
@@ -441,40 +390,28 @@ impl Workload for Sptc {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .enumerate()
-                .map(|(core, range)| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, core)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, core, roots| {
+            emit_baseline(m, self, roots, core);
+        })
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |c, range| {
-            let handler = SptcHandler::new(self.bitmap_r, c, self.dim_j);
-            (self.build_program(range), handler)
-        })
+        run_engines(
+            cfg,
+            tmu,
+            &self.image,
+            &self.outq_r,
+            &shards,
+            |core, roots| self.engine(core, roots),
+        )
     }
 
     fn verify(&self) -> Result<(), String> {
-        let mut count = 0u64;
-        for (c, &range) in self.shards(8).iter().enumerate() {
-            let prog = Arc::new(self.build_program(range));
-            let mut handler = SptcHandler::new(self.bitmap_r, c, self.dim_j);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            count += handler.count;
-        }
+        let handlers = run_functional(&self.image, &self.shards(8), |core, roots| {
+            self.engine(core, roots)
+        });
+        let count: u64 = handlers.iter().map(|h| h.count).sum();
         if count == self.reference {
             Ok(())
         } else {

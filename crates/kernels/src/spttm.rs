@@ -11,15 +11,12 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::{CooTensor, CsfTensor};
 
 use crate::data::{partition_flat, CsfOnSim, DenseOnSim};
 use crate::util::check_close;
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 /// Columns of the dense factor (the paper's SpTTM rank).
 pub const RANK: usize = 16;
@@ -37,19 +34,6 @@ const S_FIB_BR: u16 = 248;
 const CB_RI: u32 = 0;
 const CB_L_END: u32 = 1;
 const CB_FIB_END: u32 = 2;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptr0: Arc<Vec<u32>>,
-    ptr1: Arc<Vec<u32>>,
-    idx2: Arc<Vec<u32>>,
-    ptr0_r: Region,
-    ptr1_r: Region,
-    idx2_r: Region,
-    vals_r: Region,
-    b_r: Region,
-    z_r: Region,
-}
 
 /// An SpTTM workload bound to the simulator.
 #[derive(Debug)]
@@ -106,22 +90,15 @@ impl Spttm {
         &self.reference
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptr0: Arc::clone(&self.t.ptrs[0]),
-            ptr1: Arc::clone(&self.t.ptrs[1]),
-            idx2: Arc::clone(&self.t.idxs[2]),
-            ptr0_r: self.t.ptrs_r[0],
-            ptr1_r: self.t.ptrs_r[1],
-            idx2_r: self.t.idxs_r[2],
-            vals_r: self.t.vals_r,
-            b_r: self.b.region,
-            z_r: self.z_r,
-        }
-    }
-
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
         partition_flat(self.t.idxs[0].len(), cores)
+    }
+
+    /// The Table 4 mapping of a root-node shard.
+    fn engine(&self, roots: (usize, usize), lanes: usize) -> (Program, SpttmHandler) {
+        let first_fiber = self.t.ptrs[0][roots.0] as usize;
+        let handler = SpttmHandler::new(self.z_r, first_fiber, lanes);
+        (self.build_program(roots, lanes), handler)
     }
 
     /// Builds the Table 4 SpTTM TMU program for a root-node range.
@@ -170,32 +147,33 @@ impl Spttm {
     }
 }
 
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spttm, roots: (usize, usize), vl: usize) {
     let (n0, n1) = roots;
+    let t = &w.t;
     for n in n0..n1 {
-        let r0 = m.load(Site(S_ROOT), ctx.ptr0_r.u32_at(n), 4, Deps::NONE);
-        let r1 = m.load(Site(S_ROOT), ctx.ptr0_r.u32_at(n + 1), 4, Deps::NONE);
-        let (jb, je) = (ctx.ptr0[n] as usize, ctx.ptr0[n + 1] as usize);
+        let r0 = m.load(Site(S_ROOT), t.ptrs_r[0].u32_at(n), 4, Deps::NONE);
+        let r1 = m.load(Site(S_ROOT), t.ptrs_r[0].u32_at(n + 1), 4, Deps::NONE);
+        let (jb, je) = (t.ptrs[0][n] as usize, t.ptrs[0][n + 1] as usize);
         for jn in jb..je {
-            let q0 = m.load(Site(S_JPTR), ctx.ptr1_r.u32_at(jn), 4, Deps::on(&[r0, r1]));
+            let q0 = m.load(Site(S_JPTR), t.ptrs_r[1].u32_at(jn), 4, Deps::on(&[r0, r1]));
             let q1 = m.load(
                 Site(S_JPTR),
-                ctx.ptr1_r.u32_at(jn + 1),
+                t.ptrs_r[1].u32_at(jn + 1),
                 4,
                 Deps::on(&[r0, r1]),
             );
-            let (lb, le) = (ctx.ptr1[jn] as usize, ctx.ptr1[jn + 1] as usize);
+            let (lb, le) = (t.ptrs[1][jn] as usize, t.ptrs[1][jn + 1] as usize);
             for p in lb..le {
                 let bounds = Deps::on(&[q0, q1]);
-                let lld = m.load(Site(S_LIDX), ctx.idx2_r.u32_at(p), 4, bounds);
-                let vld = m.load(Site(S_LVAL), ctx.vals_r.f64_at(p), 8, bounds);
-                let l = ctx.idx2[p] as usize;
+                let lld = m.load(Site(S_LIDX), t.idxs_r[2].u32_at(p), 4, bounds);
+                let vld = m.load(Site(S_LVAL), t.vals_r.f64_at(p), 8, bounds);
+                let l = t.idxs[2][p] as usize;
                 let mut r = 0;
                 while r < RANK {
                     let nn = (RANK - r).min(vl);
                     let bl = m.vec_load(
                         Site(S_BROW),
-                        ctx.b_r.f64_at(l * RANK + r),
+                        w.b.region.f64_at(l * RANK + r),
                         (nn * 8) as u32,
                         Deps::from(lld),
                     );
@@ -211,7 +189,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize
                 let nn = (RANK - r).min(vl);
                 m.store(
                     Site(S_STORE),
-                    ctx.z_r.f64_at(jn * RANK + r),
+                    w.z_r.f64_at(jn * RANK + r),
                     (nn * 8) as u32,
                     Deps::NONE,
                 );
@@ -297,42 +275,26 @@ impl Workload for Spttm {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, _, roots| {
+            emit_baseline(m, self, roots, vl)
+        })
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let first_fiber = self.t.ptrs[0][range.0] as usize;
-            let handler = SpttmHandler::new(self.z_r, first_fiber, tmu.lanes);
-            (self.build_program(range, tmu.lanes), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, roots| {
+            self.engine(roots, tmu.lanes)
         })
     }
 
     fn verify(&self) -> Result<(), String> {
-        let mut got = Vec::new();
-        for &range in &self.shards(8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let first_fiber = self.t.ptrs[0][range.0] as usize;
-            let mut handler = SpttmHandler::new(self.z_r, first_fiber, 8);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.z);
-        }
+        let got: Vec<f64> = run_functional(&self.image, &self.shards(8), |_, roots| {
+            self.engine(roots, 8)
+        })
+        .into_iter()
+        .flat_map(|h| h.z)
+        .collect();
         check_close("SpTTM", &got, &self.reference, 1e-9)
     }
 }

@@ -11,15 +11,12 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::{CooTensor, CsfTensor};
 
 use crate::data::{partition_flat, CsfOnSim, DenseOnSim};
 use crate::util::{check_close, fold_deps};
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 const S_ROOT: u16 = 220;
 const S_JPTR: u16 = 221;
@@ -33,19 +30,6 @@ const S_I_BR: u16 = 228;
 
 const CB_KI: u32 = 0;
 const CB_FIB_END: u32 = 1;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptr0: Arc<Vec<u32>>,
-    ptr1: Arc<Vec<u32>>,
-    idx2: Arc<Vec<u32>>,
-    ptr0_r: Region,
-    ptr1_r: Region,
-    idx2_r: Region,
-    vals_r: Region,
-    b_r: Region,
-    z_r: Region,
-}
 
 /// An SpTTV workload bound to the simulator.
 #[derive(Debug)]
@@ -116,36 +100,23 @@ impl Spttv {
     /// Functional TMU execution (8 shards, 8 lanes): per-fiber sums in
     /// CSF fiber order, exactly as the callback handler computes them.
     pub fn functional(&self) -> Vec<f64> {
-        let mut got = Vec::new();
-        for &range in &self.shards(8) {
-            let prog = Arc::new(self.build_program(range, 8));
-            let first_fiber = self.t.ptrs[0][range.0] as usize;
-            let mut handler = SpttvHandler::new(self.z_r, first_fiber);
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            got.extend(handler.z);
-        }
-        got
-    }
-
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptr0: Arc::clone(&self.t.ptrs[0]),
-            ptr1: Arc::clone(&self.t.ptrs[1]),
-            idx2: Arc::clone(&self.t.idxs[2]),
-            ptr0_r: self.t.ptrs_r[0],
-            ptr1_r: self.t.ptrs_r[1],
-            idx2_r: self.t.idxs_r[2],
-            vals_r: self.t.vals_r,
-            b_r: self.b.region,
-            z_r: self.z_r,
-        }
+        run_functional(&self.image, &self.shards(8), |_, roots| {
+            self.engine(roots, 8)
+        })
+        .into_iter()
+        .flat_map(|h| h.z)
+        .collect()
     }
 
     fn shards(&self, cores: usize) -> Vec<(usize, usize)> {
         partition_flat(self.t.idxs[0].len(), cores)
+    }
+
+    /// The Table 4 mapping of a root-node shard.
+    fn engine(&self, roots: (usize, usize), lanes: usize) -> (Program, SpttvHandler) {
+        let first_fiber = self.t.ptrs[0][roots.0] as usize;
+        let handler = SpttvHandler::new(self.z_r, first_fiber);
+        (self.build_program(roots, lanes), handler)
     }
 
     /// Builds the Table 4 SpTTV TMU program for a root-node range.
@@ -183,32 +154,33 @@ impl Spttv {
     }
 }
 
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize), vl: usize) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, w: &Spttv, roots: (usize, usize), vl: usize) {
     let (n0, n1) = roots;
+    let t = &w.t;
     for n in n0..n1 {
-        let r0 = m.load(Site(S_ROOT), ctx.ptr0_r.u32_at(n), 4, Deps::NONE);
-        let r1 = m.load(Site(S_ROOT), ctx.ptr0_r.u32_at(n + 1), 4, Deps::NONE);
-        let (jb, je) = (ctx.ptr0[n] as usize, ctx.ptr0[n + 1] as usize);
+        let r0 = m.load(Site(S_ROOT), t.ptrs_r[0].u32_at(n), 4, Deps::NONE);
+        let r1 = m.load(Site(S_ROOT), t.ptrs_r[0].u32_at(n + 1), 4, Deps::NONE);
+        let (jb, je) = (t.ptrs[0][n] as usize, t.ptrs[0][n + 1] as usize);
         for jn in jb..je {
-            let q0 = m.load(Site(S_JPTR), ctx.ptr1_r.u32_at(jn), 4, Deps::on(&[r0, r1]));
+            let q0 = m.load(Site(S_JPTR), t.ptrs_r[1].u32_at(jn), 4, Deps::on(&[r0, r1]));
             let q1 = m.load(
                 Site(S_JPTR),
-                ctx.ptr1_r.u32_at(jn + 1),
+                t.ptrs_r[1].u32_at(jn + 1),
                 4,
                 Deps::on(&[r0, r1]),
             );
-            let (kb, ke) = (ctx.ptr1[jn] as usize, ctx.ptr1[jn + 1] as usize);
+            let (kb, ke) = (t.ptrs[1][jn] as usize, t.ptrs[1][jn + 1] as usize);
             let mut sum = OpId::NONE;
             let mut p = kb;
             while p < ke {
                 let nn = (ke - p).min(vl);
                 let bounds = Deps::on(&[q0, q1]);
-                let kv = m.vec_load(Site(S_KIDX), ctx.idx2_r.u32_at(p), (nn * 4) as u32, bounds);
-                let vv = m.vec_load(Site(S_KVAL), ctx.vals_r.f64_at(p), (nn * 8) as u32, bounds);
+                let kv = m.vec_load(Site(S_KIDX), t.idxs_r[2].u32_at(p), (nn * 4) as u32, bounds);
+                let vv = m.vec_load(Site(S_KVAL), t.vals_r.f64_at(p), (nn * 8) as u32, bounds);
                 let mut prods = Vec::with_capacity(nn + 2);
                 for e in 0..nn {
-                    let k = ctx.idx2[p + e] as usize;
-                    prods.push(m.load(Site(S_GATHER), ctx.b_r.f64_at(k), 8, Deps::from(kv)));
+                    let k = t.idxs[2][p + e] as usize;
+                    prods.push(m.load(Site(S_GATHER), w.b.region.f64_at(k), 8, Deps::from(kv)));
                 }
                 prods.push(vv);
                 if sum.is_some() {
@@ -219,7 +191,7 @@ fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, roots: (usize, usize
                 p += nn;
                 m.branch(Site(S_K_BR), p < ke, bounds);
             }
-            m.store(Site(S_STORE), ctx.z_r.f64_at(jn), 8, Deps::from(sum));
+            m.store(Site(S_STORE), w.z_r.f64_at(jn), 8, Deps::from(sum));
             m.branch(Site(S_J_BR), jn + 1 < je, Deps::NONE);
         }
         m.branch(Site(S_I_BR), n + 1 < n1, Deps::NONE);
@@ -288,27 +260,16 @@ impl Workload for Spttv {
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
-        let shards = self.shards(cfg.cores());
         let vl = cfg.core.sve_lanes();
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range, vl)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &self.shards(cfg.cores()), |m, _, roots| {
+            emit_baseline(m, self, roots, vl)
+        })
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = self.shards(cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            let first_fiber = self.t.ptrs[0][range.0] as usize;
-            let handler = SpttvHandler::new(self.z_r, first_fiber);
-            (self.build_program(range, tmu.lanes), handler)
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, roots| {
+            self.engine(roots, tmu.lanes)
         })
     }
 

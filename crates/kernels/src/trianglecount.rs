@@ -19,14 +19,11 @@ use tmu::{
     CallbackHandler, Event, LayerMode, MemImage, OutQEntry, Program, ProgramBuilder, StreamTy,
     TmuConfig,
 };
-use tmu_sim::{
-    AddressMap, ChannelMachine, Deps, Machine, OpId, Region, RunStats, Site, System, SystemConfig,
-    VecMachine,
-};
+use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
 use tmu_tensor::{CooMatrix, CsrMatrix};
 
 use crate::data::{partition_rows, CsrOnSim};
-use crate::workload::{run_engines, KernelKind, TmuRun, Workload};
+use crate::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
 
 const S_PTR: u16 = 180;
 const S_JIDX: u16 = 181;
@@ -38,14 +35,6 @@ const S_K_BR: u16 = 186;
 const S_I_BR: u16 = 187;
 
 const CB_MATCH: u32 = 0;
-
-#[derive(Debug, Clone)]
-struct Ctx {
-    ptrs: Arc<Vec<u32>>,
-    idxs: Arc<Vec<u32>>,
-    ptrs_r: Region,
-    idxs_r: Region,
-}
 
 /// A triangle-counting workload bound to the simulator.
 #[derive(Debug)]
@@ -102,13 +91,9 @@ impl TriangleCount {
         self.outq_r[core].base
     }
 
-    fn ctx(&self) -> Ctx {
-        Ctx {
-            ptrs: Arc::clone(&self.l.ptrs),
-            idxs: Arc::clone(&self.l.idxs),
-            ptrs_r: self.l.ptrs_r,
-            idxs_r: self.l.idxs_r,
-        }
+    /// The conjunctive-merge mapping of a row shard.
+    fn engine(&self, rows: (usize, usize)) -> (Program, TcHandler) {
+        (self.build_program(rows), TcHandler::default())
     }
 
     /// Builds the Table 4 TriangleCount TMU program for a row range.
@@ -147,31 +132,26 @@ impl TriangleCount {
 }
 
 /// Two-pointer intersection baseline for a row shard.
-fn emit_baseline<M: Machine + ?Sized>(m: &mut M, ctx: &Ctx, rows: (usize, usize)) {
+fn emit_baseline<M: Machine + ?Sized>(m: &mut M, l: &CsrOnSim, rows: (usize, usize)) {
     let (r0, r1) = rows;
     for i in r0..r1 {
-        let ip0 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i), 4, Deps::NONE);
-        let ip1 = m.load(Site(S_PTR), ctx.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
-        let (ibeg, iend) = (ctx.ptrs[i] as usize, ctx.ptrs[i + 1] as usize);
+        let ip0 = m.load(Site(S_PTR), l.ptrs_r.u32_at(i), 4, Deps::NONE);
+        let ip1 = m.load(Site(S_PTR), l.ptrs_r.u32_at(i + 1), 4, Deps::NONE);
+        let (ibeg, iend) = (l.ptrs[i] as usize, l.ptrs[i + 1] as usize);
         for p in ibeg..iend {
-            let jld = m.load(Site(S_JIDX), ctx.idxs_r.u32_at(p), 4, Deps::on(&[ip0, ip1]));
-            let j = ctx.idxs[p] as usize;
-            let jp0 = m.load(Site(S_JPTR), ctx.ptrs_r.u32_at(j), 4, Deps::from(jld));
-            let jp1 = m.load(Site(S_JPTR), ctx.ptrs_r.u32_at(j + 1), 4, Deps::from(jld));
+            let jld = m.load(Site(S_JIDX), l.idxs_r.u32_at(p), 4, Deps::on(&[ip0, ip1]));
+            let j = l.idxs[p] as usize;
+            let jp0 = m.load(Site(S_JPTR), l.ptrs_r.u32_at(j), 4, Deps::from(jld));
+            let jp1 = m.load(Site(S_JPTR), l.ptrs_r.u32_at(j + 1), 4, Deps::from(jld));
             let (mut a, enda) = (ibeg, iend);
-            let (mut bq, endb) = (ctx.ptrs[j] as usize, ctx.ptrs[j + 1] as usize);
+            let (mut bq, endb) = (l.ptrs[j] as usize, l.ptrs[j + 1] as usize);
             // Two-pointer merge: each step loads both heads and takes two
             // data-dependent branches.
             while a < enda && bq < endb {
-                let ha = m.load(Site(S_AHEAD), ctx.idxs_r.u32_at(a), 4, Deps::NONE);
-                let hb = m.load(
-                    Site(S_BHEAD),
-                    ctx.idxs_r.u32_at(bq),
-                    4,
-                    Deps::on(&[jp0, jp1]),
-                );
-                let ka = ctx.idxs[a];
-                let kb = ctx.idxs[bq];
+                let ha = m.load(Site(S_AHEAD), l.idxs_r.u32_at(a), 4, Deps::NONE);
+                let hb = m.load(Site(S_BHEAD), l.idxs_r.u32_at(bq), 4, Deps::on(&[jp0, jp1]));
+                let ka = l.idxs[a];
+                let kb = l.idxs[bq];
                 m.branch(Site(S_CMP), ka < kb, Deps::on(&[ha, hb]));
                 m.branch(Site(S_CMP), ka > kb, Deps::on(&[ha, hb]));
                 if ka == kb {
@@ -239,37 +219,20 @@ impl Workload for TriangleCount {
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {
         let shards = partition_rows(&self.l.ptrs, cfg.cores());
-        let ctx = self.ctx();
-        let mut sys = System::new(cfg);
-        sys.run(
-            shards
-                .into_iter()
-                .map(|range| {
-                    let ctx = ctx.clone();
-                    move |m: &mut ChannelMachine| emit_baseline(m, &ctx, range)
-                })
-                .collect(),
-        )
+        run_cores(cfg, &shards, |m, _, rows| emit_baseline(m, &self.l, rows))
     }
 
     fn run_tmu(&self, cfg: SystemConfig, tmu: TmuConfig) -> TmuRun {
         let shards = partition_rows(&self.l.ptrs, cfg.cores());
-        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, range| {
-            (self.build_program(range), TcHandler::default())
+        run_engines(cfg, tmu, &self.image, &self.outq_r, &shards, |_, rows| {
+            self.engine(rows)
         })
     }
 
     fn verify(&self) -> Result<(), String> {
-        let mut count = 0u64;
-        for &range in &partition_rows(&self.l.ptrs, 8) {
-            let prog = Arc::new(self.build_program(range));
-            let mut handler = TcHandler::default();
-            let mut vm = VecMachine::new();
-            tmu::for_each_entry(&prog, &self.image, |e| {
-                handler.handle(e, OpId::NONE, &mut vm);
-            });
-            count += handler.count;
-        }
+        let shards = partition_rows(&self.l.ptrs, 8);
+        let handlers = run_functional(&self.image, &shards, |_, rows| self.engine(rows));
+        let count: u64 = handlers.iter().map(|h| h.count).sum();
         if count == self.reference {
             Ok(())
         } else {

@@ -1,14 +1,27 @@
-//! The [`Workload`] abstraction used by the benchmark harness.
+//! The [`Workload`] abstraction used by the benchmark harness, and the
+//! runners every kernel derives its runs from.
 //!
 //! Every evaluated kernel packages its input data, its vectorized software
 //! baseline (the TACO-style implementations of §6), and its TMU mapping
 //! (Table 4) behind this trait so the figure harnesses can sweep
 //! kernels × inputs × configurations uniformly.
+//!
+//! A kernel is its bindings, a shard list, an op-stream emitter, and one
+//! engine mapping: a function from a shard to its `(Program, handler)`
+//! pair. The runners here derive everything else. [`run_cores`] (and
+//! `run_cores_imp`, with the IMP prefetcher) replays the emitter with
+//! shard `i` on core `i`; [`run_engines`] times the mapping on one engine
+//! per core; `run_functional` executes it through the functional
+//! interpreter for `functional` and `verify`. `System::run` spawns its
+//! shards inside `std::thread::scope`, so an emitter borrows the
+//! workload's own data instead of capturing an `Arc`-cloned copy of it.
 
 use std::sync::Arc;
 
 use tmu::{CallbackHandler, MemImage, OutQStats, Program, TmuAccelerator, TmuConfig};
-use tmu_sim::{Accelerator, Region, RunStats, System, SystemConfig};
+use tmu_sim::{
+    Accelerator, ChannelMachine, OpId, Region, RunStats, System, SystemConfig, VecMachine,
+};
 
 /// The paper's workload categories (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -76,6 +89,78 @@ pub fn run_engines<S: Copy, H: CallbackHandler + 'static>(
         .map(|h| h.lock().expect("stats").clone())
         .collect();
     TmuRun { stats, outq }
+}
+
+/// Replays `emit(machine, core, shard)` for every shard on a fresh `cfg`
+/// system, shard `i` on core `i`.
+pub fn run_cores<S: Copy + Send>(
+    cfg: SystemConfig,
+    shards: &[S],
+    emit: impl Fn(&mut ChannelMachine, usize, S) + Sync,
+) -> RunStats {
+    run_on_cores(cfg, shards, emit, false)
+}
+
+/// [`run_cores`] with the Indirect Memory Prefetcher attached to every
+/// core (§7.3, Figure 15).
+pub(crate) fn run_cores_imp<S: Copy + Send>(
+    cfg: SystemConfig,
+    shards: &[S],
+    emit: impl Fn(&mut ChannelMachine, usize, S) + Sync,
+) -> RunStats {
+    run_on_cores(cfg, shards, emit, true)
+}
+
+fn run_on_cores<S: Copy + Send>(
+    cfg: SystemConfig,
+    shards: &[S],
+    emit: impl Fn(&mut ChannelMachine, usize, S) + Sync,
+    imp: bool,
+) -> RunStats {
+    let emit = &emit;
+    let streams: Vec<_> = shards
+        .iter()
+        .enumerate()
+        .map(|(core, &shard)| move |m: &mut ChannelMachine| emit(m, core, shard))
+        .collect();
+    let mut sys = System::new(cfg);
+    if imp {
+        sys.run_with_imp(streams)
+    } else {
+        sys.run(streams)
+    }
+}
+
+/// Executes one engine mapping per shard through the functional
+/// interpreter: `build(core, shard)` supplies the program and the handler
+/// that consumes its outQ entries. Returns the handlers in shard order.
+pub(crate) fn run_functional<S: Copy, H: CallbackHandler>(
+    image: &Arc<MemImage>,
+    shards: &[S],
+    mut build: impl FnMut(usize, S) -> (Program, H),
+) -> Vec<H> {
+    shards
+        .iter()
+        .enumerate()
+        .map(|(core, &shard)| {
+            let (program, mut handler) = build(core, shard);
+            let mut vm = VecMachine::new();
+            tmu::for_each_entry(&Arc::new(program), image, |e| {
+                handler.handle(e, OpId::NONE, &mut vm);
+            });
+            handler
+        })
+        .collect()
+}
+
+/// Adds a sequential phase (a barrier-separated run on a fresh system)
+/// into `acc`: cycles, DRAM traffic and per-core counts.
+pub(crate) fn add_phase(acc: &mut RunStats, phase: &RunStats) {
+    acc.cycles += phase.cycles;
+    acc.dram_bytes += phase.dram_bytes;
+    for (a, p) in acc.cores.iter_mut().zip(&phase.cores) {
+        a.merge(p);
+    }
 }
 
 /// A benchmarkable kernel instance (kernel + bound input).

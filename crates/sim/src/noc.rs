@@ -73,16 +73,6 @@ impl Mesh {
         self.hop_cycles.set(self.hop_cycles.get() + cycles);
         cycles
     }
-
-    /// Average round-trip latency from `core` over all slices (used when a
-    /// component is modeled without a concrete slice target).
-    pub fn avg_round_trip(&self, core: usize) -> u64 {
-        let n = self.slice_nodes.len() as u64;
-        let total: u64 = (0..self.slice_nodes.len())
-            .map(|s| self.round_trip(core, s))
-            .sum();
-        total / n.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +96,5 @@ mod tests {
         // Core 0 at (0,0); slice 0 at (1,0) → 1 hop; slice 7 at (2,3) → 5.
         assert!(mesh.round_trip(0, 0) < mesh.round_trip(0, 7));
         assert_eq!(mesh.round_trip(0, 0), 4); // 2 × (1+1) × 1
-    }
-
-    #[test]
-    fn avg_round_trip_is_bounded() {
-        let mesh = Mesh::mesh4x4(8, 8);
-        for c in 0..8 {
-            let avg = mesh.avg_round_trip(c);
-            assert!((4..=24).contains(&avg), "core {c}: avg {avg}");
-        }
     }
 }

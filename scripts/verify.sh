@@ -25,6 +25,14 @@ trap 'rm -rf "$smoke_dir"' EXIT
 echo "== trace bin: one traced SpMV run, self-validated Chrome export =="
 (cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/trace" spmv rmat tmu)
 
+echo "== figure harness: every table and figure at reduced scale =="
+# The figure bins are the only callers in this gate of the single-lane
+# and IMP runs (Fig. 15), the A64FX- and Graviton-like machines (Fig. 3),
+# the fixed-row inputs (Fig. 12c) and the SVE-width sweep (Fig. 14).
+# all_figures runs them all (177 simulations) and exits nonzero if any
+# job fails.
+(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/all_figures")
+
 echo "== fault model: differential resume suite + panic-free grid smoke =="
 # clippy above already denies unwrap_used in sim/core (the #![warn] in
 # each crate root is promoted by -D warnings); these run the resilience
