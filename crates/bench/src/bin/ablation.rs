@@ -21,7 +21,8 @@ use tmu_tensor::gen;
 
 fn engine_cycles(w: &Spmv, prog: Arc<tmu::Program>, cfg: TmuConfig) -> u64 {
     let handler = SpmvHandler::new(w.x_region(), 0);
-    let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0));
+    let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0))
+        .expect("SpMV fits the engine");
     drive_standalone(&mut accel, 100_000_000).expect("engine must terminate")
 }
 

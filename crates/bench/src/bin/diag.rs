@@ -27,7 +27,8 @@ fn run() {
         .unwrap_or(16 << 10);
     let cfg = TmuConfig::paper().with_total_storage(storage);
     let handler = SpmvHandler::new(w.x_region(), 0);
-    let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0));
+    let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0))
+        .expect("SpMV fits the engine");
     eprintln!("queue depths: {:?}", accel.queue_depths());
     let Ok(now) = drive_standalone(&mut accel, 100_000_000) else {
         println!("engine probe: TIMEOUT");

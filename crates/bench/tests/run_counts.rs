@@ -89,9 +89,10 @@ fn check(got: &[String], want: &str) {
 
 // The boolean says whether a workload also runs single-lane. The merge
 // mappings (SpMSpV, TC, SpTC, the disjunctive sum) merge two lanes'
-// fibers and need two lanes. SpKAdd's program takes one matrix per lane,
-// so one lane would sum only the first matrix. The lowered SpMV
-// expression's handler panics on its one-lane operands.
+// fibers and need two lanes, and SpKAdd's program takes one lane per
+// input matrix (eight); a one-lane engine refuses all of them with
+// `TmuError::LanesExceeded`. The lowered SpMV expression's handler
+// panics on its one-lane operands.
 
 #[test]
 fn matrix_kernel_runs_are_pinned() {

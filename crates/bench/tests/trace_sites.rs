@@ -148,7 +148,7 @@ fn every_instrumented_layer_fires_in_the_default_build() {
     let (wedge, _) = traced(&mut seen, || {
         let mut sys = System::new(cfg);
         sys.set_watchdog(500);
-        sys.try_run_accelerated(vec![Box::new(Wedged) as Box<dyn Accelerator>])
+        sys.run_accelerated(&mut [Wedged])
     });
     assert!(matches!(wedge, Err(SimError::Watchdog { .. })), "{wedge:?}");
 

@@ -92,18 +92,9 @@ impl TmuConfig {
     /// amount of data each layer loads (estimable from nnz-per-fiber
     /// statistics). `streams_per_layer[l]` is how many streams the layer's
     /// TUs instantiate. Returns per-layer queue depths **in elements per
-    /// stream** (each at least 2 so the FSMs can double-buffer).
-    pub fn size_queues(&self, weights: &[f64], streams_per_layer: &[usize]) -> Vec<usize> {
-        match self.try_size_queues(weights, streams_per_layer) {
-            Ok(depths) => depths,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`TmuConfig::size_queues`]: rejects mismatched
-    /// `weights`/`streams_per_layer` lengths with a typed error instead of
-    /// panicking.
-    pub fn try_size_queues(
+    /// stream** (each at least 2 so the FSMs can double-buffer), or a typed
+    /// error when `weights` and `streams_per_layer` differ in length.
+    pub fn size_queues(
         &self,
         weights: &[f64],
         streams_per_layer: &[usize],
@@ -170,7 +161,9 @@ mod tests {
     #[test]
     fn queue_sizing_respects_weights() {
         let cfg = TmuConfig::paper(); // 256 elements/lane
-        let depths = cfg.size_queues(&[1.0, 15.0], &[2, 4]);
+        let depths = cfg
+            .size_queues(&[1.0, 15.0], &[2, 4])
+            .expect("one weight per layer");
         // Layer 1 loads 15× the data: it must get much deeper queues.
         assert!(depths[1] > depths[0]);
         // Inner layer: 256 × (15/16) / 4 = 60.
@@ -181,7 +174,9 @@ mod tests {
     #[test]
     fn queue_sizing_has_floor() {
         let cfg = TmuConfig::paper().with_total_storage(512); // 8 elems/lane
-        let depths = cfg.size_queues(&[1.0, 1.0, 1.0, 1.0], &[4, 4, 4, 4]);
+        let depths = cfg
+            .size_queues(&[1.0, 1.0, 1.0, 1.0], &[4, 4, 4, 4])
+            .expect("one weight per layer");
         assert!(depths.iter().all(|&d| d >= 2));
     }
 }

@@ -99,24 +99,11 @@ impl ContextSnapshot {
     }
 
     /// Restores an interpreter positioned exactly after
-    /// `steps_completed` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's step count exceeds the program length.
-    pub fn restore(&self, image: Arc<MemImage>) -> Interp {
-        match self.try_restore(image) {
-            Ok(interp) => interp,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`ContextSnapshot::restore`]: a corrupt
-    /// snapshot (step count past the end of the program) is reported as a
-    /// typed error instead of a panic. Starts from the checkpoint when it
-    /// lies at or before `steps_completed`, else from step 0, and replays
-    /// the steps in between.
-    pub fn try_restore(&self, image: Arc<MemImage>) -> Result<Interp, TmuError> {
+    /// `steps_completed` steps. A corrupt snapshot (step count past the
+    /// end of the program) is a typed error. Starts from the checkpoint
+    /// when it lies at or before `steps_completed`, else from step 0, and
+    /// replays the steps in between.
+    pub fn restore(&self, image: Arc<MemImage>) -> Result<Interp, TmuError> {
         tmu_trace::with(|t| {
             let c = t.component("system.tmu.ctx");
             t.event(
@@ -186,7 +173,7 @@ mod tests {
             prefix.extend(s.entries);
         }
         let snap = ContextSnapshot::save(TmuConfig::paper(), &prog, 5, prefix.len() as u64);
-        let mut restored = snap.restore(Arc::clone(&image));
+        let mut restored = snap.restore(Arc::clone(&image)).expect("restores");
         let mut suffix = Vec::new();
         while let Some(s) = restored.next_step() {
             suffix.extend(s.entries);

@@ -1,10 +1,17 @@
 //! Typed TMU engine errors.
 //!
-//! The engine's historical entry points panic on malformed configurations,
-//! programs, or images; each now has a `try_*` twin returning one of these
-//! variants so harnesses (and the graceful-degradation path) can react
-//! instead of dying. The panicking wrappers format the same variants, so
-//! messages are unchanged.
+//! Engine construction, queue sizing and context restore return one of
+//! these variants on a malformed configuration, program or snapshot, so
+//! harnesses (and the graceful-degradation path) can react instead of
+//! dying. Two reads keep a panicking form: [`MemImage::read_index`] and
+//! [`MemImage::read_bits`]. The functional interpreter calls them for
+//! every element and [`Interp::next_step`] cannot fail, so an unbound or
+//! misaligned read there is a program bug; their `try_*` twins return
+//! the same variants, and the panic message formats them.
+//!
+//! [`MemImage::read_index`]: crate::MemImage::read_index
+//! [`MemImage::read_bits`]: crate::MemImage::read_bits
+//! [`Interp::next_step`]: crate::Interp::next_step
 
 use std::fmt;
 

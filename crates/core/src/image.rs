@@ -138,26 +138,6 @@ impl MemImage {
             Backing::F64(v) => v[i].to_bits(),
         })
     }
-
-    /// Element width in bytes of the binding containing `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is unbound.
-    pub fn elem_bytes(&self, addr: u64) -> u64 {
-        match self.try_elem_bytes(addr) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`MemImage::elem_bytes`].
-    pub fn try_elem_bytes(&self, addr: u64) -> Result<u64, TmuError> {
-        Ok(self
-            .find(addr)
-            .ok_or(TmuError::UnboundAddress { addr })?
-            .elem)
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +155,6 @@ mod tests {
         image.bind_f64(val_region, Arc::new(vec![1.5, 2.5, 3.5, 4.5]));
         assert_eq!(image.read_index(idx_region.u32_at(2)), 7);
         assert_eq!(f64::from_bits(image.read_bits(val_region.f64_at(1))), 2.5);
-        assert_eq!(image.elem_bytes(idx_region.base), 4);
     }
 
     #[test]
@@ -203,7 +182,6 @@ mod tests {
                 elem: 8
             })
         );
-        assert_eq!(image.try_elem_bytes(r.base), Ok(8));
     }
 
     #[test]

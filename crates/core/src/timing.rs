@@ -18,7 +18,7 @@
 //!   this coupling is what the Figure 13 read-to-write ratio measures.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu_sim::{
     Accelerator, Deps, FaultKind, FaultPlan, FaultStats, Machine, MemSys, Op, OpId, OpKind, Site,
@@ -263,8 +263,6 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     /// architectural context left in a [`ContextSnapshot`]; the engine
     /// shell only drains its already-synthesized host ops.
     parked: bool,
-    /// Owning tenant (outQ chunk tag; 0 for single-tenant runs).
-    tenant: u32,
     qdepth: Vec<usize>,
     tus: Vec<Vec<TuTiming>>,
     ready: ReadyRing,
@@ -284,7 +282,10 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     acked: u32,
     vm: VecMachine,
     host_ops: VecDeque<Op>,
-    stats: Arc<Mutex<OutQStats>>,
+    /// The outQ statistics, owning tenant included. The fault counters and
+    /// the retirement reason are filled in from `faults` and `retired`
+    /// when the stats are read.
+    stats: OutQStats,
     outq_site: Site,
     /// Diagnostic counters: (cycles with no issue while work pending,
     /// capacity-blocked picks, dep-blocked picks, gate-blocked step waits).
@@ -311,26 +312,9 @@ impl<H: CallbackHandler> std::fmt::Debug for TmuAccelerator<H> {
 impl<H: CallbackHandler> TmuAccelerator<H> {
     /// Builds an engine for `program` over `image`, marshaling into an
     /// outQ at `outq_base` (a per-core region in the host address space).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program uses more lanes than the configuration has.
+    /// A program using more lanes than the configuration has is a typed
+    /// error.
     pub fn new(
-        cfg: TmuConfig,
-        program: Arc<Program>,
-        image: Arc<MemImage>,
-        handler: H,
-        outq_base: u64,
-    ) -> Self {
-        match Self::try_new(cfg, program, image, handler, outq_base) {
-            Ok(accel) => accel,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`TmuAccelerator::new`]: a program using more
-    /// lanes than the configuration has is a typed error, not a panic.
-    pub fn try_new(
         cfg: TmuConfig,
         program: Arc<Program>,
         image: Arc<MemImage>,
@@ -343,7 +327,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 lanes: cfg.lanes,
             });
         }
-        let qdepth = cfg.try_size_queues(&program.weights(), &program.streams_per_layer())?;
+        let qdepth = cfg.size_queues(&program.weights(), &program.streams_per_layer())?;
         let tus: Vec<Vec<TuTiming>> = program
             .layers
             .iter()
@@ -366,7 +350,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             outq_stall_until: 0,
             retired: None,
             parked: false,
-            tenant: 0,
             qdepth,
             tus,
             ready: ReadyRing::default(),
@@ -383,7 +366,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             acked: 0,
             vm: VecMachine::new(),
             host_ops: VecDeque::new(),
-            stats: Arc::new(Mutex::new(OutQStats::default())),
+            stats: OutQStats::default(),
             outq_site: Site(u16::MAX),
             debug_counters: [0; 4],
             sleep: Sleep::default(),
@@ -412,16 +395,22 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         &self.qdepth
     }
 
-    /// Shared handle to the engine's outQ statistics. Clone it before
-    /// boxing the accelerator into [`tmu_sim::System::run_accelerated`];
-    /// it stays readable after the run.
-    pub fn stats_handle(&self) -> Arc<Mutex<OutQStats>> {
-        Arc::clone(&self.stats)
+    /// A copy of the outQ statistics so far.
+    pub fn stats(&self) -> OutQStats {
+        self.settle(self.stats.clone())
     }
 
-    /// Snapshot of the current outQ statistics.
-    pub fn stats(&self) -> OutQStats {
-        self.stats.lock().expect("stats poisoned").clone()
+    /// `stats` with the fault plan's counters and the retirement reason,
+    /// which the engine keeps in `faults` and `retired` and writes only
+    /// into the statistics it hands out.
+    fn settle(&self, mut stats: OutQStats) -> OutQStats {
+        if let Some(plan) = self.faults.as_ref() {
+            stats.faults = plan.stats;
+        }
+        if let Some(err) = self.retired.as_ref() {
+            stats.retired = Some(err.to_string());
+        }
+        stats
     }
 
     /// The callback handler (for reading back results it accumulated).
@@ -453,17 +442,16 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     }
 
     /// Tags this engine's outQ with an owning tenant id. The tag rides in
-    /// every [`ContextSnapshot`] taken from the engine and in the shared
+    /// every [`ContextSnapshot`] taken from the engine and in its
     /// [`OutQStats`], so a scheduler multiplexing many jobs can attribute
     /// marshaled chunks to the job that produced them.
     pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = tenant;
-        self.stats.lock().expect("stats poisoned").tenant = tenant;
+        self.stats.tenant = tenant;
     }
 
     /// The owning tenant id (0 unless [`TmuAccelerator::set_tenant`] ran).
     pub fn tenant(&self) -> u32 {
-        self.tenant
+        self.stats.tenant
     }
 
     /// Traversal-group steps committed so far (the precise quiesce
@@ -482,10 +470,13 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     }
 
     /// Consumes the engine shell, returning the callback handler — the
-    /// host-software half of the job, which an external scheduler moves
-    /// onto the next engine incarnation at [`TmuAccelerator::resume_from`].
-    pub fn into_handler(self) -> H {
-        self.handler
+    /// host-software half of the job — and the outQ statistics. An
+    /// external scheduler moves both onto the next engine incarnation at
+    /// [`TmuAccelerator::resume_from`].
+    pub fn into_parts(mut self) -> (H, OutQStats) {
+        let stats = std::mem::take(&mut self.stats);
+        let stats = self.settle(stats);
+        (self.handler, stats)
     }
 
     /// Externally deschedules the engine (§5.6, scheduler-driven): drains
@@ -532,52 +523,55 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// [`TmuAccelerator::quiesce`].
     ///
     /// Restores the interpreter to the saved step count (from the
-    /// snapshot's checkpoint, see [`ContextSnapshot::try_restore`]) and
+    /// snapshot's checkpoint, see [`ContextSnapshot::restore`]) and
     /// reads off it the per-TU committed-consumption ordinals the §5.5
     /// capacity check is keyed on; loads of already-committed steps read
     /// as ready. The outQ control registers resume from the snapshot: the
     /// next chunk id continues the sealed sequence (the consumer drained
     /// every sealed chunk before the switch completed, so the
     /// double-buffer gate opens fully). Pass the descheduled engine's
-    /// [`stats_handle`] as `stats` so entry counts and per-chunk timings
-    /// accumulate across incarnations — chunk ids then stay aligned with
-    /// the shared `chunks` vector.
+    /// statistics (from [`TmuAccelerator::into_parts`]) as `stats` so entry
+    /// counts and per-chunk timings accumulate across incarnations — chunk
+    /// ids then stay aligned with the `chunks` vector.
     ///
     /// A rate-based fault plan restarts its load counter (the plan is
     /// microarchitectural, not architectural state); scripted plans do not
     /// survive a switch.
-    ///
-    /// [`stats_handle`]: TmuAccelerator::stats_handle
     pub fn resume_from(
         snap: &ContextSnapshot,
         image: Arc<MemImage>,
         handler: H,
         outq_base: u64,
-        stats: Arc<Mutex<OutQStats>>,
+        stats: OutQStats,
     ) -> Result<Self, TmuError> {
-        let mut accel = Self::try_new(
+        let mut accel = Self::new(
             snap.config,
             Arc::clone(&snap.program),
             Arc::clone(&image),
             handler,
             outq_base,
         )?;
-        accel.restart_from(snap.try_restore(image)?);
-        accel.tenant = snap.tenant;
+        accel.restart_from(snap.restore(image)?);
         accel.chunk_id = snap.chunks_sealed;
         accel.acked = snap.chunks_sealed;
-        stats.lock().expect("stats poisoned").tenant = snap.tenant;
-        accel.stats = stats;
+        accel.stats = OutQStats {
+            tenant: snap.tenant,
+            ..stats
+        };
         Ok(accel)
     }
 
     /// The architectural context at the committed step, with the newest
     /// interpreter checkpoint at or before it.
     fn save_context(&self) -> ContextSnapshot {
-        let entries = self.stats.lock().expect("stats poisoned").entries;
-        ContextSnapshot::save(self.cfg, &self.program, self.steps_committed(), entries)
-            .with_outq(self.chunk_id, self.tenant)
-            .with_checkpoint(self.batcher.checkpoint().cloned())
+        ContextSnapshot::save(
+            self.cfg,
+            &self.program,
+            self.steps_committed(),
+            self.stats.entries,
+        )
+        .with_outq(self.chunk_id, self.stats.tenant)
+        .with_checkpoint(self.batcher.checkpoint().cloned())
     }
 
     /// Restarts the step stream from an interpreter restored to the
@@ -613,12 +607,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         let _ = self.vm.take();
         self.saved = None;
         self.trap_pending = None;
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        stats.retired = Some(err.to_string());
-        if let Some(plan) = self.faults.as_ref() {
-            stats.faults = plan.stats;
-        }
-        drop(stats);
         self.retired = Some(err);
     }
 
@@ -661,7 +649,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         let Some(snap) = self.saved.take() else {
             return;
         };
-        match snap.try_restore(Arc::clone(&self.image)) {
+        match snap.restore(Arc::clone(&self.image)) {
             Ok(interp) => self.restart_from(interp),
             Err(e) => {
                 // A corrupt snapshot cannot resume: degrade instead of
@@ -672,14 +660,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         }
         if let Some(plan) = self.faults.as_mut() {
             plan.stats.restores += 1;
-        }
-    }
-
-    /// Publishes the plan's counters into the shared stats (fault runs
-    /// only; fault-free runs never touch this path).
-    fn publish_fault_stats(&mut self) {
-        if let Some(plan) = self.faults.as_ref() {
-            self.stats.lock().expect("stats poisoned").faults = plan.stats;
         }
     }
 
@@ -910,10 +890,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
     /// One cycle stalled on the double-buffer gate.
     fn charge_backpressure(&mut self, now: u64) {
-        self.stats
-            .lock()
-            .expect("stats poisoned")
-            .backpressure_cycles += 1;
+        self.stats.backpressure_cycles += 1;
         self.emit(
             now,
             tmu_trace::EventKind::OutQFull,
@@ -936,7 +913,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.handler.handle(entry, load, &mut self.vm);
         self.chunk_entries += 1;
         self.chunk_bytes += bytes.max(64);
-        self.stats.lock().expect("stats poisoned").entries += 1;
+        self.stats.entries += 1;
         self.emit(
             now,
             tmu_trace::EventKind::OutQPush,
@@ -958,16 +935,12 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             op.visible_at = visible;
         }
         self.host_ops.extend(ops);
-        self.stats
-            .lock()
-            .expect("stats poisoned")
-            .chunks
-            .push(ChunkStat {
-                open: self.chunk_open,
-                ready: visible,
-                ack: 0,
-                entries: self.chunk_entries,
-            });
+        self.stats.chunks.push(ChunkStat {
+            open: self.chunk_open,
+            ready: visible,
+            ack: 0,
+            entries: self.chunk_entries,
+        });
         self.emit(
             self.chunk_open,
             tmu_trace::EventKind::ChunkWrite,
@@ -1051,7 +1024,6 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
         if self.trap_pending.is_some() {
             self.take_trap(now);
         }
-        self.publish_fault_stats();
         // Nothing stirred and every deadline lies ahead: the tick was
         // quiet, and a fault-free engine sleeps until `wake`.
         if self.faults.is_some() || self.sleep.wake <= now {
@@ -1069,11 +1041,9 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
         self.acked = self.acked.max(chunk + 1);
         // The double-buffer gate is the engine's only external unblock.
         self.sleep.stir();
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        if let Some(stat) = stats.chunks.get_mut(chunk as usize) {
+        if let Some(stat) = self.stats.chunks.get_mut(chunk as usize) {
             stat.ack = now;
             let ready = stat.ready;
-            drop(stats);
             self.emit(
                 ready,
                 tmu_trace::EventKind::ChunkRead,
@@ -1233,7 +1203,8 @@ mod tests {
                 sum: 0.0,
             },
             outq_r.base,
-        );
+        )
+        .expect("the program fits the engine");
         (accel, reference)
     }
 
@@ -1244,7 +1215,7 @@ mod tests {
             core: CoreConfig::neoverse_n1_like(),
             mem: MemSysConfig::table5(1),
         });
-        let stats = sys.run_accelerated(vec![Box::new(accel)]);
+        let stats = sys.run_accelerated(&mut [accel]).expect("no wedge");
         assert!(stats.cycles > 0);
         assert!(stats.total().committed > 0);
         let _ = reference; // functional check exercised in the next test
@@ -1365,21 +1336,34 @@ mod tests {
         }
     }
 
+    /// Acks every chunk whose `ChunkEnd` the engine drained into `sink`,
+    /// and returns how many there were.
+    fn ack_drained(accel: &mut TmuAccelerator<SpmvHandler>, sink: &mut Vec<Op>, now: u64) -> usize {
+        accel.drain_ops(sink);
+        let mut chunk_ends = 0;
+        for op in sink.drain(..) {
+            if let OpKind::ChunkEnd { chunk } = op.kind {
+                accel.ack_chunk(chunk, now);
+                chunk_ends += 1;
+            }
+        }
+        chunk_ends
+    }
+
     #[test]
     fn external_quiesce_resume_is_bit_identical() {
         let (mut clean, reference) = spmv_accel(2);
         let (clean_x, clean_cycles) = drive_to_done(&mut clean);
         assert_eq!(clean_x.len(), reference.len());
         for quantum in [1u64, 113, 1009, 20_000] {
-            let (first, _) = spmv_accel(2);
-            let image = Arc::clone(&first.image);
-            let base = first.outq_base;
-            let stats = first.stats_handle();
-            let mut accel = first;
+            let (mut accel, _) = spmv_accel(2);
+            let image = Arc::clone(&accel.image);
+            let base = accel.outq_base;
             let mut mem = MemSys::new(MemSysConfig::table5(1));
             let mut now = 0u64;
             let mut sink = Vec::new();
             let mut switches = 0u64;
+            let mut chunk_ends = 0;
             loop {
                 // One scheduling quantum, extended until the engine has
                 // committed at least one step since resume (the progress
@@ -1390,13 +1374,7 @@ mod tests {
                 let until = now + quantum;
                 while !accel.done() && (now < until || accel.steps_committed() == resumed_at) {
                     accel.tick(now, 0, &mut mem);
-                    accel.drain_ops(&mut sink);
-                    for op in &sink {
-                        if let OpKind::ChunkEnd { chunk } = op.kind {
-                            accel.ack_chunk(chunk, now);
-                        }
-                    }
-                    sink.clear();
+                    chunk_ends += ack_drained(&mut accel, &mut sink, now);
                     now += 1;
                     assert!(now < 20_000_000, "quantum {quantum}: must terminate");
                 }
@@ -1405,24 +1383,14 @@ mod tests {
                 }
                 let snap = accel.quiesce(now, 0, &mut mem).expect("engine is live");
                 // Drain the sealed partial chunk's host ops, then move the
-                // handler (host-software state) to the next incarnation.
-                accel.drain_ops(&mut sink);
-                for op in &sink {
-                    if let OpKind::ChunkEnd { chunk } = op.kind {
-                        accel.ack_chunk(chunk, now);
-                    }
-                }
-                sink.clear();
+                // handler (host-software state) and the outQ statistics to
+                // the next incarnation.
+                chunk_ends += ack_drained(&mut accel, &mut sink, now);
                 assert!(accel.done(), "parked engine drains to done");
-                let handler = accel.into_handler();
-                accel = TmuAccelerator::resume_from(
-                    &snap,
-                    Arc::clone(&image),
-                    handler,
-                    base,
-                    Arc::clone(&stats),
-                )
-                .expect("snapshot restores");
+                let (handler, stats) = accel.into_parts();
+                accel =
+                    TmuAccelerator::resume_from(&snap, Arc::clone(&image), handler, base, stats)
+                        .expect("snapshot restores");
                 switches += 1;
             }
             assert_eq!(
@@ -1432,8 +1400,12 @@ mod tests {
             if quantum < clean_cycles / 2 {
                 assert!(switches > 0, "quantum {quantum} never switched");
             }
-            let st = stats.lock().expect("stats poisoned");
-            assert_eq!(st.entries, clean.stats().entries);
+            // The statistics moved with every incarnation: one chunk per
+            // `ChunkEnd` drained across all of them, and the clean run's
+            // entry count.
+            let st = accel.stats();
+            assert_eq!(st.chunks.len(), chunk_ends, "quantum {quantum}");
+            assert_eq!(st.entries, clean.stats().entries, "quantum {quantum}");
         }
     }
 
@@ -1490,7 +1462,7 @@ mod tests {
     fn full_system_speedup_structs_are_populated() {
         let (accel, _) = spmv_accel(8);
         let mut sys = System::new(configs::neoverse_n1_system());
-        let stats = sys.run_accelerated(vec![Box::new(accel)]);
+        let stats = sys.run_accelerated(&mut [accel]).expect("no wedge");
         let total = stats.total();
         assert!(total.loads > 0, "outQ reads must appear as core loads");
         assert!(total.flops > 0, "callback compute must run on the core");

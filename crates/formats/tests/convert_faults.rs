@@ -43,6 +43,7 @@ fn recorder_accel(conv: &CsrToBandedTmu, a: &CsrMatrix) -> TmuAccelerator<Record
         Recorder::default(),
         conv.outq_base(0),
     )
+    .expect("the conversion program fits the engine")
 }
 
 /// Drives the engine standalone against a private memory system (the

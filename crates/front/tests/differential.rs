@@ -195,7 +195,7 @@ fn spkadd_features_and_bits_match_across_grid() {
         // the terms, the same construction the kernel uses (K = 8).
         let w = ExprWorkload::new(SPKADD_EXPR, &a).expect("compiles");
         let out_rows = a.rows() / spkadd::K;
-        let hf = features(&hand.build_program((0, out_rows), 8));
+        let hf = features(&hand.build_program((0, out_rows)));
         let gf = features(&w.lowered(8).expect("lowers").program);
         assert_eq!(hf, gf, "SpKAdd/{name} features diverge");
         assert_eq!(gf.modes, vec![tmu::LayerMode::DisjMrg], "SpKAdd/{name}");

@@ -209,7 +209,7 @@ mod tests {
             ("SpMSpM", spmspm::Spmspm::new(&a).build_program((0, 64), 8)),
             (
                 "SpKAdd",
-                spkadd::Spkadd::new(&gen::uniform(64, 32, 3, 4)).build_program((0, 8), 8),
+                spkadd::Spkadd::new(&gen::uniform(64, 32, 3, 4)).build_program((0, 8)),
             ),
             (
                 "PageRank",

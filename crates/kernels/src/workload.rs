@@ -15,13 +15,18 @@
 //! interpreter for `functional` and `verify`. `System::run` spawns its
 //! shards inside `std::thread::scope`, so an emitter borrows the
 //! workload's own data instead of capturing an `Arc`-cloned copy of it.
+//! `System::run_accelerated` borrows its engines, so [`run_engines`] owns
+//! them and reads each engine's outQ stats after the run.
+//!
+//! The `System` runs and the engine constructor return typed errors.
+//! [`Workload::run_baseline`] and [`Workload::run_tmu`] return plain
+//! stats, so [`run_engines`] and the op-stream runners are the one place
+//! where such an error becomes a panic, carrying the error's message.
 
 use std::sync::Arc;
 
 use tmu::{CallbackHandler, MemImage, OutQStats, Program, TmuAccelerator, TmuConfig};
-use tmu_sim::{
-    Accelerator, ChannelMachine, OpId, Region, RunStats, System, SystemConfig, VecMachine,
-};
+use tmu_sim::{ChannelMachine, OpId, Region, RunStats, System, SystemConfig, VecMachine};
 
 /// The paper's workload categories (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -63,7 +68,12 @@ impl TmuRun {
 /// Runs one TMU engine per shard on a fresh `cfg` system: `build(core,
 /// shard)` supplies core `core`'s program and callback handler, and its
 /// engine writes the outQ at `outq[core]`.
-pub fn run_engines<S: Copy, H: CallbackHandler + 'static>(
+///
+/// # Panics
+///
+/// Panics with the typed error's message if an engine refuses its
+/// program (e.g. more lanes than `tmu` has) or the simulation fails.
+pub fn run_engines<S: Copy, H: CallbackHandler>(
     cfg: SystemConfig,
     tmu: TmuConfig,
     image: &Arc<MemImage>,
@@ -71,23 +81,20 @@ pub fn run_engines<S: Copy, H: CallbackHandler + 'static>(
     shards: &[S],
     mut build: impl FnMut(usize, S) -> (Program, H),
 ) -> TmuRun {
-    let mut handles = Vec::with_capacity(shards.len());
-    let accels = shards
+    let mut engines: Vec<TmuAccelerator<H>> = shards
         .iter()
         .enumerate()
         .map(|(core, &shard)| {
             let (program, handler) = build(core, shard);
             let base = outq[core].base;
-            let acc = TmuAccelerator::new(tmu, Arc::new(program), Arc::clone(image), handler, base);
-            handles.push(acc.stats_handle());
-            Box::new(acc) as Box<dyn Accelerator>
+            TmuAccelerator::new(tmu, Arc::new(program), Arc::clone(image), handler, base)
+                .unwrap_or_else(|e| panic!("{e}"))
         })
         .collect();
-    let stats = System::new(cfg).run_accelerated(accels);
-    let outq = handles
-        .iter()
-        .map(|h| h.lock().expect("stats").clone())
-        .collect();
+    let stats = System::new(cfg)
+        .run_accelerated(&mut engines)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let outq = engines.into_iter().map(|e| e.into_parts().1).collect();
     TmuRun { stats, outq }
 }
 
@@ -124,11 +131,12 @@ fn run_on_cores<S: Copy + Send>(
         .map(|(core, &shard)| move |m: &mut ChannelMachine| emit(m, core, shard))
         .collect();
     let mut sys = System::new(cfg);
-    if imp {
+    let run = if imp {
         sys.run_with_imp(streams)
     } else {
         sys.run(streams)
-    }
+    };
+    run.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Executes one engine mapping per shard through the functional

@@ -214,11 +214,7 @@ fn build_kernel(
         KernelKind::Spkadd => {
             let w = Spkadd::new(&gen::uniform(rows, rows, nnz_per_row, seed));
             let n = w.reference().rows();
-            (
-                w.build_program((0, n), SERVE_LANES),
-                w.image_handle(),
-                w.outq_base(0),
-            )
+            (w.build_program((0, n)), w.image_handle(), w.outq_base(0))
         }
         KernelKind::Spttv => {
             // Interpret `rows` as the cube dimension; keep it small so a

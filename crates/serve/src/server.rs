@@ -11,9 +11,11 @@
 //! Preemption is the §5.6 external context switch: the engine drains to
 //! its precise TG-step quiesce point ([`TmuAccelerator::quiesce`]), the
 //! slot flushes the sealed chunk's host ops, and the architectural
-//! context parks in the tenant's queue. Resumption rebuilds an engine
-//! from the snapshot ([`TmuAccelerator::resume_from`]) with the same
-//! callback handler, so the job's digest spans incarnations.
+//! context parks in the tenant's queue together with the callback handler
+//! and the outQ stats, all moved out of the engine by value. Resumption
+//! rebuilds an engine from the snapshot ([`TmuAccelerator::resume_from`])
+//! with the same handler and stats, so the job's digest spans
+//! incarnations.
 //!
 //! One invariant the scheduler *must* uphold (documented on
 //! [`TmuAccelerator::steps_committed`]): never preempt a job before it
@@ -24,7 +26,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tmu::context::ContextSnapshot;
 use tmu::{OutQStats, TmuAccelerator, TmuConfig, TmuError};
@@ -203,19 +205,11 @@ impl From<TmuError> for ServeError {
     }
 }
 
-/// A parked job context: everything needed to resume on any slot.
+/// A parked job context: everything needed to resume on any slot. It
+/// owns its parts, so a durable checkpoint is a clone of one, and a
+/// restart after a crash resumes from exactly the checkpointed state.
+#[derive(Clone)]
 struct Parked {
-    snap: ContextSnapshot,
-    handler: DigestHandler,
-    stats: Arc<Mutex<OutQStats>>,
-}
-
-/// A durable job-level checkpoint: unlike [`Parked`] (whose stats handle
-/// is live and keeps mutating), a checkpoint owns a frozen *copy* of the
-/// outQ stats, so a restart after a crash resumes from exactly the
-/// checkpointed state — not from whatever the dead incarnation mutated
-/// afterwards.
-struct Checkpoint {
     snap: ContextSnapshot,
     handler: DigestHandler,
     stats: OutQStats,
@@ -259,7 +253,8 @@ struct Waiting {
     spec: JobSpec,
     work: Work,
     parked: Option<Parked>,
-    checkpoint: Option<Checkpoint>,
+    /// The durable restart point a fault retries from.
+    checkpoint: Option<Parked>,
     first_start: Option<u64>,
     service_cycles: u64,
     preemptions: u32,
@@ -481,7 +476,7 @@ impl Server {
                     let Work::App(app) = &mut waiting.work else {
                         unreachable!("matched above")
                     };
-                    app.handler = engine.into_handler();
+                    app.handler = engine.into_parts().0;
                     app.stage = None;
                     trace_event(
                         now,
@@ -603,9 +598,9 @@ impl Server {
 
             let progressed = run.engine.steps_committed() > run.resumed_at;
 
-            // Periodic checkpoint: quiesce, snapshot, freeze the outQ
-            // stats, and resume in place on the same slot. A later crash
-            // restarts the job from here instead of from scratch.
+            // Periodic checkpoint: park (which refreshes the durable
+            // restart point) and resume in place on the same slot. A later
+            // crash restarts the job from here instead of from scratch.
             if rcfg.checkpoint_every > 0
                 && run.waiting.since_ckpt >= rcfg.checkpoint_every
                 && progressed
@@ -614,26 +609,7 @@ impl Server {
                 && matches!(run.waiting.work, Work::Single(_))
             {
                 let now = slots[s].core.now();
-                let snap = run
-                    .engine
-                    .quiesce(now, 0, slots[s].core.mem_mut())
-                    .map_err(ServeError::Engine)?;
-                slots[s].core.drain(&mut run.engine, tenant)?;
-                let stats = run.engine.stats_handle();
-                let handler = run.engine.into_handler();
-                let frozen = stats.lock().expect("outq stats lock").clone();
-                let mut waiting = run.waiting;
-                waiting.checkpoint = Some(Checkpoint {
-                    snap: snap.clone(),
-                    handler: handler.clone(),
-                    stats: frozen,
-                });
-                waiting.since_ckpt = 0;
-                waiting.parked = Some(Parked {
-                    snap,
-                    handler,
-                    stats,
-                });
+                let waiting = park(&mut slots[s].core, run, tenant)?;
                 state.checkpoints += 1;
                 let cost = (slots[s].core.now() - now) + self.cfg.ctx_switch_cycles;
                 *state.ckpt_cycles.entry(tenant).or_insert(0) += cost;
@@ -663,34 +639,8 @@ impl Server {
                 .values()
                 .any(|q| q.iter().any(|w| w.eligible_at <= now));
             if contended && progressed {
-                let snap = run
-                    .engine
-                    .quiesce(now, 0, slots[s].core.mem_mut())
-                    .map_err(ServeError::Engine)?;
-                // Flush the sealed chunk's host-side ops before the
-                // engine shell is torn down.
-                slots[s].core.drain(&mut run.engine, tenant)?;
-                let stats = run.engine.stats_handle();
-                let handler = run.engine.into_handler();
-                let mut waiting = run.waiting;
+                let mut waiting = park(&mut slots[s].core, run, tenant)?;
                 waiting.preemptions += 1;
-                // A park is a free checkpoint: the snapshot is durable,
-                // so refresh the job's restart point while we have it.
-                // App jobs restart only from stage boundaries, so their
-                // park stays live-only (no durable checkpoint refresh).
-                if matches!(waiting.work, Work::Single(_)) {
-                    waiting.checkpoint = Some(Checkpoint {
-                        snap: snap.clone(),
-                        handler: handler.clone(),
-                        stats: stats.lock().expect("outq stats lock").clone(),
-                    });
-                    waiting.since_ckpt = 0;
-                }
-                waiting.parked = Some(Parked {
-                    snap,
-                    handler,
-                    stats,
-                });
                 preemptions += 1;
                 trace_event(
                     slots[s].core.now(),
@@ -749,46 +699,25 @@ impl Server {
         let faults = self.cfg.resilience.job_faults.for_attempt(waiting.attempt);
         let tenant = waiting.spec.tenant;
         let jid = waiting.spec.id;
+        // A live parked context (preempt/checkpoint park) resumes as-is:
+        // its snapshot already carries this attempt's config.
         let parked = waiting.parked.take();
-        let mut engine = match &mut waiting.work {
+        let (program, image, outq_base, handler, resume) = match &mut waiting.work {
             Work::Single(built) => {
-                let outq_base = job_outq_base(built, jid);
-                match parked {
-                    // A live parked context (preempt/checkpoint park)
-                    // resumes as-is: its snapshot already carries this
-                    // attempt's config.
-                    Some(parked) => TmuAccelerator::resume_from(
-                        &parked.snap,
-                        Arc::clone(&built.image),
-                        parked.handler,
-                        outq_base,
-                        parked.stats,
-                    )?,
-                    None => match &waiting.checkpoint {
-                        // Restart after a fault: resume from the durable
-                        // checkpoint with a fresh stats cell seeded from
-                        // the frozen copy (the dead incarnation's live
-                        // handle kept mutating past the save point).
-                        Some(ckpt) => {
-                            let mut snap = ckpt.snap.clone();
-                            snap.config = snap.config.with_faults(faults);
-                            TmuAccelerator::resume_from(
-                                &snap,
-                                Arc::clone(&built.image),
-                                ckpt.handler.clone(),
-                                outq_base,
-                                Arc::new(Mutex::new(ckpt.stats.clone())),
-                            )?
-                        }
-                        None => TmuAccelerator::try_new(
-                            TmuConfig::paper().with_faults(faults),
-                            Arc::clone(&built.program),
-                            Arc::clone(&built.image),
-                            DigestHandler::new(),
-                            outq_base,
-                        )?,
-                    },
-                }
+                // Restart after a fault: resume from a clone of the
+                // durable checkpoint under this attempt's fault seed.
+                let resume = parked.or_else(|| {
+                    let mut ckpt = waiting.checkpoint.clone()?;
+                    ckpt.snap.config = ckpt.snap.config.with_faults(faults);
+                    Some(ckpt)
+                });
+                (
+                    Arc::clone(&built.program),
+                    Arc::clone(&built.image),
+                    job_outq_base(built, jid),
+                    DigestHandler::new(),
+                    resume,
+                )
             }
             Work::App(app) => {
                 // Pin the current stage's build if it is not pinned yet —
@@ -811,28 +740,28 @@ impl Server {
                     app.stage = Some(sb);
                 }
                 let stage = app.stage.as_ref().expect("pinned above");
-                let outq_base = stage.outq_base + (u64::from(jid) << 28);
-                match parked {
-                    // Mid-stage live park: resume the quiesced engine.
-                    Some(parked) => TmuAccelerator::resume_from(
-                        &parked.snap,
-                        Arc::clone(&stage.image),
-                        parked.handler,
-                        outq_base,
-                        parked.stats,
-                    )?,
-                    // Fresh dispatch or fault restart: the stage starts
-                    // over, seeded with the digest accumulated through
-                    // the last completed stage boundary.
-                    None => TmuAccelerator::try_new(
-                        TmuConfig::paper().with_faults(faults),
-                        Arc::clone(&stage.program),
-                        Arc::clone(&stage.image),
-                        app.handler.clone(),
-                        outq_base,
-                    )?,
-                }
+                // A mid-stage live park resumes the quiesced engine. A
+                // fresh dispatch or fault restart starts the stage over,
+                // seeded with the digest accumulated through the last
+                // completed stage boundary.
+                (
+                    Arc::clone(&stage.program),
+                    Arc::clone(&stage.image),
+                    stage.outq_base + (u64::from(jid) << 28),
+                    app.handler.clone(),
+                    parked,
+                )
             }
+        };
+        let mut engine = match resume {
+            Some(p) => TmuAccelerator::resume_from(&p.snap, image, p.handler, outq_base, p.stats)?,
+            None => TmuAccelerator::new(
+                TmuConfig::paper().with_faults(faults),
+                program,
+                image,
+                handler,
+                outq_base,
+            )?,
         };
         engine.set_tenant(waiting.spec.tenant);
         if waiting.first_start.is_none() {
@@ -851,6 +780,34 @@ impl Server {
         });
         Ok(())
     }
+}
+
+/// Parks the job running on `core` (§5.6): quiesces its engine at the
+/// committed step, flushes the sealed chunk's host ops, and moves the
+/// snapshot, the handler and the outQ stats out of the engine as one
+/// [`Parked`] context. A park is a free checkpoint, so a single-program
+/// job's durable restart point becomes a clone of it. App jobs restart
+/// only from stage boundaries, so theirs stays.
+fn park(core: &mut ServedCore, run: Running, tenant: u32) -> Result<Waiting, ServeError> {
+    let Running {
+        mut waiting,
+        mut engine,
+        ..
+    } = run;
+    let snap = engine.quiesce(core.now(), 0, core.mem_mut())?;
+    core.drain(&mut engine, tenant)?;
+    let (handler, stats) = engine.into_parts();
+    let parked = Parked {
+        snap,
+        handler,
+        stats,
+    };
+    if matches!(waiting.work, Work::Single(_)) {
+        waiting.checkpoint = Some(parked.clone());
+        waiting.since_ckpt = 0;
+    }
+    waiting.parked = Some(parked);
+    Ok(waiting)
 }
 
 /// Each job writes its outQ chunks into a private window above the
@@ -1059,7 +1016,7 @@ pub fn solo_digest(built: &BuiltJob, job_id: u32) -> Result<EntryDigest, ServeEr
         tmu_sim::CoreConfig::neoverse_n1_like(),
         MemSysConfig::table5(1),
     );
-    let mut engine = TmuAccelerator::try_new(
+    let mut engine = TmuAccelerator::new(
         TmuConfig::paper(),
         Arc::clone(&built.program),
         Arc::clone(&built.image),
@@ -1104,7 +1061,7 @@ pub fn solo_app(spec: AppSpec) -> Result<AppSoloRun, ServeError> {
         .map_err(|detail| ServeError::Build { job: 0, detail })?
     {
         let t0 = slot.now();
-        let mut engine = TmuAccelerator::try_new(
+        let mut engine = TmuAccelerator::new(
             TmuConfig::paper(),
             Arc::clone(&stage.program),
             Arc::clone(&stage.image),
@@ -1113,7 +1070,7 @@ pub fn solo_app(spec: AppSpec) -> Result<AppSoloRun, ServeError> {
         )?;
         let out = slot.drive(&mut engine, 0, u64::MAX)?;
         debug_assert!(out.finished);
-        handler = engine.into_handler();
+        handler = engine.into_parts().0;
         let host = exec
             .complete_stage(slot.now() - t0)
             .map_err(|detail| ServeError::Build { job: 0, detail })?;

@@ -22,14 +22,16 @@
 //! use tmu_sim::{configs, Deps, Machine, Site, System};
 //!
 //! let mut system = System::new(configs::neoverse_n1_system());
-//! let stats = system.run(vec![|m: &mut tmu_sim::ChannelMachine| {
-//!     // A tiny streaming kernel: load, multiply, accumulate.
-//!     let mut acc = tmu_sim::OpId::NONE;
-//!     for i in 0..1000u64 {
-//!         let x = m.load(Site(1), 0x10_000 + i * 8, 8, Deps::NONE);
-//!         acc = m.fp_op(2, Deps::on(&[x, acc]));
-//!     }
-//! }]);
+//! let stats = system
+//!     .run(vec![|m: &mut tmu_sim::ChannelMachine| {
+//!         // A tiny streaming kernel: load, multiply, accumulate.
+//!         let mut acc = tmu_sim::OpId::NONE;
+//!         for i in 0..1000u64 {
+//!             let x = m.load(Site(1), 0x10_000 + i * 8, 8, Deps::NONE);
+//!             acc = m.fp_op(2, Deps::on(&[x, acc]));
+//!         }
+//!     }])
+//!     .expect("one shard fits the system");
 //! assert!(stats.cycles > 0);
 //! ```
 

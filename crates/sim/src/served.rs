@@ -1,10 +1,10 @@
 //! Re-entrant single-core driver for a serving scheduler.
 //!
-//! [`System::try_run_accelerated`] drives a fixed set of engines from
-//! cycle 0 to completion and then consumes itself — one job per core per
-//! run. A serving layer time-sharing a core across many jobs needs the
-//! opposite shape: a slot whose clock, core, and memory hierarchy persist
-//! while *different* accelerator incarnations come and go. [`ServedCore`]
+//! [`System::run_accelerated`] drives a fixed set of borrowed engines
+//! from cycle 0 to completion — one job per core per run. A serving layer
+//! time-sharing a core across many jobs needs the opposite shape: a slot
+//! whose clock, core, and memory hierarchy persist while *different*
+//! accelerator incarnations come and go. [`ServedCore`]
 //! is that slot: each [`ServedCore::drive`] call runs the batch runs' cycle
 //! driver on the slot's persistent clock for up to one scheduling quantum,
 //! then returns control to the scheduler, which may quiesce the engine,
@@ -15,7 +15,7 @@
 //! The slot accumulates per-tenant busy cycles ([`SlotStats`]) so the
 //! serving layer can report who consumed the machine.
 //!
-//! [`System::try_run_accelerated`]: crate::System::try_run_accelerated
+//! [`System::run_accelerated`]: crate::System::run_accelerated
 
 use std::collections::BTreeMap;
 use std::slice;

@@ -192,8 +192,8 @@ pub const CYCLE_LIMIT: u64 = 20_000_000_000;
 /// cheap to hit when something genuinely wedges.
 pub const DEFAULT_WATCHDOG_CYCLES: u64 = 10_000_000;
 
-/// Typed failures of a simulation run. The panicking `run*` entry points
-/// forward these as panic messages; the `try_run*` variants return them.
+/// Typed failures of a simulation run, returned by every [`System`] run
+/// entry point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// More kernel shards than cores.
@@ -296,69 +296,37 @@ impl System {
     }
 
     /// Runs one kernel shard per core; each shard generates its op stream
-    /// on its own thread. Returns the run statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more shards than cores are supplied or the cycle limit is
-    /// exceeded.
-    pub fn run<F>(&mut self, shards: Vec<F>) -> RunStats
-    where
-        F: FnOnce(&mut ChannelMachine) + Send,
-    {
-        match self.try_run(shards) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`System::run`]: returns a typed [`SimError`]
-    /// on shard/core mismatch, watchdog abort, or cycle-limit overrun
-    /// instead of panicking.
-    pub fn try_run<F>(&mut self, shards: Vec<F>) -> Result<RunStats, SimError>
+    /// on its own thread. Returns the run statistics, or a typed
+    /// [`SimError`] on shard/core mismatch, watchdog abort, or cycle-limit
+    /// overrun.
+    pub fn run<F>(&mut self, shards: Vec<F>) -> Result<RunStats, SimError>
     where
         F: FnOnce(&mut ChannelMachine) + Send,
     {
         self.run_shards(shards, |channel| channel)
     }
 
-    /// Runs with one accelerator per entry; core `i` consumes the callback
-    /// ops produced by `accels[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more accelerators than cores are supplied or the cycle
-    /// limit is exceeded.
-    pub fn run_accelerated(&mut self, accels: Vec<Box<dyn Accelerator>>) -> RunStats {
-        match self.try_run_accelerated(accels) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`System::run_accelerated`]: returns a typed
-    /// [`SimError`] instead of panicking. The watchdog monitors committed
-    /// ops, demand loads, engine traversal reads, and outQ lines; if none
-    /// move for the configured window the run aborts with a diagnostic
-    /// dump (see [`System::set_watchdog`]).
-    pub fn try_run_accelerated(
+    /// Runs with one borrowed accelerator per entry; core `i` consumes the
+    /// callback ops produced by `engines[i]`. The engines stay with the
+    /// caller, who reads their results after the run. The watchdog
+    /// monitors committed ops, demand loads, engine traversal reads, and
+    /// outQ lines; if none move for the configured window the run aborts
+    /// with a diagnostic dump (see [`System::set_watchdog`]).
+    pub fn run_accelerated<A: Accelerator>(
         &mut self,
-        mut accels: Vec<Box<dyn Accelerator>>,
+        engines: &mut [A],
     ) -> Result<RunStats, SimError> {
-        if accels.len() > self.cores.len() {
+        if engines.len() > self.cores.len() {
             return Err(SimError::TooManyAccelerators {
-                accels: accels.len(),
+                accels: engines.len(),
                 cores: self.cores.len(),
             });
         }
-        let mut queues: Vec<EngineQueue> = accels.iter().map(|_| EngineQueue::default()).collect();
-        let mut feeds: Vec<EngineFeed> = accels
+        let mut queues: Vec<EngineQueue> = engines.iter().map(|_| EngineQueue::default()).collect();
+        let mut feeds: Vec<EngineFeed> = engines
             .iter_mut()
             .zip(&mut queues)
-            .map(|(accel, queue)| EngineFeed {
-                accel: accel.as_mut(),
-                queue,
-            })
+            .map(|(accel, queue)| EngineFeed { accel, queue })
             .collect();
         self.drive(&mut feeds)?;
         Ok(self.collect_stats())
@@ -368,19 +336,7 @@ impl System {
     /// attached to each core (§7.3, Figure 15). The IMP observes ops as
     /// they enter a fetch-lookahead window and prefetches trained indirect
     /// loads into L1.
-    pub fn run_with_imp<F>(&mut self, shards: Vec<F>) -> RunStats
-    where
-        F: FnOnce(&mut ChannelMachine) + Send,
-    {
-        match self.try_run_with_imp(shards) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`System::run_with_imp`]: returns a typed
-    /// [`SimError`] instead of panicking.
-    pub fn try_run_with_imp<F>(&mut self, shards: Vec<F>) -> Result<RunStats, SimError>
+    pub fn run_with_imp<F>(&mut self, shards: Vec<F>) -> Result<RunStats, SimError>
     where
         F: FnOnce(&mut ChannelMachine) + Send,
     {
@@ -476,6 +432,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::NullAccelerator;
     use crate::op::Deps;
 
     fn config(cores: usize) -> SystemConfig {
@@ -488,12 +445,14 @@ mod tests {
     #[test]
     fn single_core_run_completes() {
         let mut sys = System::new(config(1));
-        let stats = sys.run(vec![|m: &mut ChannelMachine| {
-            for i in 0..10_000u64 {
-                let a = m.load(Site(1), 0x10_000 + i * 8, 8, Deps::NONE);
-                m.fp_op(2, Deps::from(a));
-            }
-        }]);
+        let stats = sys
+            .run(vec![|m: &mut ChannelMachine| {
+                for i in 0..10_000u64 {
+                    let a = m.load(Site(1), 0x10_000 + i * 8, 8, Deps::NONE);
+                    m.fp_op(2, Deps::from(a));
+                }
+            }])
+            .expect("runs");
         assert_eq!(stats.total().committed, 20_000);
         assert!(stats.cycles > 0);
         assert_eq!(stats.flops(), 20_000);
@@ -516,9 +475,9 @@ mod tests {
             }
         };
         let mut sys1 = System::new(config(1));
-        let t1 = sys1.run(vec![shard(0)]).cycles;
+        let t1 = sys1.run(vec![shard(0)]).expect("runs").cycles;
         let mut sys8 = System::new(config(8));
-        let t8 = sys8.run((0..8).map(shard).collect()).cycles;
+        let t8 = sys8.run((0..8).map(shard).collect()).expect("runs").cycles;
         assert!(t8 < t1 * 8, "parallel run must be faster ({t8} vs {t1}×8)");
         assert!(
             t8 as f64 > t1 as f64 * 1.2,
@@ -529,18 +488,20 @@ mod tests {
     #[test]
     fn stats_equalize_core_cycles() {
         let mut sys = System::new(config(2));
-        let stats = sys.run(vec![
-            |m: &mut ChannelMachine| {
-                for _ in 0..100 {
-                    m.int_op(Deps::NONE);
-                }
-            },
-            |m: &mut ChannelMachine| {
-                for i in 0..5_000u64 {
-                    m.load(Site(1), 0x40_000_000 + i * 4096, 8, Deps::from(OpId(i)));
-                }
-            },
-        ]);
+        let stats = sys
+            .run(vec![
+                |m: &mut ChannelMachine| {
+                    for _ in 0..100 {
+                        m.int_op(Deps::NONE);
+                    }
+                },
+                |m: &mut ChannelMachine| {
+                    for i in 0..5_000u64 {
+                        m.load(Site(1), 0x40_000_000 + i * 4096, 8, Deps::from(OpId(i)));
+                    }
+                },
+            ])
+            .expect("runs");
         assert_eq!(stats.cores[0].cycles, stats.cores[1].cycles);
         assert_eq!(stats.cycles, stats.cores[0].cycles);
     }
@@ -566,7 +527,7 @@ mod tests {
     fn watchdog_fires_on_wedged_accelerator_with_dump() {
         let mut sys = System::new(config(1));
         sys.set_watchdog(10_000);
-        match sys.try_run_accelerated(vec![Box::new(WedgedAccel)]) {
+        match sys.run_accelerated(&mut [WedgedAccel]) {
             Err(SimError::Watchdog {
                 cycle,
                 window,
@@ -585,7 +546,7 @@ mod tests {
     fn shard_overflow_is_a_typed_error() {
         let mut sys = System::new(config(1));
         let shards: Vec<fn(&mut ChannelMachine)> = vec![|_| {}, |_| {}];
-        match sys.try_run(shards) {
+        match sys.run(shards) {
             Err(SimError::TooManyShards {
                 shards: 2,
                 cores: 1,
@@ -597,10 +558,9 @@ mod tests {
     #[test]
     fn accelerated_run_with_null_accels_terminates() {
         let mut sys = System::new(config(2));
-        let stats = sys.run_accelerated(vec![
-            Box::new(crate::accel::NullAccelerator),
-            Box::new(crate::accel::NullAccelerator),
-        ]);
+        let stats = sys
+            .run_accelerated(&mut [NullAccelerator, NullAccelerator])
+            .expect("runs");
         assert_eq!(stats.total().committed, 0);
     }
 
@@ -665,7 +625,9 @@ mod tests {
     #[test]
     fn hot_path_counters_are_pinned() {
         let mut sys = System::new(small_caches());
-        let stats = sys.run(vec![gathers_and_stores(0), gathers_and_stores(1)]);
+        let stats = sys
+            .run(vec![gathers_and_stores(0), gathers_and_stores(1)])
+            .expect("runs");
         #[rustfmt::skip]
         assert_eq!(hot_path_counters(&sys, &stats), [
             143517,
@@ -678,7 +640,9 @@ mod tests {
             26374, 2814, 1645,
         ]);
         let mut sys = System::new(small_caches());
-        let stats = sys.run_with_imp(vec![gathers_and_stores(0), gathers_and_stores(1)]);
+        let stats = sys
+            .run_with_imp(vec![gathers_and_stores(0), gathers_and_stores(1)])
+            .expect("runs");
         #[rustfmt::skip]
         assert_eq!(hot_path_counters(&sys, &stats), [
             49340,
@@ -695,11 +659,13 @@ mod tests {
     #[test]
     fn dram_traffic_is_recorded() {
         let mut sys = System::new(config(1));
-        let stats = sys.run(vec![|m: &mut ChannelMachine| {
-            for i in 0..10_000u64 {
-                m.load(Site(1), 0x10_000_000 + i * 64, 8, Deps::NONE);
-            }
-        }]);
+        let stats = sys
+            .run(vec![|m: &mut ChannelMachine| {
+                for i in 0..10_000u64 {
+                    m.load(Site(1), 0x10_000_000 + i * 64, 8, Deps::NONE);
+                }
+            }])
+            .expect("runs");
         // 10 000 distinct lines = 640 kB minimum of DRAM reads.
         assert!(
             stats.dram_bytes >= 10_000 * 64,

@@ -68,7 +68,9 @@ fn main() {
         "context switch after 100 steps: saved {} bytes of architectural state surrogate",
         std::mem::size_of_val(&snapshot)
     );
-    let mut restored = snapshot.restore(image);
+    let mut restored = snapshot
+        .restore(image)
+        .expect("100 steps lie within the program");
     while let Some(step) = restored.next_step() {
         entries.extend(step.entries);
     }

@@ -109,7 +109,24 @@ echo "== host-cost benchmark: build + short tmu-grid, sve-grid and serve-chaos r
 # Each checks that the simulated counts repeat across passes. They run
 # from the smoke directory so the counts they keep never touch
 # perfbench/out.
+# The build must leave the benchmark's files (BENCHMARK.json and
+# perfbench/) as they were: a change to the crates' dependencies can make
+# cargo rewrite perfbench/Cargo.lock.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    bench_before=$(git status --porcelain -- BENCHMARK.json perfbench)
+else
+    echo "not a git checkout: skipping the benchmark-untouched check"
+fi
 cargo build --release --manifest-path perfbench/Cargo.toml
+if [ -n "${bench_before+set}" ]; then
+    bench_after=$(git status --porcelain -- BENCHMARK.json perfbench)
+    if [ "$bench_after" != "$bench_before" ]; then
+        echo "verify.sh: the perfbench build changed the benchmark's files:" >&2
+        echo "before: ${bench_before:-<clean>}" >&2
+        echo "after:  ${bench_after:-<clean>}" >&2
+        exit 1
+    fi
+fi
 for workload in tmu-grid sve-grid serve-chaos; do
     (cd "$smoke_dir" && "$repo/perfbench/target/release/perfbench" \
         --workload "$workload" --seed 1 --seconds 1 --trace 0)

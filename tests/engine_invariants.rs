@@ -2,8 +2,6 @@
 //! end-to-end functional correctness on arbitrary inputs, plus a pin that
 //! the batch and served entry points drive an engine identically.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -13,9 +11,7 @@ use tmu::{
     TmuConfig,
 };
 use tmu_kernels::spmv::{Spmv, SpmvHandler};
-use tmu_sim::{
-    Accelerator, AddressMap, CoreConfig, MemSys, MemSysConfig, Op, ServedCore, System, SystemConfig,
-};
+use tmu_sim::{AddressMap, CoreConfig, MemSysConfig, ServedCore, System, SystemConfig};
 use tmu_tensor::{gen, CooMatrix, CsrMatrix};
 
 /// An arbitrary small CSR matrix.
@@ -176,25 +172,6 @@ proptest! {
     }
 }
 
-/// An engine the test keeps a handle on while a `System`, which owns its
-/// accelerators, drives it.
-struct Shared(Rc<RefCell<TmuAccelerator<SpmvHandler>>>);
-
-impl Accelerator for Shared {
-    fn tick(&mut self, now: u64, core: usize, mem: &mut MemSys) {
-        self.0.borrow_mut().tick(now, core, mem);
-    }
-    fn drain_ops(&mut self, out: &mut Vec<Op>) {
-        self.0.borrow_mut().drain_ops(out);
-    }
-    fn ack_chunk(&mut self, chunk: u32, now: u64) {
-        self.0.borrow_mut().ack_chunk(chunk, now);
-    }
-    fn done(&self) -> bool {
-        self.0.borrow().done()
-    }
-}
-
 /// One SpMV engine driven three ways — a 1-core batch run, one unbounded
 /// served drive, and served drives in 97-cycle quanta — takes the same
 /// cycles and produces the same handler output each way.
@@ -211,13 +188,15 @@ fn batch_and_served_entry_points_agree() {
             handler,
             w.outq_base(0),
         )
+        .expect("SpMV fits the engine")
     };
     let (core, mem) = (CoreConfig::neoverse_n1_like(), MemSysConfig::table5(1));
 
-    let batch = Rc::new(RefCell::new(engine()));
+    let mut batch = [engine()];
     let stats = System::new(SystemConfig { core, mem })
-        .run_accelerated(vec![Box::new(Shared(Rc::clone(&batch)))]);
-    let x = batch.borrow().handler().x.clone();
+        .run_accelerated(&mut batch)
+        .expect("no wedge");
+    let x = batch[0].handler().x.clone();
     assert!(!x.is_empty());
 
     let mut whole = engine();

@@ -16,7 +16,7 @@
 //! and the system watchdog firing on a wedged outQ consumer.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -62,6 +62,7 @@ fn recorder_accel(
         Recorder::default(),
         outq_base,
     )
+    .expect("the program fits the engine")
 }
 
 /// Ticks the engine to completion against a private memory system,
@@ -158,7 +159,7 @@ fn spmspm_outq_is_fault_schedule_invariant() {
 fn spkadd_outq_is_fault_schedule_invariant() {
     let w = Spkadd::new(&gen::uniform(128, 96, 3, 24));
     let out_rows = w.reference().rows();
-    let prog = Arc::new(w.build_program((0, out_rows), 8));
+    let prog = Arc::new(w.build_program((0, out_rows)));
     assert_schedule_immaterial("SpKAdd", prog, w.image_handle(), w.outq_base(0));
 }
 
@@ -229,9 +230,7 @@ proptest! {
         drive(&mut clean);
         let clean_entries = clean.handler().entries.clone();
 
-        let first = recorder_accel(&prog, &image, base, FaultSpec::none());
-        let stats = first.stats_handle();
-        let mut accel = first;
+        let mut accel = recorder_accel(&prog, &image, base, FaultSpec::none());
         let mut mem = MemSys::new(MemSysConfig::table5(1));
         let mut now = 0u64;
         let mut sink: Vec<Op> = Vec::new();
@@ -267,40 +266,28 @@ proptest! {
             }
             sink.clear();
             prop_assert!(accel.parked(), "quiesced engine reports parked");
-            let mut handler = accel.into_handler();
+            let (mut handler, mut stats) = accel.into_parts();
             // Nested preemptions: resume, then quiesce again before a
             // single tick. The re-captured context must be identical to
             // the one just restored — save/restore is a fixed point.
             for _ in 0..nested {
-                let mut inner = TmuAccelerator::resume_from(
-                    &snap,
-                    Arc::clone(&image),
-                    handler,
-                    base,
-                    Arc::clone(&stats),
-                )
-                .expect("snapshot restores");
+                let mut inner =
+                    TmuAccelerator::resume_from(&snap, Arc::clone(&image), handler, base, stats)
+                        .expect("snapshot restores");
                 let resnap = inner.quiesce(now, 0, &mut mem).expect("fresh resume is live");
                 prop_assert_eq!(resnap.steps_completed, snap.steps_completed);
                 prop_assert_eq!(resnap.chunks_sealed, snap.chunks_sealed);
                 prop_assert_eq!(resnap.entries_produced, snap.entries_produced);
                 prop_assert_eq!(resnap.tenant, snap.tenant);
-                handler = inner.into_handler();
+                (handler, stats) = inner.into_parts();
                 snap = resnap;
             }
-            accel = TmuAccelerator::resume_from(
-                &snap,
-                Arc::clone(&image),
-                handler,
-                base,
-                Arc::clone(&stats),
-            )
-            .expect("snapshot restores");
+            accel = TmuAccelerator::resume_from(&snap, Arc::clone(&image), handler, base, stats)
+                .expect("snapshot restores");
             switches += 1;
         }
         prop_assert_eq!(&accel.handler().entries, &clean_entries);
-        let st = stats.lock().expect("stats poisoned");
-        prop_assert_eq!(st.entries, clean.stats().entries);
+        prop_assert_eq!(accel.stats().entries, clean.stats().entries);
     }
 }
 
@@ -343,8 +330,8 @@ fn quiesced_at(
     assert_eq!(accel.steps_committed(), steps, "quiesce point reachable");
     let snap = accel.quiesce(now, 0, &mut mem).expect("engine is live");
     now = tick_until(&mut accel, &mut mem, now, u64::MAX);
-    let stats = accel.stats();
-    (snap, accel.into_handler(), stats, mem, now)
+    let (recorder, stats) = accel.into_parts();
+    (snap, recorder, stats, mem, now)
 }
 
 /// Each TU's committed consumption, rebuilt by replay from step 0:
@@ -424,8 +411,8 @@ fn assert_checkpoint_restore_matches_replay(
         let mut replay = snap.clone();
         replay.checkpoint = None;
 
-        let restored = snap.try_restore(Arc::clone(&image)).expect("restores");
-        let replayed = replay.try_restore(Arc::clone(&image)).expect("restores");
+        let restored = snap.restore(Arc::clone(&image)).expect("restores");
+        let replayed = replay.restore(Arc::clone(&image)).expect("restores");
         assert_eq!(
             restored.elems_issued(),
             replayed.elems_issued(),
@@ -438,25 +425,15 @@ fn assert_checkpoint_restore_matches_replay(
             "{what} at {steps}: committed consumption"
         );
 
-        let mut fast = TmuAccelerator::resume_from(
-            &snap,
-            Arc::clone(&image),
-            recorder,
-            base,
-            Arc::new(Mutex::new(stats.clone())),
-        )
-        .expect("snapshot restores");
+        let mut fast =
+            TmuAccelerator::resume_from(&snap, Arc::clone(&image), recorder, base, stats)
+                .expect("snapshot restores");
         let fast_end = tick_until(&mut fast, &mut mem, now, u64::MAX);
 
         let (_, recorder, stats, mut mem, now) = quiesced_at(&prog, &image, base, steps);
-        let mut slow = TmuAccelerator::resume_from(
-            &replay,
-            Arc::clone(&image),
-            recorder,
-            base,
-            Arc::new(Mutex::new(stats)),
-        )
-        .expect("snapshot restores");
+        let mut slow =
+            TmuAccelerator::resume_from(&replay, Arc::clone(&image), recorder, base, stats)
+                .expect("snapshot restores");
         let slow_end = tick_until(&mut slow, &mut mem, now, u64::MAX);
 
         assert_eq!(fast_end, slow_end, "{what} at {steps}: finish cycle");
@@ -478,7 +455,7 @@ fn checkpointed_restore_matches_full_replay() {
     let spkadd = Spkadd::new(&gen::uniform(128, 96, 3, 24));
     assert_checkpoint_restore_matches_replay(
         "SpKAdd (DisjMrg)",
-        Arc::new(spkadd.build_program((0, spkadd.reference().rows()), 8)),
+        Arc::new(spkadd.build_program((0, spkadd.reference().rows()))),
         spkadd.image_handle(),
         spkadd.outq_base(0),
     );
@@ -552,7 +529,7 @@ fn watchdog_converts_a_wedged_outq_into_a_typed_error() {
     let mut sys = System::new(cfg);
     sys.set_watchdog(20_000);
     let err = sys
-        .try_run_accelerated(vec![Box::new(WedgedConsumer(accel)) as Box<dyn Accelerator>])
+        .run_accelerated(&mut [WedgedConsumer(accel)])
         .expect_err("a wedged consumer must trip the watchdog");
     match err {
         SimError::Watchdog {

@@ -119,11 +119,7 @@ fn warm_step_stream_allocates_almost_nothing() {
 
     let spkadd = Spkadd::new(&gen::uniform(2048, 1024, 4, 42));
     let rows = spkadd.reference().rows();
-    let (steps, n) = steady_allocs(
-        spkadd.build_program((0, rows), 8),
-        spkadd.image_handle(),
-        2000,
-    );
+    let (steps, n) = steady_allocs(spkadd.build_program((0, rows)), spkadd.image_handle(), 2000);
     assert_eq!((steps, n), (5693, 484), "SpKAdd (DisjMrg)");
 
     let tc = TriangleCount::new(&gen::uniform(512, 512, 6, 43));
