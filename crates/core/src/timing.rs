@@ -402,10 +402,12 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
     /// `stats` with the fault plan's counters and the retirement reason,
     /// which the engine keeps in `faults` and `retired` and writes only
-    /// into the statistics it hands out.
+    /// into the statistics it hands out. The plan's counters add to those
+    /// that [`TmuAccelerator::resume_from`] carried in from earlier
+    /// incarnations.
     fn settle(&self, mut stats: OutQStats) -> OutQStats {
         if let Some(plan) = self.faults.as_ref() {
-            stats.faults = plan.stats;
+            stats.faults.merge(&plan.stats);
         }
         if let Some(err) = self.retired.as_ref() {
             stats.retired = Some(err.to_string());
@@ -425,7 +427,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.sleep.stir();
     }
 
-    /// Fault-injection counters so far (zeroes when no plan is attached).
+    /// Fault-injection counters of this incarnation's plan so far (zeroes
+    /// when no plan is attached); [`TmuAccelerator::stats`] adds those of
+    /// earlier incarnations.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.as_ref().map(|p| p.stats).unwrap_or_default()
     }
@@ -531,8 +535,8 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// every sealed chunk before the switch completed, so the
     /// double-buffer gate opens fully). Pass the descheduled engine's
     /// statistics (from [`TmuAccelerator::into_parts`]) as `stats` so entry
-    /// counts and per-chunk timings accumulate across incarnations — chunk
-    /// ids then stay aligned with the `chunks` vector.
+    /// counts, fault counters and per-chunk timings accumulate across
+    /// incarnations — chunk ids then stay aligned with the `chunks` vector.
     ///
     /// A rate-based fault plan restarts its load counter (the plan is
     /// microarchitectural, not architectural state); scripted plans do not
@@ -1350,63 +1354,105 @@ mod tests {
         chunk_ends
     }
 
+    /// A run descheduled after every scheduling quantum.
+    struct Switched {
+        /// The last incarnation, run to done.
+        accel: TmuAccelerator<SpmvHandler>,
+        switches: u64,
+        /// `ChunkEnd` ops drained across all incarnations.
+        chunk_ends: usize,
+        /// Each incarnation's own fault counters, summed.
+        faults: FaultStats,
+    }
+
+    /// Drives `accel` standalone, quiescing it after every `quantum`
+    /// cycles and resuming its context, handler and statistics on a new
+    /// engine.
+    fn run_in_quanta(mut accel: TmuAccelerator<SpmvHandler>, quantum: u64) -> Switched {
+        let image = Arc::clone(&accel.image);
+        let base = accel.outq_base;
+        let mut mem = MemSys::new(MemSysConfig::table5(1));
+        let mut now = 0u64;
+        let mut sink = Vec::new();
+        let mut switches = 0u64;
+        let mut chunk_ends = 0;
+        let mut faults = FaultStats::default();
+        loop {
+            // One scheduling quantum, extended until the engine has
+            // committed at least one step since resume (the progress
+            // guarantee a preemptive scheduler must provide — a
+            // context switched out before its first commit replays
+            // to the same point forever).
+            let resumed_at = accel.steps_committed();
+            let until = now + quantum;
+            while !accel.done() && (now < until || accel.steps_committed() == resumed_at) {
+                accel.tick(now, 0, &mut mem);
+                chunk_ends += ack_drained(&mut accel, &mut sink, now);
+                now += 1;
+                assert!(now < 20_000_000, "quantum {quantum}: must terminate");
+            }
+            if accel.done() {
+                break;
+            }
+            let snap = accel.quiesce(now, 0, &mut mem).expect("engine is live");
+            // Drain the sealed partial chunk's host ops, then move the
+            // handler (host-software state) and the outQ statistics to
+            // the next incarnation.
+            chunk_ends += ack_drained(&mut accel, &mut sink, now);
+            assert!(accel.done(), "parked engine drains to done");
+            faults.merge(&accel.fault_stats());
+            let (handler, stats) = accel.into_parts();
+            accel = TmuAccelerator::resume_from(&snap, Arc::clone(&image), handler, base, stats)
+                .expect("snapshot restores");
+            switches += 1;
+        }
+        faults.merge(&accel.fault_stats());
+        Switched {
+            accel,
+            switches,
+            chunk_ends,
+            faults,
+        }
+    }
+
     #[test]
     fn external_quiesce_resume_is_bit_identical() {
         let (mut clean, reference) = spmv_accel(2);
         let (clean_x, clean_cycles) = drive_to_done(&mut clean);
         assert_eq!(clean_x.len(), reference.len());
         for quantum in [1u64, 113, 1009, 20_000] {
-            let (mut accel, _) = spmv_accel(2);
-            let image = Arc::clone(&accel.image);
-            let base = accel.outq_base;
-            let mut mem = MemSys::new(MemSysConfig::table5(1));
-            let mut now = 0u64;
-            let mut sink = Vec::new();
-            let mut switches = 0u64;
-            let mut chunk_ends = 0;
-            loop {
-                // One scheduling quantum, extended until the engine has
-                // committed at least one step since resume (the progress
-                // guarantee a preemptive scheduler must provide — a
-                // context switched out before its first commit replays
-                // to the same point forever).
-                let resumed_at = accel.steps_committed();
-                let until = now + quantum;
-                while !accel.done() && (now < until || accel.steps_committed() == resumed_at) {
-                    accel.tick(now, 0, &mut mem);
-                    chunk_ends += ack_drained(&mut accel, &mut sink, now);
-                    now += 1;
-                    assert!(now < 20_000_000, "quantum {quantum}: must terminate");
-                }
-                if accel.done() {
-                    break;
-                }
-                let snap = accel.quiesce(now, 0, &mut mem).expect("engine is live");
-                // Drain the sealed partial chunk's host ops, then move the
-                // handler (host-software state) and the outQ statistics to
-                // the next incarnation.
-                chunk_ends += ack_drained(&mut accel, &mut sink, now);
-                assert!(accel.done(), "parked engine drains to done");
-                let (handler, stats) = accel.into_parts();
-                accel =
-                    TmuAccelerator::resume_from(&snap, Arc::clone(&image), handler, base, stats)
-                        .expect("snapshot restores");
-                switches += 1;
-            }
+            let run = run_in_quanta(spmv_accel(2).0, quantum);
             assert_eq!(
-                accel.handler.x, clean_x,
+                run.accel.handler.x, clean_x,
                 "quantum {quantum}: preemption perturbed results"
             );
             if quantum < clean_cycles / 2 {
-                assert!(switches > 0, "quantum {quantum} never switched");
+                assert!(run.switches > 0, "quantum {quantum} never switched");
             }
             // The statistics moved with every incarnation: one chunk per
             // `ChunkEnd` drained across all of them, and the clean run's
             // entry count.
-            let st = accel.stats();
-            assert_eq!(st.chunks.len(), chunk_ends, "quantum {quantum}");
+            let st = run.accel.stats();
+            assert_eq!(st.chunks.len(), run.chunk_ends, "quantum {quantum}");
             assert_eq!(st.entries, clean.stats().entries, "quantum {quantum}");
         }
+    }
+
+    #[test]
+    fn fault_counters_accumulate_across_incarnations() {
+        use tmu_sim::FaultSpec;
+        let (mut clean, _) = spmv_accel(4);
+        let (clean_x, _) = drive_to_done(&mut clean);
+        let cfg = TmuConfig::paper().with_faults(FaultSpec::with_rate(3, 10_000));
+        let run = run_in_quanta(spmv_accel_cfg(cfg, 4).0, 200);
+        assert_eq!(run.accel.handler.x, clean_x, "faults perturbed results");
+        assert!(run.switches > 2, "only {} switches", run.switches);
+        assert!(
+            run.faults.injected > run.accel.fault_stats().injected,
+            "faults must land before the last incarnation: {:?}",
+            run.faults
+        );
+        assert_eq!(run.accel.stats().faults, run.faults);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! miss's handling is pushed back to the earliest release, which surfaces
 //! as backend stall cycles in the core.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use crate::addr::{line_of, CACHELINE};
@@ -33,18 +35,18 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
-}
-
-/// Pool of MSHR slots tracked by completion time.
+/// Pool of MSHRs, kept as the multiset of the slots' release times.
+///
+/// Which slot serves a miss never shows in the model, only when each slot
+/// frees: [`MshrPool::acquire`] reads the earliest release,
+/// [`MshrPool::hold`] replaces it, and [`MshrPool::busy_at`] counts the
+/// releases after `t`. A min-heap of release times does each without a
+/// scan over the slots.
 #[derive(Debug, Clone)]
 pub struct MshrPool {
-    slots: Vec<u64>,
+    free_at: BinaryHeap<Reverse<u64>>,
+    /// Whether an `acquire` still waits for its `hold`.
+    acquired: bool,
     /// Times a request found all slots busy.
     pub full_events: u64,
 }
@@ -53,38 +55,42 @@ impl MshrPool {
     /// Creates a pool of `n` slots, all free.
     pub fn new(n: usize) -> Self {
         Self {
-            slots: vec![0; n.max(1)],
+            free_at: vec![Reverse(0); n.max(1)].into(),
+            acquired: false,
             full_events: 0,
         }
     }
 
-    /// Acquires a slot for a request wanting to start at `t`.
-    ///
-    /// Returns `(slot_index, actual_start)`: if all slots are busy at `t`
-    /// the start is delayed to the earliest release.
-    pub fn acquire(&mut self, t: u64) -> (usize, u64) {
-        let (idx, &earliest) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &free_at)| free_at)
-            .expect("pool is non-empty");
+    /// Acquires the earliest-free slot for a request wanting to start at
+    /// `t` and returns the actual start: if all slots are busy at `t` the
+    /// start is delayed to the earliest release. The caller must
+    /// [`MshrPool::hold`] the slot before the pool's next `acquire`.
+    pub fn acquire(&mut self, t: u64) -> u64 {
+        debug_assert!(!self.acquired, "acquire before the last one's hold");
+        self.acquired = true;
+        let Reverse(earliest) = *self.free_at.peek().expect("pool is non-empty");
         if earliest > t {
             self.full_events += 1;
-            (idx, earliest)
+            earliest
         } else {
-            (idx, t)
+            t
         }
     }
 
-    /// Marks a slot busy until `completion`.
-    pub fn hold(&mut self, idx: usize, completion: u64) {
-        self.slots[idx] = completion;
+    /// Marks the slot the last [`MshrPool::acquire`] returned busy until
+    /// `completion`.
+    pub fn hold(&mut self, completion: u64) {
+        debug_assert!(self.acquired, "hold without an acquire");
+        self.acquired = false;
+        *self.free_at.peek_mut().expect("pool is non-empty") = Reverse(completion);
     }
 
     /// Number of slots busy at time `t` (diagnostics).
     pub fn busy_at(&self, t: u64) -> usize {
-        self.slots.iter().filter(|&&free| free > t).count()
+        self.free_at
+            .iter()
+            .filter(|&&Reverse(free)| free > t)
+            .count()
     }
 }
 
@@ -99,12 +105,27 @@ pub enum Probe {
     InFlight(u64),
 }
 
+/// Tag value of a valid way: the line address with bit 0 set. Lines are
+/// `CACHELINE`-aligned, so the bit is free, and an invalid way holds 0
+/// even for line 0.
+const VALID: u64 = 1;
+
 /// A set-associative cache level.
+///
+/// The tag state is three arrays, set-major (set `s` holds ways
+/// `[s * ways, (s + 1) * ways)`). All start zeroed (every way invalid),
+/// so building a cache writes none of them and a set that is never
+/// touched is never paged in.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// The tag array, set-major: set `s` holds `[s * ways, (s + 1) * ways)`.
-    sets: Vec<Entry>,
+    /// `line | VALID` for a valid way, 0 for an invalid one.
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+    /// LRU stamp of each way; 0 exactly when the way is invalid (every
+    /// stamp is at least 1), so the replacement victim is the first way
+    /// with the lowest stamp.
+    last_use: Vec<u64>,
     set_mask: u64,
     use_counter: u64,
     inflight: FastMap<u64, u64>,
@@ -134,9 +155,12 @@ impl Cache {
         let n_sets = cfg.sets();
         assert!(n_sets > 0, "cache too small for its associativity");
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
+        let n = n_sets * cfg.ways;
         Self {
             cfg,
-            sets: vec![Entry::default(); n_sets * cfg.ways],
+            tags: vec![0; n],
+            dirty: vec![false; n],
+            last_use: vec![0; n],
             set_mask: n_sets as u64 - 1,
             use_counter: 0,
             inflight: FastMap::default(),
@@ -167,18 +191,20 @@ impl Cache {
         }
     }
 
-    /// The slice of `sets` holding the ways of the set `line` maps to.
+    /// The indices of the ways of the set `line` maps to.
     fn ways_of(&self, line: u64) -> Range<usize> {
         let start = ((line / CACHELINE) & self.set_mask) as usize * self.cfg.ways;
         start..start + self.cfg.ways
     }
 
-    /// The valid way holding `line`, if any.
-    fn find_mut(&mut self, line: u64) -> Option<&mut Entry> {
+    /// The index of the valid way holding `line`, if any.
+    fn find(&self, line: u64) -> Option<usize> {
         let ways = self.ways_of(line);
-        self.sets[ways]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == line)
+        let start = ways.start;
+        self.tags[ways]
+            .iter()
+            .position(|&tag| tag == line | VALID)
+            .map(|w| start + w)
     }
 
     /// Probes for the line containing `addr` at time `t`, updating LRU and
@@ -202,9 +228,8 @@ impl Cache {
             self.inflight.remove(&line);
         }
         self.use_counter += 1;
-        let stamp = self.use_counter;
-        if let Some(e) = self.find_mut(line) {
-            e.last_use = stamp;
+        if let Some(i) = self.find(line) {
+            self.last_use[i] = self.use_counter;
             self.hits += 1;
             self.emit(t, tmu_trace::EventKind::CacheHit, line);
             return Probe::Hit;
@@ -216,9 +241,8 @@ impl Cache {
 
     fn touch(&mut self, line: u64) {
         self.use_counter += 1;
-        let stamp = self.use_counter;
-        if let Some(e) = self.find_mut(line) {
-            e.last_use = stamp;
+        if let Some(i) = self.find(line) {
+            self.last_use[i] = self.use_counter;
         }
     }
 
@@ -237,10 +261,7 @@ impl Cache {
 
     /// Checks for presence without updating statistics or LRU.
     pub fn contains(&self, addr: u64) -> bool {
-        let line = line_of(addr);
-        self.sets[self.ways_of(line)]
-            .iter()
-            .any(|e| e.valid && e.tag == line)
+        self.find(line_of(addr)).is_some()
     }
 
     /// Records that `line` is being fetched and will arrive at `completion`.
@@ -255,37 +276,38 @@ impl Cache {
         self.use_counter += 1;
         let stamp = self.use_counter;
         // Already present (e.g. a racing fill): just update.
-        if let Some(e) = self.find_mut(line) {
-            e.last_use = stamp;
-            e.dirty |= dirty;
+        if let Some(i) = self.find(line) {
+            self.last_use[i] = stamp;
+            self.dirty[i] |= dirty;
             return None;
         }
+        // The least recently used way; an invalid way (stamp 0) first.
         let ways = self.ways_of(line);
-        let victim = self.sets[ways]
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.last_use } else { 0 })
-            .expect("ways > 0");
-        let evicted = if victim.valid {
-            if victim.dirty {
+        let start = ways.start;
+        let victim = start
+            + self.last_use[ways]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &used)| used)
+                .map(|(w, _)| w)
+                .expect("ways > 0");
+        let evicted = (self.tags[victim] != 0).then(|| {
+            let was_dirty = self.dirty[victim];
+            if was_dirty {
                 self.writebacks += 1;
             }
-            Some((victim.tag, victim.dirty))
-        } else {
-            None
-        };
-        *victim = Entry {
-            tag: line,
-            valid: true,
-            dirty,
-            last_use: stamp,
-        };
+            (self.tags[victim] & !VALID, was_dirty)
+        });
+        self.tags[victim] = line | VALID;
+        self.dirty[victim] = dirty;
+        self.last_use[victim] = stamp;
         evicted
     }
 
     /// Marks the line containing `addr` dirty if present; returns success.
     pub fn set_dirty(&mut self, addr: u64) -> bool {
-        if let Some(e) = self.find_mut(line_of(addr)) {
-            e.dirty = true;
+        if let Some(i) = self.find(line_of(addr)) {
+            self.dirty[i] = true;
             true
         } else {
             false
@@ -295,10 +317,11 @@ impl Cache {
     /// Removes the line containing `addr`, returning `(found, was_dirty)` —
     /// used by the mostly-exclusive LLC (a hit moves the line up).
     pub fn invalidate(&mut self, addr: u64) -> (bool, bool) {
-        if let Some(e) = self.find_mut(line_of(addr)) {
-            let dirty = e.dirty;
-            e.valid = false;
-            e.dirty = false;
+        if let Some(i) = self.find(line_of(addr)) {
+            let dirty = self.dirty[i];
+            self.tags[i] = 0;
+            self.dirty[i] = false;
+            self.last_use[i] = 0;
             (true, dirty)
         } else {
             (false, false)
@@ -400,15 +423,117 @@ mod tests {
     #[test]
     fn mshr_pool_delays_when_full() {
         let mut pool = MshrPool::new(2);
-        let (a, s0) = pool.acquire(10);
-        pool.hold(a, 50);
-        let (b, s1) = pool.acquire(10);
-        pool.hold(b, 60);
+        let s0 = pool.acquire(10);
+        pool.hold(50);
+        let s1 = pool.acquire(10);
+        pool.hold(60);
         assert_eq!((s0, s1), (10, 10));
-        let (_, s2) = pool.acquire(10);
+        let s2 = pool.acquire(10);
         assert_eq!(s2, 50, "third request must wait for first release");
         assert_eq!(pool.full_events, 1);
         assert_eq!(pool.busy_at(55), 1);
+    }
+
+    /// The slot-array pool the heap replaced: a linear scan for the first
+    /// earliest-free slot, kept as the reference the heap must match.
+    struct LinearPool {
+        slots: Vec<u64>,
+        full_events: u64,
+    }
+
+    impl LinearPool {
+        fn acquire(&mut self, t: u64) -> (usize, u64) {
+            let (idx, &earliest) = self
+                .slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &free_at)| free_at)
+                .expect("pool is non-empty");
+            if earliest > t {
+                self.full_events += 1;
+                (idx, earliest)
+            } else {
+                (idx, t)
+            }
+        }
+
+        fn busy_at(&self, t: u64) -> usize {
+            self.slots.iter().filter(|&&free| free > t).count()
+        }
+    }
+
+    #[test]
+    fn mshr_heap_matches_the_linear_pool() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for size in [1, 2, 3, 8, 32] {
+            let mut heap = MshrPool::new(size);
+            let mut linear = LinearPool {
+                slots: vec![0; size],
+                full_events: 0,
+            };
+            let (mut now, mut back_steps, mut ties) = (0u64, 0, 0);
+            for _ in 0..20_000 {
+                // Request times drift forward but often step back (probe
+                // times are not monotonic), and latencies keep about
+                // `size` requests outstanding, so the pool is often just
+                // full and release times tie. Every eighth request comes
+                // exactly as the earliest slot frees.
+                let earliest = *linear.slots.iter().min().expect("non-empty");
+                let t = if next(8) == 0 {
+                    earliest
+                } else {
+                    (now + next(12)).saturating_sub(next(8))
+                };
+                back_steps += u64::from(t < now);
+                ties += u64::from(t == earliest);
+                now = t;
+                let (slot, expected) = linear.acquire(t);
+                assert_eq!(heap.acquire(t), expected, "start at t={t}, {size} slots");
+                let completion = expected + next(4 * size as u64 + 1);
+                linear.slots[slot] = completion;
+                heap.hold(completion);
+                assert_eq!(heap.full_events, linear.full_events);
+                let probe = now.saturating_sub(10) + next(60);
+                assert_eq!(heap.busy_at(probe), linear.busy_at(probe));
+            }
+            assert!(heap.full_events > 0, "{size} slots never filled");
+            assert!(
+                back_steps > 0 && ties > 0,
+                "{size} slots: {back_steps} {ties}"
+            );
+        }
+    }
+
+    #[test]
+    fn line_zero_fills_and_hits() {
+        let mut c = tiny();
+        assert!(!c.contains(0));
+        assert_eq!(c.probe(0x0, 0), Probe::Miss);
+        assert_eq!(c.fill(0x0, false), None);
+        assert!(c.contains(0x3f));
+        assert_eq!(c.probe(0x8, 1), Probe::Hit);
+    }
+
+    #[test]
+    fn fill_after_invalidate_takes_the_freed_way() {
+        let mut c = tiny();
+        // Set 0 holds lines 0x000 and 0x100; 0x000 is the LRU.
+        c.fill(0x000, false);
+        c.fill(0x100, false);
+        // The mostly-exclusive LLC's hit path: the line moves up and its
+        // way goes invalid. The next fill must take that way rather than
+        // evict the LRU line.
+        assert_eq!(c.invalidate(0x100), (true, false));
+        assert_eq!(c.fill(0x200, false), None, "the invalid way is free");
+        assert!(c.contains(0x000) && c.contains(0x200));
+        // With both ways valid again, the LRU line goes.
+        assert_eq!(c.fill(0x300, false), Some((0x000, false)));
     }
 
     #[test]

@@ -239,6 +239,19 @@ impl FaultStats {
             FaultKind::Preempt => self.preemptions += 1,
         }
     }
+
+    /// Merges another stats block into this one.
+    pub fn merge(&mut self, other: &FaultStats) {
+        self.injected += other.injected;
+        self.page_faults += other.page_faults;
+        self.dram_retries += other.dram_retries;
+        self.noc_retries += other.noc_retries;
+        self.outq_stalls += other.outq_stalls;
+        self.preemptions += other.preemptions;
+        self.traps += other.traps;
+        self.restores += other.restores;
+        self.unserviceable += other.unserviceable;
+    }
 }
 
 /// SplitMix64 step — the same generator the vendored `rand` stub uses,

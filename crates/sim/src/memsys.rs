@@ -208,9 +208,9 @@ impl MemSys {
             Probe::Hit => t + l1_lat,
             Probe::InFlight(done) => done.max(t + l1_lat),
             Probe::Miss => {
-                let (slot, start) = self.l1[core].mshrs.acquire(t);
+                let start = self.l1[core].mshrs.acquire(t);
                 let done = self.read_l2(core, line, start + l1_lat, false);
-                self.l1[core].mshrs.hold(slot, done);
+                self.l1[core].mshrs.hold(done);
                 self.l1[core].mark_inflight(line, done);
                 self.fill_l1(core, line, false);
                 self.l1[core].sweep_inflight(t);
@@ -236,9 +236,9 @@ impl MemSys {
             Probe::Hit => t + l2_lat,
             Probe::InFlight(done) => done.max(t + l2_lat),
             Probe::Miss => {
-                let (slot, start) = self.l2[core].mshrs.acquire(t);
+                let start = self.l2[core].mshrs.acquire(t);
                 let done = self.read_llc(core, line, start + l2_lat);
-                self.l2[core].mshrs.hold(slot, done);
+                self.l2[core].mshrs.hold(done);
                 self.l2[core].mark_inflight(line, done);
                 self.fill_l2(core, line, false);
                 self.l2[core].sweep_inflight(t);
@@ -262,9 +262,9 @@ impl MemSys {
             }
             Probe::InFlight(done) => done.max(t + noc + llc_lat),
             Probe::Miss => {
-                let (slot, start) = self.llc[slice].mshrs.acquire(arrive);
+                let start = self.llc[slice].mshrs.acquire(arrive);
                 let done = self.dram.access(line, start + llc_lat, false) + noc / 2;
-                self.llc[slice].mshrs.hold(slot, done);
+                self.llc[slice].mshrs.hold(done);
                 self.llc[slice].mark_inflight(line, done);
                 self.llc[slice].sweep_inflight(arrive);
                 done
@@ -335,9 +335,9 @@ impl MemSys {
                 Probe::InFlight(d) => d,
                 Probe::Miss => {
                     // Write-allocate: RFO through the regular miss path.
-                    let (slot, start) = self.l1[core].mshrs.acquire(t);
+                    let start = self.l1[core].mshrs.acquire(t);
                     let d = self.read_l2(core, line, start + self.cfg.l1.latency, false);
-                    self.l1[core].mshrs.hold(slot, d);
+                    self.l1[core].mshrs.hold(d);
                     self.l1[core].mark_inflight(line, d);
                     self.fill_l1(core, line, false);
                     d
@@ -359,7 +359,7 @@ impl MemSys {
         let slice = self.slice_of(line);
         let noc = self.mesh.round_trip(core, slice);
         let llc_lat = self.cfg.llc_slice.latency;
-        let (slot, start) = self.accel_pool[core].acquire(t);
+        let start = self.accel_pool[core].acquire(t);
         let arrive = start + noc / 2;
         let done = match self.llc[slice].probe(line, arrive) {
             Probe::Hit => start + noc + llc_lat,
@@ -372,7 +372,7 @@ impl MemSys {
                 d
             }
         };
-        self.accel_pool[core].hold(slot, done);
+        self.accel_pool[core].hold(done);
         done
     }
 

@@ -9,7 +9,7 @@
 //! the engines produce.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use crate::accel::Accelerator;
 use crate::core::{Core, CoreConfig, OpSource};
@@ -92,10 +92,13 @@ impl Machine for ChannelMachine {
     }
 }
 
-/// Op source backed by a kernel shard's channel.
+/// Op source backed by a kernel shard's channel. It reads each received
+/// batch in place, through a cursor.
 struct ChannelSource {
     rx: Receiver<Vec<Op>>,
-    buf: VecDeque<Op>,
+    batch: Vec<Op>,
+    /// Index of the next op of `batch`.
+    pos: usize,
     closed: bool,
 }
 
@@ -103,33 +106,23 @@ impl ChannelSource {
     fn new(rx: Receiver<Vec<Op>>) -> Self {
         Self {
             rx,
-            buf: VecDeque::with_capacity(2 * OP_BATCH),
+            batch: Vec::new(),
+            pos: 0,
             closed: false,
         }
     }
 
-    /// Ensures at least one op is buffered or the stream is known closed.
+    /// Ensures an op is buffered or the stream is known closed.
     /// Blocking is safe: op generation takes zero simulated time.
     fn refill(&mut self) {
-        if !self.buf.is_empty() || self.closed {
-            return;
-        }
-        match self.rx.recv() {
-            Ok(batch) => {
-                self.buf.extend(batch);
-                // Opportunistically drain whatever else is ready.
-                while self.buf.len() < 4 * OP_BATCH {
-                    match self.rx.try_recv() {
-                        Ok(batch) => self.buf.extend(batch),
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            self.closed = true;
-                            break;
-                        }
-                    }
+        while self.pos == self.batch.len() && !self.closed {
+            match self.rx.recv() {
+                Ok(batch) => {
+                    self.batch = batch;
+                    self.pos = 0;
                 }
+                Err(_) => self.closed = true,
             }
-            Err(_) => self.closed = true,
         }
     }
 }
@@ -137,12 +130,14 @@ impl ChannelSource {
 impl OpSource for ChannelSource {
     fn next_visible(&mut self, _now: u64) -> Option<Op> {
         self.refill();
-        self.buf.pop_front()
+        let op = *self.batch.get(self.pos)?;
+        self.pos += 1;
+        Some(op)
     }
 
     fn done(&mut self) -> bool {
         self.refill();
-        self.closed && self.buf.is_empty()
+        self.closed
     }
 }
 
@@ -654,6 +649,27 @@ mod tests {
             1, 505, 0, 571,
             25652, 2818, 1563,
         ]);
+    }
+
+    /// One op past 40 full channel batches.
+    const LONG_STREAM: u64 = 40 * OP_BATCH as u64 + 1;
+
+    fn long_stream(m: &mut ChannelMachine) {
+        for _ in 0..LONG_STREAM {
+            m.int_op(Deps::NONE);
+        }
+    }
+
+    #[test]
+    fn every_op_of_a_long_stream_commits() {
+        let mut sys = System::new(config(2));
+        let stats = sys.run(vec![long_stream, long_stream]).expect("runs");
+        assert_eq!(stats.total().committed, 2 * LONG_STREAM);
+        let mut sys = System::new(config(2));
+        let stats = sys
+            .run_with_imp(vec![long_stream, long_stream])
+            .expect("runs");
+        assert_eq!(stats.total().committed, 2 * LONG_STREAM);
     }
 
     #[test]
