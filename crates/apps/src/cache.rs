@@ -9,12 +9,13 @@
 //! same signature produce bit-identical programs (only the memory image,
 //! which carries the values, differs between iterations).
 //!
-//! Both levels share one LRU capacity knob (0 = unbounded); eviction is
-//! least-recently-used per level. Per-tenant hit/miss counters feed the
-//! serving layer's hit-rate report, and every level-1 hit emits a
+//! Both levels are plain memos that never evict: their keys are recipes
+//! and signatures of a finite set of app shapes, so they stay as small as
+//! that set. Per-tenant hit/miss counters feed the serving layer's
+//! hit-rate report, and every level-1 hit emits a
 //! [`tmu_trace::EventKind::TensorCacheHit`] trace event.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use tmu::Program;
@@ -48,62 +49,18 @@ impl TenantCacheStats {
     }
 }
 
-/// A deterministic LRU store: entries move to the back on hit, evict
-/// from the front when over capacity. Linear scans are fine at serving
-/// scale (tens of entries) and keep the eviction order fully specified.
-#[derive(Debug)]
-struct Lru<V> {
-    entries: Vec<(String, V)>,
-    cap: usize,
-    evictions: u64,
-}
-
-impl<V> Lru<V> {
-    fn new(cap: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            cap,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<&V> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        let e = self.entries.remove(i);
-        self.entries.push(e);
-        self.entries.last().map(|(_, v)| v)
-    }
-
-    fn insert(&mut self, key: String, val: V) {
-        self.entries.push((key, val));
-        while self.cap > 0 && self.entries.len() > self.cap {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// The two-level cache handed to the DAG executor.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StageCaches {
-    tensors: Lru<Arc<CsrMatrix>>,
-    programs: Lru<Arc<Program>>,
+    tensors: HashMap<String, Arc<CsrMatrix>>,
+    programs: HashMap<String, Arc<Program>>,
     per_tenant: BTreeMap<u32, TenantCacheStats>,
 }
 
 impl StageCaches {
-    /// A cache holding at most `cap` entries **per level** (0 =
-    /// unbounded).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            tensors: Lru::new(cap),
-            programs: Lru::new(cap),
-            per_tenant: BTreeMap::new(),
-        }
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Level-1 lookup: the tensor under `key`, building it on a miss.
@@ -160,21 +117,6 @@ impl StageCaches {
         &self.per_tenant
     }
 
-    /// Total evictions `(tensors, programs)`.
-    pub fn evictions(&self) -> (u64, u64) {
-        (self.tensors.evictions, self.programs.evictions)
-    }
-
-    /// Resident entry counts `(tensors, programs)`.
-    pub fn len(&self) -> (usize, usize) {
-        (self.tensors.len(), self.programs.len())
-    }
-
-    /// True when both levels are empty.
-    pub fn is_empty(&self) -> bool {
-        self.tensors.len() == 0 && self.programs.len() == 0
-    }
-
     /// Aggregate counters `(hits, misses)` across tenants and levels.
     pub fn totals(&self) -> (u64, u64) {
         self.per_tenant.values().fold((0, 0), |(h, m), s| {
@@ -197,7 +139,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted_per_tenant() {
-        let mut c = StageCaches::new(0);
+        let mut c = StageCaches::new();
         c.tensor("a", 0, || mat(1)).expect("builds");
         c.tensor("a", 1, || mat(1)).expect("hits");
         c.tensor("a", 0, || mat(1)).expect("hits");
@@ -210,28 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_least_recently_used_entry() {
-        let mut c = StageCaches::new(2);
-        c.tensor("a", 0, || mat(1)).expect("a");
-        c.tensor("b", 0, || mat(2)).expect("b");
-        c.tensor("a", 0, || mat(1)).expect("a hit; a is now newest");
-        c.tensor("c", 0, || mat(3)).expect("c evicts b");
-        assert_eq!(c.evictions(), (1, 0));
-        assert_eq!(c.len().0, 2);
-        // b is gone (rebuild = miss), a survived (hit).
-        c.tensor("a", 0, || mat(1)).expect("a still resident");
-        c.tensor("b", 0, || mat(2)).expect("b rebuilt");
-        let s = c.tenant_stats()[&0];
-        assert_eq!((s.tensor_hits, s.tensor_misses), (2, 4));
-    }
-
-    #[test]
     fn zero_cap_never_evicts() {
-        let mut c = StageCaches::new(0);
+        let mut c = StageCaches::new();
         for k in 0..64u64 {
             c.tensor(&format!("k{k}"), 0, || mat(k)).expect("builds");
         }
-        assert_eq!(c.evictions(), (0, 0));
-        assert_eq!(c.len().0, 64);
+        for k in 0..64u64 {
+            c.tensor(&format!("k{k}"), 0, || Err("evicted".into()))
+                .expect("every entry is still resident");
+        }
+        assert_eq!(c.totals(), (64, 64));
     }
 }

@@ -614,7 +614,7 @@ mod tests {
     use super::*;
 
     fn run_to_completion(spec: AppSpec) -> AppExec {
-        let mut caches = StageCaches::new(0);
+        let mut caches = StageCaches::new();
         let mut exec = AppExec::new(spec, &mut caches, 0).expect("builds");
         let mut guard = 0;
         while !exec.finished() {
@@ -700,7 +700,7 @@ mod tests {
 
     #[test]
     fn program_cache_hits_across_iterations() {
-        let mut caches = StageCaches::new(0);
+        let mut caches = StageCaches::new();
         let mut s = spec(AppKind::PageRank);
         s.max_iters = 4;
         let mut exec = AppExec::new(s, &mut caches, 3).expect("builds");
@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn an_expr_stage_runs_through_the_dag() {
-        let mut caches = StageCaches::new(0);
+        let mut caches = StageCaches::new();
         let base = gen::uniform(24, 24, 3, 11);
         let mut env = BTreeMap::new();
         env.insert("A".to_string(), TensorVal::Csr(Arc::new(base)));
@@ -750,7 +750,7 @@ mod tests {
 
     #[test]
     fn stage_protocol_misuse_is_reported() {
-        let mut caches = StageCaches::new(0);
+        let mut caches = StageCaches::new();
         let mut exec = AppExec::new(spec(AppKind::Gnn), &mut caches, 0).expect("builds");
         assert!(exec.complete_stage(0).is_err(), "nothing pending");
         exec.next_stage(&mut caches, 0).expect("ok").expect("some");

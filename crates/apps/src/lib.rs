@@ -23,8 +23,9 @@
 //!
 //! [`StageCaches`] is the two-level cache behind every build: built
 //! tensors (level 1) and compiled programs (level 2), shared across
-//! iterations, jobs, and tenants, with LRU eviction and per-tenant
-//! hit-rate counters.
+//! iterations, jobs, and tenants. Both levels are plain memos over a
+//! finite set of app shapes, so nothing is evicted; per-tenant counters
+//! report their hit rates.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

@@ -24,6 +24,7 @@ use tmu_front::bindings::LevelData;
 use tmu_front::{ExprWorkload, LoopKind};
 use tmu_kernels::data::partition_rows;
 use tmu_kernels::spmm::RANK;
+use tmu_kernels::spmv::operand_vector;
 use tmu_kernels::util::fold_deps;
 use tmu_kernels::workload::run_cores;
 use tmu_sim::{AddressMap, Deps, Machine, Region, RunStats, Site, SystemConfig};
@@ -64,12 +65,6 @@ pub fn supports(kernel: &str) -> bool {
     matches!(kernel, "SpMV" | "SpMM")
 }
 
-/// The deterministic SpMV dense vector (the formula shared by
-/// `tmu_kernels::spmv::Spmv` and `tmu_front::bindings::auto_bind`).
-fn spmv_x(cols: usize) -> Vec<f64> {
-    (0..cols).map(|j| 0.5 + (j % 97) as f64 / 97.0).collect()
-}
-
 /// The deterministic SpMM dense right-hand side (the
 /// `tmu_kernels::spmm::Spmm` formula).
 fn spmm_b(cols: usize) -> Vec<f64> {
@@ -103,7 +98,7 @@ fn for_each_entry(b: &BcsrMatrix, gr: usize, r_in: usize, mut f: impl FnMut(usiz
 /// reference's `-0.0` exactly.
 pub fn spmv_values(a: &CsrMatrix) -> Vec<f64> {
     let b = BcsrMatrix::from_csr(a, BR, BC);
-    let x = spmv_x(a.cols());
+    let x = operand_vector(a.cols());
     let mut y = vec![-0.0f64; a.rows()];
     for (i, yi) in y.iter_mut().enumerate() {
         for_each_entry(&b, i / BR, i % BR, |c, v| *yi += v * x[c]);

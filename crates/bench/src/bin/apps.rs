@@ -25,22 +25,10 @@
 
 use tmu_apps::{AppKind, AppSpec, StageRecord};
 use tmu_bench::json::BenchRow;
-use tmu_bench::runner::parse_pos_int;
+use tmu_bench::runner::knob;
 use tmu_bench::Report;
 use tmu_serve::{serve, solo_app, AppSoloRun, JobKind, JobSpec, Policy, ServeConfig, SERVE_LANES};
 use tmu_trace::StatsRegistry;
-
-fn knob(name: &str, default: u64) -> u64 {
-    let raw = std::env::var(name).ok();
-    match parse_pos_int(name, raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => default,
-        Err(msg) => {
-            eprintln!("warning: {msg}; using default {default}");
-            default
-        }
-    }
-}
 
 /// The app grid at the given scale. Below 1.0 the grid shrinks to the
 /// GNN + CG smoke with smaller inputs and tighter iteration caps.
@@ -240,10 +228,6 @@ fn run() -> std::process::ExitCode {
         out.outcomes.len(),
         out.makespan,
         out.preemptions
-    ));
-    let (tensor_ev, program_ev) = out.stage_evictions;
-    report.line(format!(
-        "stage cache: {tensor_ev} tensor / {program_ev} program eviction(s)"
     ));
     for (&tenant, stats) in &out.tenant_cache {
         report.line(format!(

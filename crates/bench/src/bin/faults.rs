@@ -14,7 +14,7 @@
 
 use tmu::{FaultSpec, TmuConfig};
 use tmu_bench::runner::{
-    clear_failed_jobs, failed_jobs, parse_pos_int, EngineVariant, InputSpec, Job, Runner,
+    clear_failed_jobs, failed_jobs, knob, EngineVariant, InputSpec, Job, Runner,
 };
 
 fn main() -> std::process::ExitCode {
@@ -22,15 +22,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> std::process::ExitCode {
-    let raw = std::env::var("TMU_FAULT_RATE").ok();
-    let rate: u32 = match parse_pos_int("TMU_FAULT_RATE", raw.as_deref()) {
-        Ok(Some(n)) => u32::try_from(n).unwrap_or(u32::MAX),
-        Ok(None) => 20,
-        Err(msg) => {
-            eprintln!("warning: {msg}; using default rate 20");
-            20
-        }
-    };
+    let rate = u32::try_from(knob("TMU_FAULT_RATE", 20)).unwrap_or(u32::MAX);
     let input = InputSpec::Uniform {
         rows: 1024,
         cols: 4096,

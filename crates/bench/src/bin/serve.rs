@@ -36,24 +36,12 @@
 //! the output is deterministic for a fixed seed regardless of
 //! `TMU_JOBS` (which only sizes the figure runner's worker pool).
 
-use tmu_bench::runner::parse_pos_int;
+use tmu_bench::runner::knob;
 use tmu_bench::Report;
 use tmu_serve::{
     serve, synthesize, ArrivalKind, Policy, ResilienceConfig, ServeConfig, SlotFaultSpec,
     TraceConfig,
 };
-
-fn knob(name: &str, default: u64) -> u64 {
-    let raw = std::env::var(name).ok();
-    match parse_pos_int(name, raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => default,
-        Err(msg) => {
-            eprintln!("warning: {msg}; using default {default}");
-            default
-        }
-    }
-}
 
 fn policies() -> Vec<Policy> {
     match std::env::var("TMU_POLICY").ok().as_deref() {

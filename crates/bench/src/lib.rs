@@ -89,17 +89,24 @@ pub fn run_main<R: MainOutcome>(body: impl FnOnce() -> R) -> std::process::ExitC
 }
 
 /// Input scale multiplier from `TMU_SCALE`, read once per process
-/// (default 1.0). Reading the environment once makes the value immune to
-/// `set_var` races under the parallel test runner and the parallel
-/// experiment runner alike; code that needs a different scale threads it
-/// explicitly (see [`matrix_workload_at`] and [`runner::InputSpec`]).
+/// (default 1.0). A value that is not a positive finite number warns on
+/// stderr, naming the variable and the value, and falls back to 1.0.
+/// Reading the environment once makes the value immune to `set_var` races
+/// under the parallel test runner and the parallel experiment runner
+/// alike; code that needs a different scale threads it explicitly (see
+/// [`matrix_workload_at`] and [`runner::InputSpec`]).
 pub fn scale() -> f64 {
     static SCALE: OnceLock<f64> = OnceLock::new();
     *SCALE.get_or_init(|| {
-        std::env::var("TMU_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0)
+        let raw = std::env::var("TMU_SCALE").ok();
+        match runner::parse_pos_float("TMU_SCALE", raw.as_deref()) {
+            Ok(Some(s)) => s,
+            Ok(None) => 1.0,
+            Err(msg) => {
+                eprintln!("warning: {msg}; using default 1.0");
+                1.0
+            }
+        }
     })
 }
 

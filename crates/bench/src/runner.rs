@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tmu::{OutQSnapshot, TmuConfig};
 use tmu_front::ExprWorkload;
-use tmu_kernels::workload::{KernelKind, Workload};
+use tmu_kernels::workload::{mean_read_to_write, KernelKind, Workload};
 use tmu_sim::{configs, RunStats, SystemConfig};
 use tmu_tensor::gen::{self, InputId, ScaledInput};
 use tmu_trace::StatsRegistry;
@@ -481,17 +481,7 @@ impl RunResult {
     /// Mean read-to-write ratio across cores with outQ activity (the
     /// Figure 13 metric; 0 for non-TMU variants).
     pub fn read_to_write_ratio(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .outq
-            .iter()
-            .map(|o| o.read_to_write_ratio)
-            .filter(|r| *r > 0.0)
-            .collect();
-        if ratios.is_empty() {
-            0.0
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        }
+        mean_read_to_write(self.outq.iter().map(|o| o.read_to_write_ratio))
     }
 
     /// Records the outQ sums and ratio under `tmu.outq.*`, the fault
@@ -595,6 +585,42 @@ pub fn parse_pos_int(name: &str, raw: Option<&str>) -> Result<Option<u64>, Strin
     }
 }
 
+/// Parses a positive, finite float environment knob (`TMU_SCALE`) from its
+/// raw value, by the rules of [`parse_pos_int`]: absent and blank values
+/// are `Ok(None)`; zero, negative, infinite, NaN and non-numeric values
+/// are errors naming the variable and the value.
+pub fn parse_pos_float(name: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    match trimmed.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+        Ok(_) => Err(format!(
+            "{name}={trimmed:?} is invalid: must be positive and finite"
+        )),
+        Err(_) => Err(format!("{name}={trimmed:?} is invalid: not a number")),
+    }
+}
+
+/// Reads the positive-integer environment knob `name` through
+/// [`parse_pos_int`]. Unset or blank gives `default`; an invalid value
+/// warns on stderr, naming the variable and the value, and gives `default`.
+pub fn knob(name: &str, default: u64) -> u64 {
+    let raw = std::env::var(name).ok();
+    match parse_pos_int(name, raw.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => default,
+        Err(msg) => {
+            eprintln!("warning: {msg}; using default {default}");
+            default
+        }
+    }
+}
+
 /// Renders a caught panic payload (the `&str`/`String` panics the
 /// simulators raise) as a one-line message.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -615,20 +641,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn default_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
-        let available = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let raw = std::env::var("TMU_JOBS").ok();
-        match parse_pos_int("TMU_JOBS", raw.as_deref()) {
-            Ok(Some(n)) => usize::try_from(n).unwrap_or(usize::MAX).min(512),
-            Ok(None) => available(),
-            Err(msg) => {
-                eprintln!("warning: {msg}; using available parallelism");
-                available()
-            }
-        }
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = knob("TMU_JOBS", available as u64);
+        usize::try_from(n).unwrap_or(usize::MAX).min(512)
     })
 }
 
@@ -804,6 +819,28 @@ mod tests {
                 .expect_err("must reject invalid knob value");
             assert!(
                 err.contains("TMU_FAULT_RATE") && err.contains(bad.trim()),
+                "error must name variable and value: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn scale_knob_parsing_is_hardened() {
+        // Absent or blank: use the default.
+        assert_eq!(parse_pos_float("TMU_SCALE", None), Ok(None));
+        assert_eq!(parse_pos_float("TMU_SCALE", Some(" ")), Ok(None));
+        // Positive finite values parse, with surrounding whitespace
+        // tolerated.
+        assert_eq!(parse_pos_float("TMU_SCALE", Some("0.05")), Ok(Some(0.05)));
+        assert_eq!(parse_pos_float("TMU_SCALE", Some(" 2 ")), Ok(Some(2.0)));
+        assert_eq!(parse_pos_float("TMU_SCALE", Some("4e-1")), Ok(Some(0.4)));
+        // Zero, negative, non-finite and garbage values are errors that
+        // name the variable and the value.
+        for bad in ["0", "-1", "-0.5", "inf", "-inf", "NaN", "abc", "0.4x"] {
+            let err =
+                parse_pos_float("TMU_SCALE", Some(bad)).expect_err("must reject invalid scale");
+            assert!(
+                err.contains("TMU_SCALE") && err.contains(bad),
                 "error must name variable and value: {err}"
             );
         }

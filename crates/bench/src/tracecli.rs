@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use crate::json;
 use crate::runner::{EngineVariant, InputSpec, Job};
 use tmu_tensor::gen::InputId;
-use tmu_trace::{TraceConfig, Tracer};
+use tmu_trace::{ComponentId, TraceConfig, Tracer};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -65,6 +65,32 @@ fn input(arg: &str) -> Option<InputSpec> {
 /// instead of the generic usage line.
 fn engine(arg: &str) -> Result<EngineVariant, crate::runner::UnknownEngine> {
     EngineVariant::parse(&arg.to_ascii_lowercase())
+}
+
+/// The stderr report for an export whose rings dropped events, or `None`
+/// when every event was kept. A ring keeps only a component's first
+/// events, so the report names each component that dropped some (events
+/// kept, events dropped) and the `TMU_TRACE_RING` value that would have
+/// held the fullest ring.
+fn truncation_report(tracer: &Tracer) -> Option<String> {
+    if tracer.dropped_total() == 0 {
+        return None;
+    }
+    let mut lines = String::new();
+    let mut fullest = 0;
+    for (i, name) in tracer.components().iter().enumerate() {
+        let ring = tracer.ring(ComponentId(i as u32));
+        if ring.dropped() > 0 {
+            let kept = ring.len() as u64;
+            fullest = fullest.max(kept + ring.dropped());
+            lines += &format!("  {name}: kept {kept}, dropped {}\n", ring.dropped());
+        }
+    }
+    Some(format!(
+        "trace: the export is truncated: {} event(s) dropped; the end of the run is missing\n\
+         {lines}trace: TMU_TRACE_RING={fullest} would keep every event\n",
+        tracer.dropped_total()
+    ))
 }
 
 /// Entry point of the `trace` binary. `args` are the CLI
@@ -132,5 +158,49 @@ pub fn main(args: &[String]) -> ExitCode {
         "→ wrote {} (open in chrome://tracing or Perfetto)",
         path.display()
     );
+    if let Some(report) = truncation_report(&tracer) {
+        eprint!("{report}");
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tmu_trace::EventKind;
+
+    fn tracer_with(events: &[(&str, usize)]) -> Tracer {
+        let mut t = Tracer::new(TraceConfig {
+            ring_capacity: 4,
+            ..TraceConfig::default()
+        });
+        for &(name, n) in events {
+            let c = t.component(name);
+            for cycle in 0..n as u64 {
+                t.event(c, cycle, EventKind::CacheHit, 0);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn full_rings_report_kept_and_dropped_per_component() {
+        let t = tracer_with(&[("tmu.core0", 6), ("mem.dram", 3), ("tmu.core1", 11)]);
+        let report = truncation_report(&t).expect("events were dropped");
+        assert!(report.contains("9 event(s) dropped"), "{report}");
+        assert!(report.contains("tmu.core0: kept 4, dropped 2"), "{report}");
+        assert!(report.contains("tmu.core1: kept 4, dropped 7"), "{report}");
+        assert!(
+            !report.contains("mem.dram"),
+            "a ring that kept everything is not listed"
+        );
+        assert!(report.contains("TMU_TRACE_RING=11 "), "{report}");
+    }
+
+    #[test]
+    fn rings_within_capacity_report_nothing() {
+        let t = tracer_with(&[("tmu.core0", 4), ("mem.dram", 1)]);
+        assert_eq!(truncation_report(&t), None);
+    }
 }

@@ -15,8 +15,6 @@ pub struct TmuConfig {
     pub per_lane_bytes: usize,
     /// Number of traversal groups (layers with mergers); 4 in Table 5.
     pub groups: usize,
-    /// Maximum outstanding memory requests (128 in Table 5).
-    pub outstanding: usize,
     /// outQ entries per chunk (a chunk is the double-buffering granule
     /// handed to the core).
     pub chunk_entries: usize,
@@ -28,14 +26,14 @@ pub struct TmuConfig {
 }
 
 impl TmuConfig {
-    /// The paper's Table 5 configuration: 8 lanes, 2 KB/lane, 4 TGs,
-    /// 128 outstanding requests.
+    /// The paper's Table 5 configuration: 8 lanes, 2 KB/lane, 4 TGs.
+    /// Table 5's 128 outstanding memory requests are the engine's request
+    /// pool in the memory system, `MemSysConfig::accel_outstanding`.
     pub fn paper() -> Self {
         Self {
             lanes: 8,
             per_lane_bytes: 2048,
             groups: 4,
-            outstanding: 128,
             chunk_entries: 64,
             elem_bytes: 8,
             faults: FaultSpec::none(),
@@ -138,7 +136,6 @@ mod tests {
         assert_eq!(cfg.lanes, 8);
         assert_eq!(cfg.per_lane_bytes, 2048);
         assert_eq!(cfg.groups, 4);
-        assert_eq!(cfg.outstanding, 128);
         assert_eq!(cfg.total_bytes(), 16 << 10);
     }
 

@@ -18,6 +18,7 @@
 //! returns `None` for it.
 
 use tmu_kernels::data::partition_rows;
+use tmu_kernels::spmv::operand_vector;
 use tmu_kernels::util::fold_deps;
 use tmu_kernels::workload::run_cores;
 use tmu_sim::{AddressMap, Deps, Machine, OpId, Region, RunStats, Site, SystemConfig};
@@ -37,11 +38,6 @@ const S_BR_I: u16 = 606;
 const S_BR_O: u16 = 607;
 const S_ROWIDX: u16 = 608;
 const S_TILE: u16 = 609;
-
-/// The deterministic SpMV dense vector shared with `tmu_kernels`.
-pub fn spmv_x(cols: usize) -> Vec<f64> {
-    (0..cols).map(|j| 0.5 + (j % 97) as f64 / 97.0).collect()
-}
 
 /// Iterates matrix row `i`'s stored entries of a BCSR layout in
 /// ascending column order (mask-honouring, reference fold order).
@@ -65,7 +61,7 @@ fn bcsr_row_entries(b: &BcsrMatrix, i: usize, mut f: impl FnMut(usize, f64)) {
 /// `y = A·x` through `kind`'s own traversal, bit-identical to the SpMV
 /// kernel reference (fold from `-0.0` in ascending column order).
 pub fn spmv_values(kind: FormatKind, a: &CsrMatrix) -> Vec<f64> {
-    let x = spmv_x(a.cols());
+    let x = operand_vector(a.cols());
     let mut y = vec![-0.0f64; a.rows()];
     match kind {
         FormatKind::Csr => {

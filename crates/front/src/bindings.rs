@@ -12,6 +12,7 @@ use std::sync::Arc;
 use tmu::MemImage;
 use tmu_formats::{FormatKind, FormatMatrix};
 use tmu_kernels::data::{CsfOnSim, CsrOnSim, DcsrOnSim, DenseOnSim};
+use tmu_kernels::spmv::operand_vector;
 use tmu_sim::{AddressMap, Region};
 use tmu_tensor::level::LevelFormat;
 use tmu_tensor::{gen, CooMatrix, CsfTensor, CsrMatrix, DcsrMatrix};
@@ -329,7 +330,7 @@ pub fn auto_bind(expr: &Expr, base: &CsrMatrix) -> Result<AutoBound, FrontError>
                 }
                 1 => {
                     let n = dims[0];
-                    let data: Vec<f64> = (0..n).map(|j| 0.5 + (j % 97) as f64 / 97.0).collect();
+                    let data = operand_vector(n);
                     let s = DenseOnSim::bind(&mut map, &mut image, &a.tensor, data);
                     TensorData::dense_vec(&a.tensor, &s)
                 }

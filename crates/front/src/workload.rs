@@ -12,9 +12,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmu::{CallbackHandler, MemImage, Program, TmuConfig};
-use tmu_kernels::workload::{run_cores, run_engines, KernelKind, TmuRun, Workload};
-use tmu_sim::{Deps, Machine, OpId, Region, RunStats, Site, SystemConfig, VecMachine};
+use tmu::{MemImage, Program, TmuConfig};
+use tmu_kernels::workload::{run_cores, run_engines, run_functional, KernelKind, TmuRun, Workload};
+use tmu_sim::{Deps, Machine, Region, RunStats, Site, SystemConfig};
 use tmu_tensor::CsrMatrix;
 
 use crate::ast::Expr;
@@ -134,12 +134,14 @@ impl ExprWorkload {
     ///
     /// Propagates lowering errors.
     pub fn run_functional(&self, lanes: usize) -> Result<BTreeMap<Vec<u32>, f64>, FrontError> {
-        let (program, mut handler) = self.engine(lanes)?;
-        let mut vm = VecMachine::new();
-        tmu::for_each_entry(&Arc::new(program), &self.image, |e| {
-            handler.handle(e, OpId::NONE, &mut vm);
+        let mut mapping = Some(self.engine(lanes)?);
+        let handlers = run_functional(&self.image, &[()], |_, ()| {
+            mapping.take().expect("one shard takes the one mapping")
         });
-        Ok(handler.into_out())
+        Ok(handlers
+            .into_iter()
+            .flat_map(ExprHandler::into_out)
+            .collect())
     }
 
     /// The engine mapping: the program lowered with `lanes` lockstep lanes

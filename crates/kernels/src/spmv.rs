@@ -39,6 +39,14 @@ const S_OUTER_BR: u16 = 106;
 const CB_RI: u32 = 0;
 const CB_RE: u32 = 1;
 
+/// The deterministic dense operand `b_j = 0.5 + (j mod 97) / 97` that
+/// [`Spmv::new`] binds. The format, blocked-backend and expression paths
+/// bind the same vector, so their SpMV results compare bitwise with this
+/// kernel's reference.
+pub fn operand_vector(cols: usize) -> Vec<f64> {
+    (0..cols).map(|j| 0.5 + (j % 97) as f64 / 97.0).collect()
+}
+
 /// An SpMV workload instance bound to the simulator.
 #[derive(Debug)]
 pub struct Spmv {
@@ -53,10 +61,7 @@ pub struct Spmv {
 impl Spmv {
     /// Binds matrix `a` (with a deterministic dense vector) for simulation.
     pub fn new(a: &CsrMatrix) -> Self {
-        let bvec: Vec<f64> = (0..a.cols())
-            .map(|j| 0.5 + (j % 97) as f64 / 97.0)
-            .collect();
-        Self::with_vector(a, bvec)
+        Self::with_vector(a, operand_vector(a.cols()))
     }
 
     /// Binds matrix `a` with a caller-supplied dense vector (`cols`

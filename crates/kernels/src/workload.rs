@@ -51,17 +51,19 @@ pub struct TmuRun {
 impl TmuRun {
     /// Mean read-to-write ratio across cores with activity.
     pub fn read_to_write_ratio(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .outq
-            .iter()
-            .map(OutQStats::read_to_write_ratio)
-            .filter(|r| *r > 0.0)
-            .collect();
-        if ratios.is_empty() {
-            0.0
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        }
+        mean_read_to_write(self.outq.iter().map(OutQStats::read_to_write_ratio))
+    }
+}
+
+/// The Figure 13 metric of a run: the mean of its per-core read-to-write
+/// ratios over the cores with outQ activity (a positive ratio); 0 when no
+/// core has any.
+pub fn mean_read_to_write(per_core: impl IntoIterator<Item = f64>) -> f64 {
+    let ratios: Vec<f64> = per_core.into_iter().filter(|r| *r > 0.0).collect();
+    if ratios.is_empty() {
+        0.0
+    } else {
+        ratios.iter().sum::<f64>() / ratios.len() as f64
     }
 }
 
@@ -142,7 +144,7 @@ fn run_on_cores<S: Copy + Send>(
 /// Executes one engine mapping per shard through the functional
 /// interpreter: `build(core, shard)` supplies the program and the handler
 /// that consumes its outQ entries. Returns the handlers in shard order.
-pub(crate) fn run_functional<S: Copy, H: CallbackHandler>(
+pub fn run_functional<S: Copy, H: CallbackHandler>(
     image: &Arc<MemImage>,
     shards: &[S],
     mut build: impl FnMut(usize, S) -> (Program, H),

@@ -8,12 +8,17 @@
 //! share the `Arc`. Sharing is sound because the [`MemImage`] is
 //! read-only to the engine and every serving slot owns a private memory
 //! hierarchy; only the outQ window is per-job (salted by job id).
+//!
+//! The memo is a plain map that never evicts: a trace draws its jobs from
+//! a finite set of shapes (the synthetic traces from the arrival module's
+//! shape pool, the bench bins from fixed lists), so it stays as small as
+//! that set. Application jobs build one level down, through the server's
+//! [`tmu_apps::StageCaches`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tmu::{MemImage, Program};
-use tmu_apps::StageCaches;
 use tmu_front::ExprWorkload;
 use tmu_kernels::spkadd::Spkadd;
 use tmu_kernels::spmspm::Spmspm;
@@ -40,52 +45,21 @@ pub struct BuiltJob {
     pub label: String,
 }
 
-/// Shape-keyed build memo with hit/miss/evict counters, bounded by the
-/// `TMU_BUILD_CACHE_CAP` knob (0 = unbounded, the historical behavior),
-/// and carrying the application pipelines' two-level [`StageCaches`]
-/// under the same capacity. Counters are mirrored into the stats
-/// registry (`serve.build_cache.*`) whenever a tracer is installed.
-#[derive(Debug)]
+/// Shape-keyed build memo with hit/miss counters. It needs no bound:
+/// every trace draws its jobs from a finite set of shapes. The counters
+/// are mirrored into the stats registry (`serve.build_cache.*`) whenever
+/// a tracer is installed.
+#[derive(Debug, Default)]
 pub struct BuildCache {
     map: HashMap<JobKind, Arc<BuiltJob>>,
-    /// Keys in least-recently-used-first order.
-    lru: Vec<JobKind>,
-    cap: usize,
     hits: u64,
     misses: u64,
-    evictions: u64,
-    stages: StageCaches,
-}
-
-impl Default for BuildCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl BuildCache {
-    /// An empty cache, capacity from `TMU_BUILD_CACHE_CAP` (0/unset =
-    /// unbounded).
+    /// An empty cache.
     pub fn new() -> Self {
-        let cap = std::env::var("TMU_BUILD_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        Self::with_cap(cap)
-    }
-
-    /// An empty cache holding at most `cap` job builds — and at most
-    /// `cap` entries per stage-cache level (0 = unbounded).
-    pub fn with_cap(cap: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            lru: Vec::new(),
-            cap,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            stages: StageCaches::new(cap),
-        }
+        Self::default()
     }
 
     /// Builds shared against the memo (batched jobs).
@@ -98,45 +72,22 @@ impl BuildCache {
         self.misses
     }
 
-    /// Memoized builds evicted under the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// The application pipelines' two-level stage cache.
-    pub fn stages(&self) -> &StageCaches {
-        &self.stages
-    }
-
-    /// Mutable access to the stage cache (the DAG executor needs it).
-    pub fn stages_mut(&mut self) -> &mut StageCaches {
-        &mut self.stages
-    }
-
     /// Returns the build for `kind`, constructing and memoizing it on
     /// first use. Errors are build-time failures (e.g. an expression that
     /// does not lower), reported as strings.
     pub fn get(&mut self, kind: &JobKind) -> Result<Arc<BuiltJob>, String> {
-        if let Some(built) = self.map.get(kind) {
-            self.hits += 1;
-            // Touch: move to most-recently-used.
-            if let Some(i) = self.lru.iter().position(|k| k == kind) {
-                let k = self.lru.remove(i);
-                self.lru.push(k);
+        let built = match self.map.get(kind) {
+            Some(built) => {
+                self.hits += 1;
+                Arc::clone(built)
             }
-            let built = Arc::clone(built);
-            self.publish();
-            return Ok(built);
-        }
-        let built = Arc::new(build(kind)?);
-        self.misses += 1;
-        self.map.insert(kind.clone(), Arc::clone(&built));
-        self.lru.push(kind.clone());
-        while self.cap > 0 && self.lru.len() > self.cap {
-            let victim = self.lru.remove(0);
-            self.map.remove(&victim);
-            self.evictions += 1;
-        }
+            None => {
+                let built = Arc::new(build(kind)?);
+                self.misses += 1;
+                self.map.insert(kind.clone(), Arc::clone(&built));
+                built
+            }
+        };
         self.publish();
         Ok(built)
     }
@@ -147,7 +98,6 @@ impl BuildCache {
             let r = t.registry_mut();
             r.set_counter("serve.build_cache.hits", self.hits);
             r.set_counter("serve.build_cache.misses", self.misses);
-            r.set_counter("serve.build_cache.evictions", self.evictions);
         });
     }
 }
@@ -263,28 +213,6 @@ mod tests {
         let c = cache.get(&other).expect("builds");
         assert!(!Arc::ptr_eq(&a, &c), "different seed, different build");
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
-    }
-
-    #[test]
-    fn capacity_bound_evicts_least_recently_used_builds() {
-        let mut cache = BuildCache::with_cap(2);
-        let shape = |seed: u64| JobKind::Kernel {
-            kind: KernelKind::Spmv,
-            rows: 32,
-            nnz_per_row: 3,
-            seed,
-        };
-        cache.get(&shape(1)).expect("build 1");
-        cache.get(&shape(2)).expect("build 2");
-        cache.get(&shape(1)).expect("hit 1; 2 is now LRU");
-        cache.get(&shape(3)).expect("build 3 evicts 2");
-        assert_eq!(cache.evictions(), 1);
-        let a = cache.get(&shape(1)).expect("1 survived");
-        let b = cache.get(&shape(1)).expect("still shared");
-        assert!(Arc::ptr_eq(&a, &b));
-        cache.get(&shape(2)).expect("2 was evicted, rebuilds");
-        assert_eq!((cache.hits(), cache.misses()), (3, 4));
-        assert_eq!(cache.evictions(), 2, "rebuilding 2 evicted 3");
     }
 
     #[test]

@@ -87,8 +87,7 @@ pub struct TenantReport {
     pub tenant: u32,
     /// Jobs completed.
     pub completed: u64,
-    /// Arrivals rejected at admission (queue full, circuit open, or
-    /// global saturation).
+    /// Arrivals rejected at admission (queue full or circuit open).
     pub rejected: u64,
     /// Jobs that terminally failed after exhausting their retry budget.
     pub failed: u64,

@@ -4,9 +4,15 @@
 //! crash, a watchdog-caught hang, or a TMU-unserviceable degrade takes
 //! out the engine incarnation on it, and the *scheduler* — not the
 //! engine — must recover. This module holds the declarative knobs
-//! ([`ResilienceConfig`]) and the typed vocabulary of what happened
-//! ([`JobFault`], [`FailReason`], [`FailedJob`], [`ShedCounts`]), plus
-//! the per-tenant [`CircuitBreaker`].
+//! ([`ResilienceConfig`]: slot chaos, retry budget and backoff,
+//! checkpoint cadence, circuit breaker) and the typed vocabulary of what
+//! happened ([`JobFault`], [`FailReason`], [`FailedJob`], [`ShedCounts`]),
+//! plus the per-tenant [`CircuitBreaker`].
+//!
+//! Faults enter only at the slot level: a served engine runs the paper
+//! configuration without engine-level injection, so every attempt of a
+//! job runs the same engine configuration. Admission sheds an arrival
+//! when its tenant's queue is full or its breaker is open.
 //!
 //! The contract the chaos differential grid pins: no silent loss, ever.
 //! Every admitted job either completes with an outQ digest bit-identical
@@ -16,7 +22,6 @@
 
 use std::fmt;
 
-use tmu_sim::FaultSpec;
 pub use tmu_sim::{SlotFaultEvent, SlotFaultKind, SlotFaultPlan, SlotFaultSpec, SlotFaultStats};
 
 /// Resilience knobs of a serving run. Plain `Copy` data riding inside
@@ -27,9 +32,6 @@ pub use tmu_sim::{SlotFaultEvent, SlotFaultKind, SlotFaultPlan, SlotFaultSpec, S
 pub struct ResilienceConfig {
     /// Slot-level chaos schedule (crash / hang / degrade per slot).
     pub slot_faults: SlotFaultSpec,
-    /// Engine-level fault injection applied to every dispatched job; the
-    /// seed is re-derived per retry attempt ([`FaultSpec::for_attempt`]).
-    pub job_faults: FaultSpec,
     /// Retries a faulted job gets beyond its first attempt before it is
     /// declared [`FailedJob`] (terminal, typed).
     pub retry_budget: u32,
@@ -42,10 +44,6 @@ pub struct ResilienceConfig {
     /// Cycles of service between periodic job-level checkpoints; 0
     /// disables checkpointing (a faulted job restarts from scratch).
     pub checkpoint_every: u64,
-    /// Global admission cap: when the total queued-job count across all
-    /// tenants reaches it, further arrivals are shed as `saturated`.
-    /// 0 disables the cap.
-    pub admit_cap: usize,
     /// Consecutive job faults of one tenant that trip its circuit
     /// breaker; 0 disables the breaker.
     pub breaker_threshold: u32,
@@ -58,12 +56,10 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         Self {
             slot_faults: SlotFaultSpec::none(),
-            job_faults: FaultSpec::none(),
             retry_budget: 3,
             backoff_base: 2_000,
             backoff_cap: 64_000,
             checkpoint_every: 0,
-            admit_cap: 0,
             breaker_threshold: 0,
             breaker_open_cycles: 50_000,
         }
@@ -78,12 +74,6 @@ impl ResilienceConfig {
         self.backoff_base
             .saturating_mul(1u64 << shift)
             .min(self.backoff_cap.max(self.backoff_base))
-    }
-
-    /// Whether any fault source is configured (slot chaos or engine
-    /// injection).
-    pub fn chaos_configured(&self) -> bool {
-        self.slot_faults.is_active() || self.job_faults.is_active()
     }
 }
 
@@ -162,14 +152,12 @@ pub struct ShedCounts {
     pub queue_full: u64,
     /// The tenant's circuit breaker was open.
     pub circuit_open: u64,
-    /// The global admission cap was reached.
-    pub saturated: u64,
 }
 
 impl ShedCounts {
     /// Total shed arrivals across all causes.
     pub fn total(&self) -> u64 {
-        self.queue_full + self.circuit_open + self.saturated
+        self.queue_full + self.circuit_open
     }
 }
 
@@ -271,9 +259,8 @@ mod tests {
     #[test]
     fn default_config_disables_every_fault_source() {
         let cfg = ResilienceConfig::default();
-        assert!(!cfg.chaos_configured());
+        assert!(!cfg.slot_faults.is_active());
         assert_eq!(cfg.checkpoint_every, 0);
-        assert_eq!(cfg.admit_cap, 0);
         assert_eq!(cfg.breaker_threshold, 0);
         assert!(cfg.retry_budget > 0, "retries stay armed for genuine hangs");
     }

@@ -63,9 +63,8 @@ pub struct ServeConfig {
     /// No-progress watchdog window of each slot, in driven cycles; it
     /// spans quanta, so a wedged job is caught whatever the quantum.
     pub watchdog: u64,
-    /// Resilience knobs: chaos injection, retry budget/backoff,
-    /// checkpoint cadence, admission control, circuit breaker. The
-    /// default disables every fault source.
+    /// Resilience knobs: slot chaos, retry budget/backoff, checkpoint
+    /// cadence, circuit breaker. The default disables every fault source.
     pub resilience: ResilienceConfig,
 }
 
@@ -116,12 +115,8 @@ pub struct ServeOutcome {
     pub build_hits: u64,
     /// Distinct shapes built.
     pub build_misses: u64,
-    /// Job builds evicted under the `TMU_BUILD_CACHE_CAP` bound.
-    pub build_evictions: u64,
     /// Per-tenant two-level stage-cache counters (application jobs).
     pub tenant_cache: BTreeMap<u32, TenantCacheStats>,
-    /// Stage-cache evictions `(tensors, programs)` under the same bound.
-    pub stage_evictions: (u64, u64),
     /// Per-slot statistics (busy/idle cycles, reboots, tenant
     /// attribution).
     pub slots: Vec<SlotStats>,
@@ -259,7 +254,7 @@ struct Waiting {
     service_cycles: u64,
     preemptions: u32,
     /// 0-based attempt ordinal; bumps on every serving-visible fault and
-    /// re-derives the engine fault seed ([`tmu_sim::FaultSpec::for_attempt`]).
+    /// is checked against the retry budget.
     attempt: u32,
     /// Backoff gate: the job may not dispatch before this cycle.
     eligible_at: u64,
@@ -299,11 +294,13 @@ struct ResilState {
     slot_faults: SlotFaultStats,
 }
 
-/// The multi-tenant serving engine. Owns the build cache, the policy
-/// state, and the slot pool for one [`Server::run`].
+/// The multi-tenant serving engine. Owns the job-build memo and the app
+/// stage caches across runs; the policy state and the slot pool live for
+/// one [`Server::run`].
 pub struct Server {
     cfg: ServeConfig,
     cache: BuildCache,
+    stages: StageCaches,
     scripted: BTreeMap<usize, SlotFaultPlan>,
 }
 
@@ -313,6 +310,7 @@ impl Server {
         Self {
             cfg,
             cache: BuildCache::new(),
+            stages: StageCaches::new(),
             scripted: BTreeMap::new(),
         }
     }
@@ -376,6 +374,7 @@ impl Server {
                 &mut next_arrival,
                 now,
                 &mut self.cache,
+                &mut self.stages,
                 &mut queues,
                 &mut state,
                 &rcfg,
@@ -630,6 +629,7 @@ impl Server {
                 &mut next_arrival,
                 now,
                 &mut self.cache,
+                &mut self.stages,
                 &mut queues,
                 &mut state,
                 &rcfg,
@@ -675,9 +675,7 @@ impl Server {
             preemptions,
             build_hits: self.cache.hits(),
             build_misses: self.cache.misses(),
-            build_evictions: self.cache.evictions(),
-            tenant_cache: self.cache.stages().tenant_stats().clone(),
-            stage_evictions: self.cache.stages().evictions(),
+            tenant_cache: self.stages.tenant_stats().clone(),
             slots: slots
                 .into_iter()
                 .map(|sl| sl.core.stats().clone())
@@ -694,23 +692,15 @@ impl Server {
         // Context install penalty: the slot burns the switch cost before
         // the engine runs.
         slot.core.skip_idle_to(now + self.cfg.ctx_switch_cycles);
-        // Each attempt re-derives its engine fault seed, so a retry does
-        // not deterministically replay the exact fault that killed it.
-        let faults = self.cfg.resilience.job_faults.for_attempt(waiting.attempt);
         let tenant = waiting.spec.tenant;
         let jid = waiting.spec.id;
-        // A live parked context (preempt/checkpoint park) resumes as-is:
-        // its snapshot already carries this attempt's config.
+        // A live parked context (preempt/checkpoint park) resumes as-is.
         let parked = waiting.parked.take();
         let (program, image, outq_base, handler, resume) = match &mut waiting.work {
             Work::Single(built) => {
                 // Restart after a fault: resume from a clone of the
-                // durable checkpoint under this attempt's fault seed.
-                let resume = parked.or_else(|| {
-                    let mut ckpt = waiting.checkpoint.clone()?;
-                    ckpt.snap.config = ckpt.snap.config.with_faults(faults);
-                    Some(ckpt)
-                });
+                // durable checkpoint.
+                let resume = parked.or_else(|| waiting.checkpoint.clone());
                 (
                     Arc::clone(&built.program),
                     Arc::clone(&built.image),
@@ -726,7 +716,7 @@ impl Server {
                 if app.stage.is_none() {
                     let sb = app
                         .exec
-                        .next_stage(self.cache.stages_mut(), tenant)
+                        .next_stage(&mut self.stages, tenant)
                         .map_err(|detail| ServeError::Build { job: jid, detail })?
                         .ok_or_else(|| ServeError::Build {
                             job: jid,
@@ -755,13 +745,7 @@ impl Server {
         };
         let mut engine = match resume {
             Some(p) => TmuAccelerator::resume_from(&p.snap, image, p.handler, outq_base, p.stats)?,
-            None => TmuAccelerator::new(
-                TmuConfig::paper().with_faults(faults),
-                program,
-                image,
-                handler,
-                outq_base,
-            )?,
+            None => TmuAccelerator::new(TmuConfig::paper(), program, image, handler, outq_base)?,
         };
         engine.set_tenant(waiting.spec.tenant);
         if waiting.first_start.is_none() {
@@ -921,14 +905,15 @@ fn fault_job(
 
 /// Admits every trace arrival at or before `now` into its tenant queue,
 /// building (or batch-sharing) the job on admission. Arrivals shed at
-/// admission — open circuit breaker, global saturation, or full tenant
-/// queue — are counted by cause; nothing is silently dropped.
+/// admission — open circuit breaker or full tenant queue — are counted by
+/// cause; nothing is silently dropped.
 #[allow(clippy::too_many_arguments)]
 fn admit(
     trace: &[JobSpec],
     next_arrival: &mut usize,
     now: u64,
     cache: &mut BuildCache,
+    stages: &mut StageCaches,
     queues: &mut BTreeMap<u32, VecDeque<Waiting>>,
     state: &mut ResilState,
     rcfg: &ResilienceConfig,
@@ -943,14 +928,6 @@ fn admit(
             trace_event(now, EventKind::TenantReject, u64::from(spec.tenant));
             continue;
         }
-        if rcfg.admit_cap > 0 {
-            let queued: usize = queues.values().map(VecDeque::len).sum();
-            if queued >= rcfg.admit_cap {
-                state.shed.entry(spec.tenant).or_default().saturated += 1;
-                trace_event(now, EventKind::TenantReject, u64::from(spec.tenant));
-                continue;
-            }
-        }
         let queue = queues.entry(spec.tenant).or_default();
         if queue.len() >= queue_cap.max(1) {
             state.shed.entry(spec.tenant).or_default().queue_full += 1;
@@ -962,7 +939,7 @@ fn admit(
             // two-level stage cache; admission just validates the DAG
             // and seeds the pipeline's base tensors.
             Some(aspec) => Work::App(Box::new(AppWork {
-                exec: AppExec::new(aspec, cache.stages_mut(), spec.tenant).map_err(|detail| {
+                exec: AppExec::new(aspec, stages, spec.tenant).map_err(|detail| {
                     ServeError::Build {
                         job: spec.id,
                         detail,
@@ -1048,7 +1025,7 @@ pub struct AppSoloRun {
 /// completion of the same spec — preempted, faulted, or cache-shared —
 /// bit-identical to this.
 pub fn solo_app(spec: AppSpec) -> Result<AppSoloRun, ServeError> {
-    let mut caches = StageCaches::new(0);
+    let mut caches = StageCaches::new();
     let mut exec = AppExec::new(spec, &mut caches, 0)
         .map_err(|detail| ServeError::Build { job: 0, detail })?;
     let mut slot = ServedCore::new(

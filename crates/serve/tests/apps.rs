@@ -148,9 +148,6 @@ fn two_level_cache_shares_builds_across_iterations_and_tenants() {
             "tenant {tenant}: rate and counters disagree"
         );
     }
-    // Unbounded default capacity: nothing evicts.
-    assert_eq!(out.stage_evictions, (0, 0));
-    assert_eq!(out.build_evictions, 0);
 }
 
 #[test]

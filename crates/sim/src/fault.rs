@@ -139,25 +139,6 @@ impl FaultSpec {
     pub fn enables(&self, kind: FaultKind) -> bool {
         self.kinds & kind.bit() != 0
     }
-
-    /// The same spec with the seed re-derived for retry `attempt`.
-    ///
-    /// A job restarted after a serving-visible failure must not replay the
-    /// exact fault schedule that killed it — a rate-based plan would
-    /// otherwise deterministically re-kill the job on every attempt.
-    /// Folding the attempt ordinal through a SplitMix64 scramble gives
-    /// each incarnation its own decorrelated stream while keeping the
-    /// whole retry sequence a pure function of `(seed, attempt)`.
-    /// Attempt 0 is the identity, so first runs stay byte-identical to
-    /// the configured spec.
-    pub fn for_attempt(&self, attempt: u32) -> Self {
-        if attempt == 0 || !self.is_active() {
-            return *self;
-        }
-        let mut state = self.seed ^ u64::from(attempt).wrapping_mul(0xA24B_AED4_963E_E407);
-        let seed = splitmix64(&mut state);
-        Self { seed, ..*self }
-    }
 }
 
 impl Default for FaultSpec {
@@ -528,14 +509,6 @@ impl SlotFaultStats {
             SlotFaultKind::Degrade => self.degrades += 1,
         }
     }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &SlotFaultStats) {
-        self.injected += other.injected;
-        self.crashes += other.crashes;
-        self.hangs += other.hangs;
-        self.degrades += other.degrades;
-    }
 }
 
 /// A deterministic slot-fault schedule consumed by one serving slot. The
@@ -548,8 +521,6 @@ pub struct SlotFaultPlan {
     events: Vec<SlotFaultEvent>,
     fired: Vec<bool>,
     quanta_seen: u64,
-    /// Running injection counters for this slot.
-    pub stats: SlotFaultStats,
 }
 
 impl SlotFaultPlan {
@@ -566,7 +537,6 @@ impl SlotFaultPlan {
             events: Vec::new(),
             fired: Vec::new(),
             quanta_seen: 0,
-            stats: SlotFaultStats::default(),
         })
     }
 
@@ -580,7 +550,6 @@ impl SlotFaultPlan {
             events,
             fired,
             quanta_seen: 0,
-            stats: SlotFaultStats::default(),
         }
     }
 
@@ -590,8 +559,7 @@ impl SlotFaultPlan {
     }
 
     /// Consulted once per completed scheduling quantum that left a job
-    /// running on the slot. Returns the slot fault to inject now, if any,
-    /// and records it.
+    /// running on the slot. Returns the slot fault to inject now, if any.
     pub fn on_quantum(&mut self) -> Option<SlotFaultKind> {
         let ordinal = self.quanta_seen;
         self.quanta_seen += 1;
@@ -601,7 +569,7 @@ impl SlotFaultPlan {
             .enumerate()
             .find(|(i, ev)| !self.fired[*i] && ev.at_quantum == ordinal)
             .map(|(i, ev)| (i, ev.kind));
-        let kind = match scripted {
+        match scripted {
             Some((i, kind)) => {
                 self.fired[i] = true;
                 Some(kind)
@@ -624,9 +592,7 @@ impl SlotFaultPlan {
                     None
                 }
             }
-        }?;
-        self.stats.record(kind);
-        Some(kind)
+        }
     }
 }
 
@@ -693,38 +659,6 @@ mod tests {
         assert_eq!(plan.stats.page_faults, 0);
     }
 
-    /// Satellite pin: each retry attempt derives its own fault stream.
-    /// Attempt 0 is the identity; attempts 1.. decorrelate the schedule
-    /// deterministically, so a rate-based plan cannot re-kill the same
-    /// job with the same schedule forever.
-    #[test]
-    fn retry_attempts_derive_distinct_deterministic_seeds() {
-        let spec = FaultSpec::with_rate(41, 5_000);
-        assert_eq!(spec.for_attempt(0), spec, "attempt 0 is the identity");
-        // The derivation is a pure function of (seed, attempt)...
-        assert_eq!(spec.for_attempt(3), spec.for_attempt(3));
-        // ...and distinct attempts get distinct seeds (hence schedules).
-        let seeds: Vec<u64> = (0..5).map(|a| spec.for_attempt(a).seed).collect();
-        for i in 0..seeds.len() {
-            for j in (i + 1)..seeds.len() {
-                assert_ne!(seeds[i], seeds[j], "attempts {i} and {j} collide");
-            }
-        }
-        // Everything but the seed is preserved.
-        let derived = spec.for_attempt(2);
-        assert_eq!(derived.rate_per_100k, spec.rate_per_100k);
-        assert_eq!(derived.kinds, spec.kinds);
-        assert_eq!(derived.max_serviced, spec.max_serviced);
-        // The derived stream really is a different schedule.
-        let schedule = |s: FaultSpec| -> Vec<Option<FaultKind>> {
-            let mut plan = FaultPlan::from_spec(s, 0).unwrap();
-            (0..1_000).map(|_| plan.on_load()).collect()
-        };
-        assert_ne!(schedule(spec), schedule(spec.for_attempt(1)));
-        // Inactive specs stay untouched (keeps fault-free configs stable).
-        assert_eq!(FaultSpec::none().for_attempt(7), FaultSpec::none());
-    }
-
     #[test]
     fn inactive_slot_spec_builds_no_plan() {
         assert!(SlotFaultPlan::from_spec(SlotFaultSpec::none(), 0).is_none());
@@ -759,9 +693,6 @@ mod tests {
         assert_eq!(plan.on_quantum(), None, "events fire once");
         assert_eq!(plan.on_quantum(), Some(SlotFaultKind::Degrade));
         assert_eq!(plan.on_quantum(), None);
-        assert_eq!(plan.stats.injected, 2);
-        assert_eq!(plan.stats.crashes, 1);
-        assert_eq!(plan.stats.degrades, 1);
     }
 
     #[test]
@@ -789,7 +720,5 @@ mod tests {
         let kinds: Vec<SlotFaultKind> = (0..400).filter_map(|_| plan.on_quantum()).collect();
         assert!(!kinds.is_empty());
         assert!(kinds.iter().all(|&k| k == SlotFaultKind::Hang));
-        assert_eq!(plan.stats.hangs as usize, kinds.len());
-        assert_eq!(plan.stats.crashes, 0);
     }
 }

@@ -7,6 +7,19 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== every quoted TMU_* knob under crates/ is documented in README.md =="
+undocumented=$(
+    { grep -rhoE '"TMU_[A-Z0-9_]+"' crates/ || true; } | tr -d '"' | sort -u |
+        while read -r name; do
+            grep -qwF -- "$name" README.md || echo "$name"
+        done
+)
+if [ -n "$undocumented" ]; then
+    echo "verify.sh: these TMU_* variables are read under crates/ but missing from README.md:" >&2
+    echo "$undocumented" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -39,7 +39,12 @@ fn table5_system_parameters() {
     assert!((peak - 150.0).abs() < 1.0, "peak = {peak} GB/s");
     let tmu = TmuConfig::paper();
     assert_eq!(
-        (tmu.lanes, tmu.per_lane_bytes, tmu.groups, tmu.outstanding),
+        (
+            tmu.lanes,
+            tmu.per_lane_bytes,
+            tmu.groups,
+            cfg.mem.accel_outstanding
+        ),
         (8, 2048, 4, 128)
     );
 }
