@@ -49,7 +49,20 @@ impl TenantCacheStats {
     }
 }
 
-/// The two-level cache handed to the DAG executor.
+/// Adds counters field by field: the sum over tenants is the whole
+/// cache's tally.
+impl<'a> std::iter::Sum<&'a TenantCacheStats> for TenantCacheStats {
+    fn sum<I: Iterator<Item = &'a TenantCacheStats>>(iter: I) -> Self {
+        iter.fold(Self::default(), |acc, s| Self {
+            tensor_hits: acc.tensor_hits + s.tensor_hits,
+            tensor_misses: acc.tensor_misses + s.tensor_misses,
+            program_hits: acc.program_hits + s.program_hits,
+            program_misses: acc.program_misses + s.program_misses,
+        })
+    }
+}
+
+/// The two-level cache handed to the stage executor.
 #[derive(Debug, Default)]
 pub struct StageCaches {
     tensors: HashMap<String, Arc<CsrMatrix>>,
@@ -116,16 +129,6 @@ impl StageCaches {
     pub fn tenant_stats(&self) -> &BTreeMap<u32, TenantCacheStats> {
         &self.per_tenant
     }
-
-    /// Aggregate counters `(hits, misses)` across tenants and levels.
-    pub fn totals(&self) -> (u64, u64) {
-        self.per_tenant.values().fold((0, 0), |(h, m), s| {
-            (
-                h + s.tensor_hits + s.program_hits,
-                m + s.tensor_misses + s.program_misses,
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +151,13 @@ mod tests {
         assert_eq!((s0.tensor_hits, s0.tensor_misses), (1, 1));
         assert_eq!((s1.tensor_hits, s1.tensor_misses), (1, 0));
         assert!((s1.hit_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(c.totals(), (2, 1));
+        let all: TenantCacheStats = c.tenant_stats().values().sum();
+        let want = TenantCacheStats {
+            tensor_hits: 2,
+            tensor_misses: 1,
+            ..TenantCacheStats::default()
+        };
+        assert_eq!(all, want);
     }
 
     #[test]
@@ -161,6 +170,12 @@ mod tests {
             c.tensor(&format!("k{k}"), 0, || Err("evicted".into()))
                 .expect("every entry is still resident");
         }
-        assert_eq!(c.totals(), (64, 64));
+        let all: TenantCacheStats = c.tenant_stats().values().sum();
+        let want = TenantCacheStats {
+            tensor_hits: 64,
+            tensor_misses: 64,
+            ..TenantCacheStats::default()
+        };
+        assert_eq!(all, want);
     }
 }

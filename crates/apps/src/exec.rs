@@ -1,30 +1,29 @@
-//! The deterministic DAG executor and the three built-in applications.
+//! The three built-in applications and their stage-chain executor.
 //!
-//! [`AppExec`] owns one application job: its [`PipelineDag`], the tensor
-//! environment carrying intermediates between stages, and the host-side
-//! round logic (CG's axpy/dot updates, PageRank's dense contribution
-//! phase). The serving layer drives it through a narrow two-call
-//! protocol:
+//! Each [`AppKind`] is a fixed chain of [`StageOp`]s that runs in order
+//! every round. [`AppExec`] owns one application job: its typed per-app
+//! state (the round's inputs and intermediates) and the host-side round
+//! logic (CG's axpy/dot updates, PageRank's dense contribution phase).
+//! The serving layer drives it through a narrow two-call protocol:
 //!
-//! 1. [`AppExec::next_stage`] — compile (or cache-hit) the next ready
+//! 1. [`AppExec::next_stage`] — compile (or cache-hit) the round's next
 //!    stage and hand back a [`StageBuild`] the caller runs on the engine
 //!    (any variant, preemptible mid-stage via the §5.6 snapshot path);
 //! 2. [`AppExec::complete_stage`] — once the engine run drains,
-//!    materialize the stage's output tensor with a functional pass,
-//!    advance the DAG, and run end-of-round host logic (convergence
-//!    predicates, iterate updates) when the round closes.
+//!    materialize the stage's output with a functional pass, advance the
+//!    chain, and run end-of-round host logic (convergence predicates,
+//!    iterate updates) when the round closes.
 //!
 //! The functional pass is a pure re-walk of the program over the memory
-//! image, so the output tensors — and therefore every downstream stage's
+//! image, so the stage outputs — and therefore every later stage's
 //! program and image — are independent of how the engine run was
-//! scheduled, preempted, or faulted. That is what makes served DAG
+//! scheduled, preempted, or faulted. That is what makes served app
 //! digests bit-identical to a solo unpreempted run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tmu::{MemImage, Program};
-use tmu_front::ExprWorkload;
 use tmu_kernels::pagerank::PageRank;
 use tmu_kernels::sddmm::Sddmm;
 use tmu_kernels::spmm::Spmm;
@@ -32,7 +31,10 @@ use tmu_kernels::spmv::Spmv;
 use tmu_tensor::{gen, CooMatrix, CsrMatrix};
 
 use crate::cache::StageCaches;
-use crate::dag::{PipelineDag, StageOp, StageSpec, TensorVal};
+
+/// Lockstep lanes every stage program is built for (the paper
+/// configuration; the serving layer builds its kernel jobs the same way).
+pub const SERVE_LANES: usize = 8;
 
 /// Which built-in application a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -56,6 +58,43 @@ impl AppKind {
             AppKind::PageRank => "pagerank",
         }
     }
+
+    /// One round's stage ops, in run order.
+    pub(crate) fn stages(self) -> &'static [StageOp] {
+        match self {
+            AppKind::Gnn => &[StageOp::Sddmm, StageOp::SpmmDense],
+            AppKind::Cg => &[StageOp::SpmvVec],
+            AppKind::PageRank => &[StageOp::PrGather],
+        }
+    }
+}
+
+/// The operation a stage runs on the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageOp {
+    /// `S = A .* (U · Vᵀ)`: sampled dense-dense product over `A`'s
+    /// sparse pattern. Output is CSR with `A`'s pattern.
+    Sddmm,
+    /// `Z = S · B`: sparse × dense-RANK product. Output is a dense
+    /// row-major `rows × RANK` matrix.
+    SpmmDense,
+    /// `q = M · p`: CG's system matrix times its search direction.
+    SpmvVec,
+    /// One PageRank gather iteration: the in-adjacency and the current
+    /// rank vector give the next rank vector.
+    PrGather,
+}
+
+impl StageOp {
+    /// Stable display name, used in records and bench rows.
+    pub fn name(self) -> &'static str {
+        match self {
+            StageOp::Sddmm => "sddmm",
+            StageOp::SpmmDense => "spmm",
+            StageOp::SpmvVec => "spmv",
+            StageOp::PrGather => "gather",
+        }
+    }
 }
 
 /// The full recipe for one application job.
@@ -71,8 +110,6 @@ pub struct AppSpec {
     pub seed: u64,
     /// Iteration cap for the iterative apps (GNN always runs 1 round).
     pub max_iters: u32,
-    /// Lockstep lanes for every stage program.
-    pub lanes: usize,
 }
 
 impl AppSpec {
@@ -85,7 +122,7 @@ impl AppSpec {
 /// A compiled stage, ready to run on any engine variant.
 #[derive(Debug, Clone)]
 pub struct StageBuild {
-    /// Stage name (from the DAG).
+    /// Stage name ([`StageOp::name`]).
     pub name: String,
     /// Round this build belongs to (0-based).
     pub round: u32,
@@ -118,7 +155,6 @@ enum BuiltStage {
     Spmm(Box<Spmm>),
     Spmv(Box<Spmv>),
     Pr(Box<PageRank>),
-    Expr(Box<ExprWorkload>),
 }
 
 impl std::fmt::Debug for BuiltStage {
@@ -128,48 +164,58 @@ impl std::fmt::Debug for BuiltStage {
             BuiltStage::Spmm(_) => "Spmm",
             BuiltStage::Spmv(_) => "Spmv",
             BuiltStage::Pr(_) => "Pr",
-            BuiltStage::Expr(_) => "Expr",
         };
         f.write_str(tag)
     }
 }
 
-/// Host-side per-app state advanced at each round boundary.
+/// Typed per-app state: the stages' inputs and intermediates plus the
+/// host-side iterates advanced at each round boundary.
 #[derive(Debug)]
-enum Logic {
-    Gnn,
+enum State {
+    /// The adjacency `A`, SDDMM's scores `S` and SpMM's aggregation `Z`
+    /// (each empty until its stage has run).
+    Gnn {
+        a: Arc<CsrMatrix>,
+        s: Option<CsrMatrix>,
+        z: Vec<f64>,
+    },
+    /// The SPD system `M`, the iterate `x`, the residual `r`, the search
+    /// direction `p`, and the squared residual norms `rz` (current) and
+    /// `rz0` (initial).
     Cg {
+        m: Arc<CsrMatrix>,
         x: Vec<f64>,
         r: Vec<f64>,
         p: Vec<f64>,
         rz: f64,
         rz0: f64,
     },
-    Pr,
+    /// The in-adjacency and the current rank vector.
+    PageRank { adj: Arc<CsrMatrix>, rank: Vec<f64> },
 }
 
 /// One application job in flight.
 #[derive(Debug)]
 pub struct AppExec {
     spec: AppSpec,
-    dag: PipelineDag,
-    env: BTreeMap<String, TensorVal>,
-    done: Vec<bool>,
-    round: u32,
+    state: State,
+    /// Index of the next stage in `AppKind::stages`.
+    stage: usize,
     rounds_done: u32,
-    logic: Logic,
-    pending: Option<(usize, BuiltStage)>,
+    pending: Option<BuiltStage>,
     records: Vec<StageRecord>,
     finished: bool,
 }
 
 impl AppExec {
-    /// Builds the job's input tensors (through the level-1 cache, charged
-    /// to `tenant`) and its validated DAG.
+    /// Builds the job's input tensors through the level-1 cache, charged
+    /// to `tenant`.
     ///
     /// # Errors
     ///
-    /// Tensor-build or DAG-validation failures, as human-readable text.
+    /// An input with no rows, or a tensor-build failure, as
+    /// human-readable text.
     pub fn new(spec: AppSpec, caches: &mut StageCaches, tenant: u32) -> Result<Self, String> {
         let n = spec.rows;
         if n == 0 {
@@ -179,122 +225,41 @@ impl AppExec {
         let base = caches.tensor(&base_key, tenant, || {
             Ok(gen::uniform(n, n, spec.nnz_per_row, spec.seed))
         })?;
-        let mut env = BTreeMap::new();
-        let (dag, logic) = match spec.app {
-            AppKind::Gnn => {
-                env.insert("A".to_string(), TensorVal::Csr(base));
-                let dag = PipelineDag {
-                    stages: vec![
-                        StageSpec {
-                            name: "sddmm".into(),
-                            inputs: vec!["A".into()],
-                            output: "S".into(),
-                            op: StageOp::Sddmm,
-                        },
-                        StageSpec {
-                            name: "spmm".into(),
-                            inputs: vec!["S".into()],
-                            output: "Z".into(),
-                            op: StageOp::SpmmDense,
-                        },
-                    ],
-                };
-                (dag, Logic::Gnn)
-            }
+        let state = match spec.app {
+            AppKind::Gnn => State::Gnn {
+                a: base,
+                s: None,
+                z: Vec::new(),
+            },
             AppKind::Cg => {
                 let spd_key = format!("cg-spd:{}:{}:{}", n, spec.nnz_per_row, spec.seed);
                 let m = caches.tensor(&spd_key, tenant, || spd_from(&base))?;
-                let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64 / 13.0).collect();
-                let r = b.clone();
-                let p = r.clone();
+                // With `x = 0` the residual starts at the right-hand side.
+                let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64 / 13.0).collect();
                 let rz: f64 = r.iter().map(|v| v * v).sum();
-                env.insert("M".to_string(), TensorVal::Csr(m));
-                env.insert("p".to_string(), TensorVal::Dense(Arc::new(p.clone())));
-                let dag = PipelineDag {
-                    stages: vec![StageSpec {
-                        name: "spmv".into(),
-                        inputs: vec!["M".into(), "p".into()],
-                        output: "q".into(),
-                        op: StageOp::SpmvVec,
-                    }],
-                };
-                (
-                    dag,
-                    Logic::Cg {
-                        x: vec![0.0; n],
-                        r,
-                        p,
-                        rz,
-                        rz0: rz,
-                    },
-                )
+                State::Cg {
+                    m,
+                    x: vec![0.0; n],
+                    p: r.clone(),
+                    r,
+                    rz,
+                    rz0: rz,
+                }
             }
-            AppKind::PageRank => {
-                env.insert("adj".to_string(), TensorVal::Csr(base));
-                env.insert(
-                    "rank".to_string(),
-                    TensorVal::Dense(Arc::new(vec![1.0 / n as f64; n])),
-                );
-                let dag = PipelineDag {
-                    stages: vec![StageSpec {
-                        name: "gather".into(),
-                        inputs: vec!["adj".into(), "rank".into()],
-                        output: "rank_next".into(),
-                        op: StageOp::PrGather,
-                    }],
-                };
-                (dag, Logic::Pr)
-            }
+            AppKind::PageRank => State::PageRank {
+                adj: base,
+                rank: vec![1.0 / n as f64; n],
+            },
         };
-        let seeds: BTreeSet<String> = env.keys().cloned().collect();
-        dag.validate(&seeds)?;
-        let done = vec![false; dag.stages.len()];
         Ok(Self {
             spec,
-            dag,
-            env,
-            done,
-            round: 0,
+            state,
+            stage: 0,
             rounds_done: 0,
-            logic,
             pending: None,
             records: Vec::new(),
             finished: false,
         })
-    }
-
-    /// A generic executor over a caller-supplied DAG (used by tests and
-    /// by custom pipelines that are not one of the built-in apps). The
-    /// DAG runs for exactly one round; `env` seeds the tensor edges.
-    ///
-    /// # Errors
-    ///
-    /// DAG-validation failures, as human-readable text.
-    pub fn custom(
-        spec: AppSpec,
-        dag: PipelineDag,
-        env: BTreeMap<String, TensorVal>,
-    ) -> Result<Self, String> {
-        let seeds: BTreeSet<String> = env.keys().cloned().collect();
-        dag.validate(&seeds)?;
-        let done = vec![false; dag.stages.len()];
-        Ok(Self {
-            spec,
-            dag,
-            env,
-            done,
-            round: 0,
-            rounds_done: 0,
-            logic: Logic::Gnn,
-            pending: None,
-            records: Vec::new(),
-            finished: false,
-        })
-    }
-
-    /// The job's spec.
-    pub fn spec(&self) -> &AppSpec {
-        &self.spec
     }
 
     /// Short label for reports.
@@ -317,18 +282,12 @@ impl AppExec {
         &self.records
     }
 
-    /// A tensor edge's current value, if materialized.
-    pub fn tensor(&self, edge: &str) -> Option<&TensorVal> {
-        self.env.get(edge)
-    }
-
-    /// Compiles the next ready stage, or returns `None` when the job is
+    /// Compiles the round's next stage, or returns `None` when the job is
     /// finished. At most one stage may be pending at a time.
     ///
     /// # Errors
     ///
-    /// A stage is already pending, no stage is ready (malformed DAG), or
-    /// the stage build failed.
+    /// A stage is already pending, or the stage build failed.
     pub fn next_stage(
         &mut self,
         caches: &mut StageCaches,
@@ -340,74 +299,46 @@ impl AppExec {
         if self.pending.is_some() {
             return Err("a stage is already pending".into());
         }
-        let Some(i) = self.dag.next_ready(&self.done, &self.env) else {
-            return Err("no stage is ready (malformed DAG)".into());
-        };
-        let stage = self.dag.stages[i].clone();
-        let lanes = self.spec.lanes;
-        let (built, program, image, outq_base) = match &stage.op {
-            StageOp::Sddmm => {
-                let a = self.input_csr(&stage, 0)?;
-                let w = Sddmm::new(&a);
-                let key = sig("sddmm", &a, lanes);
-                let prog =
-                    caches.program(&key, tenant, || Ok(w.build_program((0, a.rows()), lanes)))?;
+        let op = self.spec.app.stages()[self.stage];
+        let (built, program, image, outq_base) = match (op, &self.state) {
+            (StageOp::Sddmm, State::Gnn { a, .. }) => {
+                let w = Sddmm::new(a);
+                let prog = caches.program(&sig("sddmm", a), tenant, || {
+                    Ok(w.build_program((0, a.rows()), SERVE_LANES))
+                })?;
                 let (img, oq) = (w.image_handle(), w.outq_base(0));
                 (BuiltStage::Sddmm(Box::new(w)), prog, img, oq)
             }
-            StageOp::SpmmDense => {
-                let s = self.input_csr(&stage, 0)?;
-                let w = Spmm::new(&s);
-                let key = sig("spmm", &s, lanes);
-                let prog =
-                    caches.program(&key, tenant, || Ok(w.build_program((0, s.rows()), lanes)))?;
+            (StageOp::SpmmDense, State::Gnn { s: Some(s), .. }) => {
+                let w = Spmm::new(s);
+                let prog = caches.program(&sig("spmm", s), tenant, || {
+                    Ok(w.build_program((0, s.rows()), SERVE_LANES))
+                })?;
                 let (img, oq) = (w.image_handle(), w.outq_base(0));
                 (BuiltStage::Spmm(Box::new(w)), prog, img, oq)
             }
-            StageOp::SpmvVec => {
-                let m = self.input_csr(&stage, 0)?;
-                let p = self.input_dense(&stage, 1)?;
-                let w = Spmv::with_vector(&m, p.as_ref().clone());
-                let key = sig("spmv", &m, lanes);
-                let prog =
-                    caches.program(&key, tenant, || Ok(w.build_program((0, m.rows()), lanes)))?;
+            (StageOp::SpmvVec, State::Cg { m, p, .. }) => {
+                let w = Spmv::with_vector(m, p.clone());
+                let prog = caches.program(&sig("spmv", m), tenant, || {
+                    Ok(w.build_program((0, m.rows()), SERVE_LANES))
+                })?;
                 let (img, oq) = (w.image_handle(), w.outq_base(0));
                 (BuiltStage::Spmv(Box::new(w)), prog, img, oq)
             }
-            StageOp::PrGather => {
-                let adj = self.input_csr(&stage, 0)?;
-                let rank = self.input_dense(&stage, 1)?;
-                let w = PageRank::with_ranks(&adj, rank.as_ref().clone());
-                let key = sig("pr", &adj, lanes);
-                let prog =
-                    caches.program(&key, tenant, || Ok(w.build_program((0, adj.rows()), lanes)))?;
+            (StageOp::PrGather, State::PageRank { adj, rank }) => {
+                let w = PageRank::with_ranks(adj, rank.clone());
+                let prog = caches.program(&sig("pr", adj), tenant, || {
+                    Ok(w.build_program((0, adj.rows()), SERVE_LANES))
+                })?;
                 let (img, oq) = (w.image_handle(), w.outq_base(0));
                 (BuiltStage::Pr(Box::new(w)), prog, img, oq)
             }
-            StageOp::Expr { src } => {
-                let base = self.input_csr(&stage, 0)?;
-                let w = ExprWorkload::new(src, &base)
-                    .map_err(|e| format!("expr stage '{}': {e}", stage.name))?;
-                let key = format!(
-                    "expr:{src}:{}x{}:{}:{}",
-                    base.rows(),
-                    base.cols(),
-                    base.nnz(),
-                    lanes
-                );
-                let prog = caches.program(&key, tenant, || {
-                    w.lowered(lanes)
-                        .map(|l| l.program)
-                        .map_err(|e| format!("expr stage '{}': {e}", stage.name))
-                })?;
-                let (img, oq) = (w.image_handle(), w.outq_base());
-                (BuiltStage::Expr(Box::new(w)), prog, img, oq)
-            }
+            (op, state) => unreachable!("stage {op:?} has no inputs in {state:?}"),
         };
-        self.pending = Some((i, built));
+        self.pending = Some(built);
         Ok(Some(StageBuild {
-            name: stage.name,
-            round: self.round,
+            name: op.name().into(),
+            round: self.rounds_done,
             program,
             image,
             outq_base,
@@ -416,83 +347,45 @@ impl AppExec {
 
     /// Materializes the pending stage's output (a pure functional pass,
     /// independent of how the engine run was scheduled), advances the
-    /// DAG, and — when the round closes — runs the end-of-round host
+    /// chain, and — when the round closes — runs the end-of-round host
     /// logic. Returns the host cycles to charge at this stage boundary.
     ///
     /// # Errors
     ///
     /// No stage is pending, or output assembly failed.
     pub fn complete_stage(&mut self, engine_cycles: u64) -> Result<u64, String> {
-        let (i, built) = self
+        let built = self
             .pending
             .take()
             .ok_or_else(|| "no stage is pending".to_string())?;
-        let lanes = self.spec.lanes;
-        let round = self.round;
-        let out_edge = self.dag.stages[i].output.clone();
-        let stage_name = self.dag.stages[i].name.clone();
-        let (val, out_elems) = match built {
-            BuiltStage::Sddmm(w) => {
-                let vals = w.functional(lanes);
-                let n = vals.len();
-                let s = w.output_matrix(vals)?;
-                (TensorVal::Csr(Arc::new(s)), n)
-            }
-            BuiltStage::Spmm(w) => {
-                let z = w.functional(lanes);
-                let n = z.len();
-                (TensorVal::Dense(Arc::new(z)), n)
-            }
-            BuiltStage::Spmv(w) => {
-                let q = w.functional();
-                let n = q.len();
-                (TensorVal::Dense(Arc::new(q)), n)
-            }
-            BuiltStage::Pr(w) => {
-                let r = w.functional(lanes);
-                let n = r.len();
-                (TensorVal::Dense(Arc::new(r)), n)
-            }
-            BuiltStage::Expr(w) => {
-                let m = w
-                    .run_functional(lanes)
-                    .map_err(|e| format!("expr stage '{stage_name}': {e}"))?;
-                let n = m.len();
-                (TensorVal::Coords(Arc::new(m)), n)
-            }
-        };
-        self.env.insert(out_edge, val);
-        self.done[i] = true;
-        // Nominal host charge: two core ops per materialized element.
-        let mut host = 2 * out_elems as u64;
-        if self.done.iter().all(|d| *d) {
-            host += self.end_round()?;
-        }
-        self.records.push(StageRecord {
-            stage: stage_name,
-            round,
-            engine_cycles,
-            host_cycles: host,
-        });
-        Ok(host)
-    }
-
-    /// End-of-round host logic; returns its nominal cycle charge.
-    fn end_round(&mut self) -> Result<u64, String> {
         let n = self.spec.rows;
-        self.rounds_done += 1;
-        let extra = match &mut self.logic {
-            Logic::Gnn => {
-                self.finished = true;
-                0
+        let round = self.rounds_done;
+        let stages = self.spec.app.stages();
+        let op = stages[self.stage];
+        // Whether this round is the last the cap allows (read by the
+        // round-closing stages only).
+        let capped = round + 1 >= self.spec.max_iters;
+        // `(materialized elements, end-of-round host cycles)`.
+        let (out_elems, round_host) = match (built, &mut self.state) {
+            (BuiltStage::Sddmm(w), State::Gnn { s, .. }) => {
+                let vals = w.functional(SERVE_LANES);
+                let len = vals.len();
+                *s = Some(w.output_matrix(vals)?);
+                (len, 0)
             }
-            Logic::Cg { x, r, p, rz, rz0 } => {
-                let q = self
-                    .env
-                    .get("q")
-                    .ok_or("CG round closed without q")?
-                    .as_dense("q")?
-                    .clone();
+            (BuiltStage::Spmm(w), State::Gnn { z, .. }) => {
+                *z = w.functional(SERVE_LANES);
+                // A GNN layer is one round.
+                self.finished = true;
+                (z.len(), 0)
+            }
+            (
+                BuiltStage::Spmv(w),
+                State::Cg {
+                    x, r, p, rz, rz0, ..
+                },
+            ) => {
+                let q = w.functional();
                 let pq: f64 = p.iter().zip(q.iter()).map(|(a, b)| a * b).sum();
                 if pq == 0.0 {
                     self.finished = true;
@@ -505,83 +398,63 @@ impl AppExec {
                         *ri -= alpha * qi;
                     }
                     let rz_new: f64 = r.iter().map(|v| v * v).sum();
-                    if rz_new.sqrt() <= 1e-6 * rz0.sqrt() || self.rounds_done >= self.spec.max_iters
-                    {
+                    if rz_new.sqrt() <= 1e-6 * rz0.sqrt() || capped {
                         self.finished = true;
                     } else {
                         let beta = rz_new / *rz;
                         for (pi, ri) in p.iter_mut().zip(r.iter()) {
                             *pi = ri + beta * *pi;
                         }
-                        self.env
-                            .insert("p".to_string(), TensorVal::Dense(Arc::new(p.clone())));
                     }
                     *rz = rz_new;
                 }
-                self.env.remove("q");
                 // Two dots and two axpys plus the direction update.
-                6 * n as u64
+                (q.len(), 6 * n as u64)
             }
-            Logic::Pr => {
-                let next = self
-                    .env
-                    .remove("rank_next")
-                    .ok_or("PR round closed without rank_next")?;
-                let next = next.as_dense("rank_next")?.clone();
-                let prev = self.env.get("rank").ok_or("PR lost rank")?;
-                let prev = prev.as_dense("rank")?;
-                let delta: f64 = prev
+            (BuiltStage::Pr(w), State::PageRank { rank, .. }) => {
+                let next = w.functional(SERVE_LANES);
+                let delta: f64 = rank
                     .iter()
                     .zip(next.iter())
                     .map(|(a, b)| (a - b).abs())
                     .sum();
-                if delta <= 1e-7 * n as f64 || self.rounds_done >= self.spec.max_iters {
+                if delta <= 1e-7 * n as f64 || capped {
                     self.finished = true;
                 }
-                self.env.insert("rank".to_string(), TensorVal::Dense(next));
+                let len = next.len();
+                *rank = next;
                 // The dense contribution update phase.
-                4 * n as u64
+                (len, 4 * n as u64)
             }
+            (built, state) => unreachable!("stage {built:?} was not built from {state:?}"),
         };
-        if !self.finished {
-            for d in &mut self.done {
-                *d = false;
-            }
-            self.round += 1;
+        self.stage = (self.stage + 1) % stages.len();
+        if self.stage == 0 {
+            self.rounds_done += 1;
         }
-        Ok(extra)
-    }
-
-    fn input_csr(&self, stage: &StageSpec, i: usize) -> Result<Arc<CsrMatrix>, String> {
-        let edge = stage
-            .inputs
-            .get(i)
-            .ok_or_else(|| format!("stage '{}' is missing input {i}", stage.name))?;
-        let val = self
-            .env
-            .get(edge)
-            .ok_or_else(|| format!("edge '{edge}' is not materialized"))?;
-        Ok(Arc::clone(val.as_csr(edge)?))
-    }
-
-    fn input_dense(&self, stage: &StageSpec, i: usize) -> Result<Arc<Vec<f64>>, String> {
-        let edge = stage
-            .inputs
-            .get(i)
-            .ok_or_else(|| format!("stage '{}' is missing input {i}", stage.name))?;
-        let val = self
-            .env
-            .get(edge)
-            .ok_or_else(|| format!("edge '{edge}' is not materialized"))?;
-        Ok(Arc::clone(val.as_dense(edge)?))
+        // Nominal host charge: two core ops per materialized element.
+        let host = 2 * out_elems as u64 + round_host;
+        self.records.push(StageRecord {
+            stage: op.name().into(),
+            round,
+            engine_cycles,
+            host_cycles: host,
+        });
+        Ok(host)
     }
 }
 
 /// Level-2 cache key: stage kind + structural signature. Sound because
 /// the compiled program is a function of the input *sizes* only — the
 /// sparsity pattern and values live in the memory image.
-fn sig(tag: &str, m: &CsrMatrix, lanes: usize) -> String {
-    format!("{tag}:{}x{}:{}:{}", m.rows(), m.cols(), m.nnz(), lanes)
+fn sig(tag: &str, m: &CsrMatrix) -> String {
+    format!(
+        "{tag}:{}x{}:{}:{}",
+        m.rows(),
+        m.cols(),
+        m.nnz(),
+        SERVE_LANES
+    )
 }
 
 /// Builds CG's symmetric positive-definite system from a base matrix:
@@ -637,7 +510,6 @@ mod tests {
             nnz_per_row: 4,
             seed: 7,
             max_iters: 20,
-            lanes: 8,
         }
     }
 
@@ -648,11 +520,10 @@ mod tests {
         let stages: Vec<&str> = exec.records().iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(stages, ["sddmm", "spmm"]);
         // Z is a dense rows × RANK aggregation.
-        let z = exec.tensor("Z").expect("Z materialized");
-        assert_eq!(
-            z.as_dense("Z").expect("dense").len(),
-            48 * tmu_kernels::spmm::RANK
-        );
+        let State::Gnn { z, .. } = &exec.state else {
+            panic!("GNN state")
+        };
+        assert_eq!(z.len(), 48 * tmu_kernels::spmm::RANK);
     }
 
     #[test]
@@ -661,8 +532,8 @@ mod tests {
         assert!(exec.iterations() >= 2, "should take several iterations");
         assert!(exec.iterations() <= 20, "respects the cap");
         // The solve actually converged: residual predicate fired early.
-        let Logic::Cg { rz, rz0, .. } = &exec.logic else {
-            panic!("CG logic")
+        let State::Cg { rz, rz0, .. } = &exec.state else {
+            panic!("CG state")
         };
         assert!(rz.sqrt() <= 1e-6 * rz0.sqrt(), "converged");
     }
@@ -681,8 +552,10 @@ mod tests {
         s.max_iters = 8;
         let exec = run_to_completion(s);
         assert!(exec.iterations() >= 2);
-        let rank = exec.tensor("rank").expect("rank");
-        let sum: f64 = rank.as_dense("rank").expect("dense").iter().sum();
+        let State::PageRank { rank, .. } = &exec.state else {
+            panic!("PageRank state")
+        };
+        let sum: f64 = rank.iter().sum();
         // Pull-style PR with degree-1 fix on isolated vertices keeps the
         // mass near 1 (not exact — dangling mass leaks).
         assert!(sum > 0.5 && sum < 1.5, "mass {sum}");
@@ -715,37 +588,6 @@ mod tests {
             exec.iterations() - 1,
             "every later round reuses it"
         );
-    }
-
-    #[test]
-    fn an_expr_stage_runs_through_the_dag() {
-        let mut caches = StageCaches::new();
-        let base = gen::uniform(24, 24, 3, 11);
-        let mut env = BTreeMap::new();
-        env.insert("A".to_string(), TensorVal::Csr(Arc::new(base)));
-        let dag = PipelineDag {
-            stages: vec![StageSpec {
-                name: "expr".into(),
-                inputs: vec!["A".into()],
-                output: "y".into(),
-                op: StageOp::Expr {
-                    src: "y(i) = A(i,j:csr) * x(j)".into(),
-                },
-            }],
-        };
-        let mut exec = AppExec::custom(spec(AppKind::Gnn), dag, env).expect("valid");
-        let b = exec
-            .next_stage(&mut caches, 0)
-            .expect("stage")
-            .expect("ready");
-        assert_eq!(b.name, "expr");
-        exec.complete_stage(500).expect("completes");
-        assert!(exec.finished());
-        let y = exec.tensor("y").expect("y");
-        let TensorVal::Coords(c) = y else {
-            panic!("coords")
-        };
-        assert!(!c.is_empty());
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Application DAG pipelines over the TMU engine.
+//! Application pipelines over the TMU engine.
 //!
 //! The paper evaluates single kernels; real traffic is multi-kernel.
-//! This crate models whole *applications* as DAGs of dependent TMU
-//! programs with named tensor edges carrying intermediates:
+//! This crate models three *applications*, each a fixed chain of
+//! dependent TMU stages that re-runs every round, with host logic
+//! between rounds:
 //!
 //! - [`AppKind::Gnn`] — one GNN layer: an SDDMM attention-score stage
-//!   feeding an SpMM aggregation stage;
+//!   feeding an SpMM aggregation stage, run once;
 //! - [`AppKind::Cg`] — conjugate-gradient solve: an SpMV stage per
 //!   iteration plus host axpy/dot updates, with a convergence predicate
 //!   and an iteration cap;
-//! - [`AppKind::PageRank`] — the `tmu-kernels` PageRank loop refolded
-//!   onto the DAG: one gather stage per iteration plus the dense
-//!   contribution update, to an L1 tolerance or the cap.
+//! - [`AppKind::PageRank`] — the `tmu-kernels` PageRank loop: one gather
+//!   stage per iteration plus the dense contribution update, to an L1
+//!   tolerance or the cap.
 //!
 //! [`AppExec`] drives a job stage-by-stage through a two-call protocol
 //! ([`AppExec::next_stage`] / [`AppExec::complete_stage`]) that leaves
@@ -31,9 +32,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod cache;
-pub mod dag;
 pub mod exec;
 
 pub use cache::{StageCaches, TenantCacheStats};
-pub use dag::{PipelineDag, StageOp, StageSpec, TensorVal};
-pub use exec::{AppExec, AppKind, AppSpec, StageBuild, StageRecord};
+pub use exec::{AppExec, AppKind, AppSpec, StageBuild, StageOp, StageRecord, SERVE_LANES};

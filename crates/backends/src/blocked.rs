@@ -73,24 +73,6 @@ fn spmm_b(cols: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Iterates row `i`'s stored entries in ascending column order through
-/// the blocked layout — the same order as the CSR fiber, so folds over
-/// this iterator reproduce the reference results bit-for-bit.
-fn for_each_entry(b: &BcsrMatrix, gr: usize, r_in: usize, mut f: impl FnMut(usize, f64)) {
-    let (b0, b1) = b.block_row_range(gr);
-    for blk in b0..b1 {
-        let gc = b.block_col(blk) as usize;
-        let mask = b.mask(blk);
-        let vals = b.block_vals(blk);
-        for c_in in 0..BC {
-            let slot = r_in * BC + c_in;
-            if mask & (1u64 << slot) != 0 {
-                f(gc * BC + c_in, vals[slot]);
-            }
-        }
-    }
-}
-
 /// Functional blocked SpMV: `y = A·x` with the kernel's deterministic
 /// vector, folded in ascending column order (bit-identical to
 /// `Spmv::reference`). The fold starts at `-0.0` — the additive identity
@@ -101,7 +83,7 @@ pub fn spmv_values(a: &CsrMatrix) -> Vec<f64> {
     let x = operand_vector(a.cols());
     let mut y = vec![-0.0f64; a.rows()];
     for (i, yi) in y.iter_mut().enumerate() {
-        for_each_entry(&b, i / BR, i % BR, |c, v| *yi += v * x[c]);
+        b.for_each_row_entry(i, |c, v| *yi += v * x[c]);
     }
     y
 }
@@ -114,7 +96,7 @@ pub fn spmm_values(a: &CsrMatrix) -> Vec<f64> {
     let bv = spmm_b(a.cols());
     let mut z = vec![0.0f64; a.rows() * RANK];
     for i in 0..a.rows() {
-        for_each_entry(&b, i / BR, i % BR, |k, v| {
+        b.for_each_row_entry(i, |k, v| {
             for r in 0..RANK {
                 z[i * RANK + r] += v * bv[k * RANK + r];
             }
@@ -190,7 +172,7 @@ pub fn expr_values(w: &ExprWorkload) -> Option<BTreeMap<Vec<u32>, f64>> {
     let mut out = BTreeMap::new();
     for i in 0..m.rows() {
         let mut acc: Option<f64> = None;
-        for_each_entry(&b, i / BR, i % BR, |c, v| {
+        b.for_each_row_entry(i, |c, v| {
             let p = v * x[c];
             acc = Some(match acc {
                 None => p,

@@ -1,4 +1,4 @@
-//! `apps` — application DAG pipelines benchmark (DESIGN.md §14).
+//! `apps` — application pipelines benchmark (DESIGN.md §14).
 //!
 //! Runs the three built-in `tmu-apps` applications (GNN layer, CG solve,
 //! PageRank) two ways and writes `results/apps.txt` plus rows tagged
@@ -7,7 +7,7 @@
 //!
 //! 1. **Solo breakdown** — each app alone on a fresh slot, unpreempted:
 //!    per-stage engine/host cycle split and end-to-end cycles, one
-//!    `stage` row per DAG stage and one end-to-end row per app.
+//!    `stage` row per pipeline stage and one end-to-end row per app.
 //! 2. **Served mix** — two copies of every app across two tenants on a
 //!    two-slot pool with preemptive virtualization. The binary verifies
 //!    every served completion digest against the solo reference (the
@@ -23,11 +23,11 @@
 //! Single-threaded and seed-fixed throughout: the report is
 //! deterministic for a fixed knob set.
 
-use tmu_apps::{AppKind, AppSpec, StageRecord};
+use tmu_apps::{AppKind, AppSpec, StageRecord, TenantCacheStats};
 use tmu_bench::json::BenchRow;
 use tmu_bench::runner::knob;
 use tmu_bench::Report;
-use tmu_serve::{serve, solo_app, AppSoloRun, JobKind, JobSpec, Policy, ServeConfig, SERVE_LANES};
+use tmu_serve::{serve, solo_app, AppSoloRun, JobKind, JobSpec, Policy, ServeConfig};
 use tmu_trace::StatsRegistry;
 
 /// The app grid at the given scale. Below 1.0 the grid shrinks to the
@@ -41,7 +41,6 @@ fn app_specs(scale: f64) -> Vec<AppSpec> {
             nnz_per_row: 3,
             seed: 23,
             max_iters: 1,
-            lanes: SERVE_LANES,
         },
         AppSpec {
             app: AppKind::Cg,
@@ -49,7 +48,6 @@ fn app_specs(scale: f64) -> Vec<AppSpec> {
             nnz_per_row: 4,
             seed: 23,
             max_iters: if scale < 1.0 { 3 } else { 6 },
-            lanes: SERVE_LANES,
         },
     ];
     if scale >= 1.0 {
@@ -59,7 +57,6 @@ fn app_specs(scale: f64) -> Vec<AppSpec> {
             nnz_per_row: 4,
             seed: 23,
             max_iters: 5,
-            lanes: SERVE_LANES,
         });
     }
     specs
@@ -244,17 +241,11 @@ fn run() -> std::process::ExitCode {
     // End-to-end rows: solo cycles and iterations, tagged with the served
     // mix's combined cache hit rate (the stage cache is shared across
     // tenants, so the combined rate is the figure-level number).
-    let (hits, misses) = out.tenant_cache.values().fold((0u64, 0u64), |(h, m), s| {
-        (
-            h + s.tensor_hits + s.program_hits,
-            m + s.tensor_misses + s.program_misses,
-        )
-    });
-    let combined_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
+    let combined_rate = out
+        .tenant_cache
+        .values()
+        .sum::<TenantCacheStats>()
+        .hit_rate();
     for (spec, solo) in specs.iter().zip(&solos) {
         let mut row = app_row(spec, scale, None, solo.cycles, solo.iterations);
         row.stats.set_gauge("apps.cache_hit_rate", combined_rate);

@@ -199,7 +199,7 @@ fn run() -> std::process::ExitCode {
                 for t in tmu_serve::tenant_reports(
                     &out.outcomes,
                     &out.failed,
-                    &out.rejected,
+                    &out.shed,
                     &out.retries,
                     out.makespan,
                 ) {

@@ -2,16 +2,17 @@
 //! core (every chunk acknowledged immediately) and reports cycles/nnz plus
 //! the internal stall counters — the tool used to tune the §5.4 arbiter
 //! and §5.5 queue-sizing models during bring-up.
-//!
-//! Environment: `ST=<bytes>` overrides total engine storage.
 
 use std::sync::Arc;
 
 use tmu::{TmuAccelerator, TmuConfig};
 use tmu_kernels::spmv::{Spmv, SpmvHandler};
 use tmu_kernels::workload::Workload;
-use tmu_sim::{configs, drive_standalone, CoreConfig, MemSysConfig, SystemConfig};
+use tmu_sim::{drive_standalone, CoreConfig, MemSysConfig, SystemConfig};
 use tmu_tensor::gen;
+
+/// Total engine storage of the standalone probe, in bytes.
+const PROBE_STORAGE: usize = 16 << 10;
 
 fn main() -> std::process::ExitCode {
     tmu_bench::run_main(run)
@@ -21,11 +22,7 @@ fn run() {
     let a = gen::banded(8192, 512, 16, 13);
     let w = Spmv::new(&a);
     let prog = Arc::new(w.build_program((0, 8192), 8));
-    let storage: usize = std::env::var("ST")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16 << 10);
-    let cfg = TmuConfig::paper().with_total_storage(storage);
+    let cfg = TmuConfig::paper().with_total_storage(PROBE_STORAGE);
     let handler = SpmvHandler::new(w.x_region(), 0);
     let mut accel = TmuAccelerator::new(cfg, prog, w.image_handle(), handler, w.outq_base(0))
         .expect("SpMV fits the engine");
@@ -48,7 +45,6 @@ fn run() {
         core: CoreConfig::neoverse_n1_like(),
         mem: MemSysConfig::table5(2),
     };
-    let _ = configs::neoverse_n1_system();
     let w2 = Spmv::new(&gen::uniform(2048, 65_536, 8, 7));
     let base = w2.run_baseline(cfg2);
     let run = w2.run_tmu(cfg2, TmuConfig::paper());

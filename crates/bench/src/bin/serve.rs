@@ -22,7 +22,7 @@
 //!   traces byte-identical to the pre-Poisson binary) or `poisson`
 //!   (seeded exponential gaps with the same mean).
 //! * `TMU_APPS` — set to `1` to mix application-pipeline jobs
-//!   (GNN / CG / PageRank DAGs) into the trace alongside kernels and
+//!   (GNN / CG / PageRank) into the trace alongside kernels and
 //!   expressions (default off).
 //! * `TMU_CHAOS` — injected slot faults per 1 000 scheduling quanta
 //!   (default 0: chaos off, output byte-identical to the
@@ -160,7 +160,7 @@ fn run() -> std::process::ExitCode {
         for t in tmu_serve::tenant_reports(
             &out.outcomes,
             &out.failed,
-            &out.rejected,
+            &out.shed,
             &out.retries,
             out.makespan,
         ) {

@@ -73,7 +73,7 @@ pub struct BenchRow {
     pub tenant: Option<String>,
     /// Application (`"gnn"`, `"cg"`, `"pagerank"`) of an app row.
     pub app: Option<String>,
-    /// DAG stage of a per-stage app row.
+    /// Pipeline stage of a per-stage app row.
     pub stage: Option<String>,
     /// Physical layout the matrix was marshaled into (format rows).
     pub format: Option<String>,

@@ -388,7 +388,7 @@ mod tests {
         let out = serve(cfg, trace).expect("chaos run completes");
         let (done, failed) = (&out.outcomes, &out.failed);
         let mut queued = 0;
-        for t in tenant_reports(done, failed, &out.rejected, &out.retries, out.makespan) {
+        for t in tenant_reports(done, failed, &out.shed, &out.retries, out.makespan) {
             let row = tenant_row("chaos", "test".into(), "chaos-rr".into(), &out, &t);
             let mine = done.iter().filter(|o| o.tenant == t.tenant);
             let measured: u64 = mine.map(|o| o.queue_cycles()).sum();

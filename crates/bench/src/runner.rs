@@ -32,6 +32,10 @@ use tmu_trace::StatsRegistry;
 use crate::json::BenchRow;
 use crate::{matrix_kernel, matrix_workload_at, tensor_workload_at};
 
+// The positive-integer knob reader every harness bin uses; it lives in
+// `tmu-trace` so that the tracer's own knobs go through it too.
+pub use tmu_trace::{knob, parse_pos_int};
+
 /// The input of a job: which data the kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InputSpec {
@@ -563,28 +567,6 @@ pub fn clear_failed_jobs() {
     FAILED_JOBS.store(0, Ordering::Relaxed);
 }
 
-/// Parses a positive-integer environment knob (`TMU_JOBS`,
-/// `TMU_FAULT_RATE`, …) from its raw value. Absent and blank values mean
-/// "use the default" (`Ok(None)`); `0` and non-numeric values are
-/// *errors* naming the variable and the rule, so callers surface a clear
-/// warning instead of silently misconfiguring the run.
-pub fn parse_pos_int(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(format!("{name}={trimmed:?} is invalid: must be ≥ 1")),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "{name}={trimmed:?} is invalid: not a positive integer"
-        )),
-    }
-}
-
 /// Parses a positive, finite float environment knob (`TMU_SCALE`) from its
 /// raw value, by the rules of [`parse_pos_int`]: absent and blank values
 /// are `Ok(None)`; zero, negative, infinite, NaN and non-numeric values
@@ -603,21 +585,6 @@ pub fn parse_pos_float(name: &str, raw: Option<&str>) -> Result<Option<f64>, Str
             "{name}={trimmed:?} is invalid: must be positive and finite"
         )),
         Err(_) => Err(format!("{name}={trimmed:?} is invalid: not a number")),
-    }
-}
-
-/// Reads the positive-integer environment knob `name` through
-/// [`parse_pos_int`]. Unset or blank gives `default`; an invalid value
-/// warns on stderr, naming the variable and the value, and gives `default`.
-pub fn knob(name: &str, default: u64) -> u64 {
-    let raw = std::env::var(name).ok();
-    match parse_pos_int(name, raw.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => default,
-        Err(msg) => {
-            eprintln!("warning: {msg}; using default {default}");
-            default
-        }
     }
 }
 

@@ -39,25 +39,6 @@ const S_BR_O: u16 = 607;
 const S_ROWIDX: u16 = 608;
 const S_TILE: u16 = 609;
 
-/// Iterates matrix row `i`'s stored entries of a BCSR layout in
-/// ascending column order (mask-honouring, reference fold order).
-fn bcsr_row_entries(b: &BcsrMatrix, i: usize, mut f: impl FnMut(usize, f64)) {
-    let (br, bc) = b.block_shape();
-    let (b0, b1) = b.block_row_range(i / br);
-    let r_in = i % br;
-    for blk in b0..b1 {
-        let gc = b.block_col(blk) as usize;
-        let mask = b.mask(blk);
-        let vals = b.block_vals(blk);
-        for c_in in 0..bc {
-            let slot = r_in * bc + c_in;
-            if mask & (1u64 << slot) != 0 {
-                f(gc * bc + c_in, vals[slot]);
-            }
-        }
-    }
-}
-
 /// `y = A·x` through `kind`'s own traversal, bit-identical to the SpMV
 /// kernel reference (fold from `-0.0` in ascending column order).
 pub fn spmv_values(kind: FormatKind, a: &CsrMatrix) -> Vec<f64> {
@@ -84,7 +65,7 @@ pub fn spmv_values(kind: FormatKind, a: &CsrMatrix) -> Vec<f64> {
         FormatKind::Bcsr => {
             let b = BcsrMatrix::from_csr(a, BLOCK_ROWS, BLOCK_COLS);
             for (i, yi) in y.iter_mut().enumerate() {
-                bcsr_row_entries(&b, i, |c, v| *yi += v * x[c]);
+                b.for_each_row_entry(i, |c, v| *yi += v * x[c]);
             }
         }
         FormatKind::Banded => {

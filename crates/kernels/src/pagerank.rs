@@ -63,7 +63,7 @@ impl PageRank {
     }
 
     /// Binds graph `adj` with a caller-supplied current rank vector —
-    /// the shape the application DAG uses to iterate to convergence.
+    /// the shape the PageRank application uses to iterate to convergence.
     pub fn with_ranks(adj_mat: &CsrMatrix, rank_vals: Vec<f64>) -> Self {
         let n = adj_mat.rows();
         assert_eq!(rank_vals.len(), n, "rank vector must match vertex count");

@@ -29,8 +29,8 @@ use tmu_tensor::gen;
 
 use crate::job::{JobKind, KernelKind};
 
-/// Lanes every served program is built for (the paper configuration).
-pub const SERVE_LANES: usize = 8;
+/// Lanes every served program is built for: the application stages' count.
+pub use tmu_apps::SERVE_LANES;
 
 /// One memoized build: everything jobs of a shape share.
 #[derive(Debug)]

@@ -2,8 +2,6 @@
 
 use tmu_apps::{AppKind, AppSpec};
 
-use crate::build::SERVE_LANES;
-
 /// Which Table 4 kernel a [`JobKind::Kernel`] job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum KernelKind {
@@ -59,10 +57,10 @@ pub enum JobKind {
         /// Generator seed.
         seed: u64,
     },
-    /// A multi-stage application pipeline (`tmu-apps` DAG). App jobs
-    /// share builds through the two-level stage cache rather than this
-    /// enum's memo, so equal `App` kinds still batch their tensors and
-    /// programs — just one level down.
+    /// A multi-stage application pipeline (a `tmu-apps` stage chain).
+    /// App jobs share builds through the two-level stage cache rather
+    /// than this enum's memo, so equal `App` kinds still batch their
+    /// tensors and programs — just one level down.
     App {
         /// Which application.
         app: AppKind,
@@ -87,8 +85,7 @@ impl JobKind {
         }
     }
 
-    /// The full application spec (with the serving lane count) if this
-    /// is an [`JobKind::App`] job.
+    /// The full application spec if this is an [`JobKind::App`] job.
     pub fn app_spec(&self) -> Option<AppSpec> {
         match self {
             JobKind::App {
@@ -103,7 +100,6 @@ impl JobKind {
                 nnz_per_row: *nnz_per_row as usize,
                 seed: *seed,
                 max_iters: *max_iters,
-                lanes: SERVE_LANES,
             }),
             _ => None,
         }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::digest::EntryDigest;
-use crate::resilience::FailedJob;
+use crate::resilience::{FailedJob, ShedCounts};
 
 /// Everything recorded about one completed job.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -108,11 +108,11 @@ pub struct TenantReport {
 }
 
 /// Builds per-tenant reports from completed-job outcomes, terminal
-/// failures, rejects, and retry counts.
+/// failures, shed arrivals, and retry counts.
 pub fn tenant_reports(
     outcomes: &[JobOutcome],
     failed: &[FailedJob],
-    rejected: &BTreeMap<u32, u64>,
+    shed: &BTreeMap<u32, ShedCounts>,
     retries: &BTreeMap<u32, u64>,
     makespan: u64,
 ) -> Vec<TenantReport> {
@@ -120,8 +120,8 @@ pub fn tenant_reports(
     for o in outcomes {
         by_tenant.entry(o.tenant).or_default().push(o);
     }
-    for (&tenant, &count) in rejected {
-        if count > 0 {
+    for (&tenant, counts) in shed {
+        if counts.total() > 0 {
             by_tenant.entry(tenant).or_default();
         }
     }
@@ -137,7 +137,7 @@ pub fn tenant_reports(
             TenantReport {
                 tenant,
                 completed: jobs.len() as u64,
-                rejected: rejected.get(&tenant).copied().unwrap_or(0),
+                rejected: shed.get(&tenant).map_or(0, ShedCounts::total),
                 failed: failed.iter().filter(|f| f.tenant == tenant).count() as u64,
                 retries: retries.get(&tenant).copied().unwrap_or(0),
                 deadline_misses: jobs.iter().filter(|o| o.deadline_missed).count() as u64,
@@ -196,8 +196,14 @@ mod tests {
             job(1, 0, 50, 150, 260, 100),
             job(2, 1, 0, 200, 300, 90),
         ];
-        let mut rejected = BTreeMap::new();
-        rejected.insert(1u32, 2u64);
+        let mut shed = BTreeMap::new();
+        shed.insert(
+            1u32,
+            ShedCounts {
+                queue_full: 2,
+                circuit_open: 0,
+            },
+        );
         let failed = vec![FailedJob {
             id: 9,
             tenant: 2,
@@ -211,7 +217,7 @@ mod tests {
         }];
         let mut retries = BTreeMap::new();
         retries.insert(0u32, 1u64);
-        let reports = tenant_reports(&outcomes, &failed, &rejected, &retries, 1_000_000);
+        let reports = tenant_reports(&outcomes, &failed, &shed, &retries, 1_000_000);
         assert_eq!(reports.len(), 3, "failed-only tenants get a report too");
         let t0 = &reports[0];
         assert_eq!((t0.tenant, t0.completed, t0.rejected), (0, 2, 0));

@@ -89,8 +89,6 @@ pub struct ServeOutcome {
     pub outcomes: Vec<JobOutcome>,
     /// Terminally failed jobs (retry budget exhausted), in failure order.
     pub failed: Vec<FailedJob>,
-    /// Rejected (shed) arrivals per tenant, all causes summed.
-    pub rejected: BTreeMap<u32, u64>,
     /// Shed arrivals per tenant, broken down by cause.
     pub shed: BTreeMap<u32, ShedCounts>,
     /// Retry attempts per tenant (re-dispatches after a job fault).
@@ -210,10 +208,10 @@ struct Parked {
     stats: OutQStats,
 }
 
-/// An application job's serving-side state. The engine runs one DAG
-/// stage at a time; `handler` is the job's cumulative digest as of the
-/// last completed stage boundary — the durable restart point. App jobs
-/// never take mid-stage durable checkpoints: a fault restarts the
+/// An application job's serving-side state. The engine runs one
+/// pipeline stage at a time; `handler` is the job's cumulative digest as
+/// of the last completed stage boundary — the durable restart point. App
+/// jobs never take mid-stage durable checkpoints: a fault restarts the
 /// *stage* (from `handler`), never the whole job.
 struct AppWork {
     exec: AppExec,
@@ -658,12 +656,9 @@ impl Server {
         }
 
         let makespan = slots.iter().map(|sl| sl.core.now()).max().unwrap_or(0);
-        let rejected: BTreeMap<u32, u64> =
-            state.shed.iter().map(|(&t, c)| (t, c.total())).collect();
         Ok(ServeOutcome {
             outcomes,
             failed: state.failed,
-            rejected,
             shed: state.shed,
             retries: state.retries,
             deadline_misses: state.deadline_misses,
@@ -685,7 +680,7 @@ impl Server {
 
     /// Installs `waiting` on `slot` — fresh engine for a first dispatch,
     /// [`TmuAccelerator::resume_from`] for a parked context. For app jobs
-    /// the engine runs the job's *current DAG stage*, built (or reused)
+    /// the engine runs the job's *current stage*, built (or reused)
     /// through the two-level stage cache.
     fn dispatch(&mut self, slot: &mut Slot, mut waiting: Waiting) -> Result<(), ServeError> {
         let now = slot.core.now();
@@ -936,8 +931,8 @@ fn admit(
         }
         let work = match spec.kind.app_spec() {
             // App jobs build lazily, stage by stage, through the
-            // two-level stage cache; admission just validates the DAG
-            // and seeds the pipeline's base tensors.
+            // two-level stage cache; admission just seeds the
+            // pipeline's base tensors.
             Some(aspec) => Work::App(Box::new(AppWork {
                 exec: AppExec::new(aspec, stages, spec.tenant).map_err(|detail| {
                     ServeError::Build {
@@ -1013,13 +1008,13 @@ pub struct AppSoloRun {
     pub digest: EntryDigest,
     /// Per-stage records (engine + host cycles, by round).
     pub records: Vec<StageRecord>,
-    /// Iterations (DAG rounds) the app ran.
+    /// Iterations (stage-chain rounds) the app ran.
     pub iterations: u32,
     /// End-to-end slot cycles, engine and host phases included.
     pub cycles: u64,
 }
 
-/// Solo baseline for an application pipeline: runs the whole DAG alone
+/// Solo baseline for an application pipeline: runs every stage alone
 /// on a fresh slot, one unpreempted engine run per stage, carrying one
 /// digest across all stages. The differential tests pin every served
 /// completion of the same spec — preempted, faulted, or cache-shared —

@@ -1,4 +1,4 @@
-//! The application-pipeline correctness anchor: every served DAG
+//! The application-pipeline correctness anchor: every served app
 //! completion is bit-identical to a solo unpreempted execution of the
 //! same app — under any scheduling policy, any preemption quantum, and
 //! the full chaos fault grid. Stage boundaries are the only durable
@@ -309,5 +309,67 @@ fn solo_app_references_have_the_expected_shape() {
                 assert_eq!(solo.records.len() as u32, solo.iterations);
             }
         }
+    }
+}
+
+/// `solo_app`'s reference runs for the three app shapes, pinned: the
+/// cumulative digest, the iteration count, the end-to-end cycles and
+/// every stage record. A change to the stage chains — their order, a
+/// host charge, a CG or PageRank round update — moves one of these.
+#[test]
+fn solo_app_runs_are_pinned() {
+    type Records = &'static [(&'static str, u32, u64, u64)];
+    let pins: [(u64, u64, u32, u64, Records); 3] = [
+        (
+            0x404c_50d0_0bc3_c4e9,
+            960,
+            1,
+            3497,
+            &[("sddmm", 0, 1065, 288), ("spmm", 0, 608, 1536)],
+        ),
+        (
+            0x49b1_8d77_7a0a_7a2c,
+            948,
+            6,
+            6692,
+            &[
+                ("spmv", 0, 1360, 512),
+                ("spmv", 1, 452, 512),
+                ("spmv", 2, 452, 512),
+                ("spmv", 3, 452, 512),
+                ("spmv", 4, 452, 512),
+                ("spmv", 5, 452, 512),
+            ],
+        ),
+        (
+            0x3409_4c59_d290_d888,
+            640,
+            5,
+            3750,
+            &[
+                ("gather", 0, 802, 384),
+                ("gather", 1, 257, 384),
+                ("gather", 2, 257, 384),
+                ("gather", 3, 257, 384),
+                ("gather", 4, 257, 384),
+            ],
+        ),
+    ];
+    for (kind, (hash, count, iterations, cycles, records)) in app_shapes().iter().zip(pins) {
+        let solo = solo_app(kind.app_spec().expect("app shape")).expect("solo app drains");
+        let label = kind.label();
+        assert_eq!(
+            (solo.digest.hash, solo.digest.count),
+            (hash, count),
+            "{label} digest"
+        );
+        assert_eq!(solo.iterations, iterations, "{label} iterations");
+        assert_eq!(solo.cycles, cycles, "{label} cycles");
+        let got: Vec<(&str, u32, u64, u64)> = solo
+            .records
+            .iter()
+            .map(|r| (r.stage.as_str(), r.round, r.engine_cycles, r.host_cycles))
+            .collect();
+        assert_eq!(got, records, "{label} stage records");
     }
 }

@@ -155,7 +155,7 @@ fn two_slot_pool_preserves_streams_and_batches_builds() {
     // Two jobs per shape, one build per shape: half the builds batch.
     assert_eq!(out.build_misses, shapes.len() as u64);
     assert_eq!(out.build_hits, shapes.len() as u64);
-    assert_eq!(out.rejected.values().sum::<u64>(), 0);
+    assert_eq!(out.shed_total(), 0);
     assert!(out.makespan > 0);
 }
 
@@ -209,7 +209,7 @@ fn bounded_queues_reject_when_full() {
     };
     let out = serve(cfg, trace).expect("serving run completes");
     let done = out.outcomes.len() as u64;
-    let rejected = out.rejected.values().sum::<u64>();
+    let rejected = out.shed_total();
     assert_eq!(done + rejected, 5);
     assert!(rejected >= 3, "a one-deep queue must shed the burst");
 }

@@ -168,6 +168,25 @@ impl BcsrMatrix {
         &self.vals[blk * self.br * self.bc..(blk + 1) * self.br * self.bc]
     }
 
+    /// Calls `f(col, val)` for each of row `i`'s stored entries in
+    /// ascending column order — the CSR fiber's order, so folds over it
+    /// reproduce CSR-order results bit-for-bit. Walks the row's block row
+    /// block by block and, in each block, the row's occupied slots.
+    pub fn for_each_row_entry(&self, i: usize, mut f: impl FnMut(usize, Val)) {
+        let r_in = i % self.br;
+        let (b0, b1) = self.block_row_range(i / self.br);
+        for blk in b0..b1 {
+            let gc = self.block_cols[blk] as usize;
+            let bv = self.block_vals(blk);
+            for c_in in 0..self.bc {
+                let slot = r_in * self.bc + c_in;
+                if self.masks[blk] & (1u64 << slot) != 0 {
+                    f(gc * self.bc + c_in, bv[slot]);
+                }
+            }
+        }
+    }
+
     /// Per-block-row pointer array (for binding the layout to the
     /// simulator's address space).
     pub fn ptrs(&self) -> &[Idx] {
@@ -221,27 +240,12 @@ impl BcsrMatrix {
         let mut idxs: Vec<Idx> = Vec::new();
         let mut vals: Vec<Val> = Vec::new();
         ptrs.push(0);
-        let (grid_rows, _) = self.grid();
-        for gr in 0..grid_rows {
-            let (b0, b1) = self.block_row_range(gr);
-            for r_in in 0..self.br {
-                let i = gr * self.br + r_in;
-                if i >= self.rows {
-                    break;
-                }
-                for blk in b0..b1 {
-                    let gc = self.block_cols[blk] as usize;
-                    let bv = self.block_vals(blk);
-                    for c_in in 0..self.bc {
-                        let slot = r_in * self.bc + c_in;
-                        if self.masks[blk] & (1u64 << slot) != 0 {
-                            idxs.push((gc * self.bc + c_in) as Idx);
-                            vals.push(bv[slot]);
-                        }
-                    }
-                }
-                ptrs.push(idxs.len() as Idx);
-            }
+        for i in 0..self.rows {
+            self.for_each_row_entry(i, |c, v| {
+                idxs.push(c as Idx);
+                vals.push(v);
+            });
+            ptrs.push(idxs.len() as Idx);
         }
         CsrMatrix::from_parts(self.rows, self.cols, ptrs, idxs, vals)
             .expect("BCSR stores a valid CSR structure")

@@ -55,21 +55,52 @@ impl Default for TraceConfig {
 impl TraceConfig {
     /// Builds a config from the environment: `TMU_TRACE_RING` overrides
     /// the per-component ring capacity, `TMU_TRACE_SAMPLE` the sampling
-    /// period. Unset or unparsable values keep the defaults.
+    /// period, each read through [`knob`]. Unset or blank values keep the
+    /// defaults; invalid ones warn and keep them too.
     pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(cap) = parse_env("TMU_TRACE_RING") {
-            cfg.ring_capacity = cap as usize;
+        let d = Self::default();
+        Self {
+            ring_capacity: knob("TMU_TRACE_RING", d.ring_capacity as u64) as usize,
+            sample_period: knob("TMU_TRACE_SAMPLE", d.sample_period),
         }
-        if let Some(period) = parse_env("TMU_TRACE_SAMPLE") {
-            cfg.sample_period = period.max(1);
-        }
-        cfg
     }
 }
 
-fn parse_env(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.trim().parse().ok()
+/// Parses a positive-integer environment knob (`TMU_JOBS`,
+/// `TMU_TRACE_RING`, …) from its raw value. Absent and blank values mean
+/// "use the default" (`Ok(None)`); `0` and non-numeric values are
+/// *errors* naming the variable and the rule, so callers surface a clear
+/// warning instead of silently misconfiguring the run.
+pub fn parse_pos_int(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    match trimmed.parse::<u64>() {
+        Ok(0) => Err(format!("{name}={trimmed:?} is invalid: must be ≥ 1")),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!(
+            "{name}={trimmed:?} is invalid: not a positive integer"
+        )),
+    }
+}
+
+/// Reads the positive-integer environment knob `name` through
+/// [`parse_pos_int`]. Unset or blank gives `default`; an invalid value
+/// warns on stderr, naming the variable and the value, and gives `default`.
+pub fn knob(name: &str, default: u64) -> u64 {
+    let raw = std::env::var(name).ok();
+    match parse_pos_int(name, raw.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => default,
+        Err(msg) => {
+            eprintln!("warning: {msg}; using default {default}");
+            default
+        }
+    }
 }
 
 /// Handle for a registered component; indexes the tracer's ring table.
@@ -260,6 +291,25 @@ pub fn record(component: ComponentId, cycle: u64, kind: EventKind, payload: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_knob_values_are_validated() {
+        // A size suffix and a zero ring are errors naming the variable
+        // and the value (so `from_env` warns instead of going quiet).
+        for bad in ["64k", "0"] {
+            let err = parse_pos_int("TMU_TRACE_RING", Some(bad)).expect_err("invalid ring");
+            assert!(
+                err.contains("TMU_TRACE_RING") && err.contains(bad),
+                "error must name variable and value: {err}"
+            );
+        }
+        // Blank keeps the default; a valid value parses.
+        assert_eq!(parse_pos_int("TMU_TRACE_SAMPLE", Some(" ")), Ok(None));
+        assert_eq!(
+            parse_pos_int("TMU_TRACE_RING", Some("4096")),
+            Ok(Some(4096))
+        );
+    }
 
     #[test]
     fn component_registration_is_idempotent() {

@@ -36,7 +36,9 @@ smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 
 echo "== trace bin: one traced SpMV run, self-validated Chrome export =="
-(cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/trace" spmv rmat tmu)
+# The rmat input is fixed-size (scale 12, 32 768 edges): TMU_SCALE does
+# not apply to it.
+(cd "$smoke_dir" && "$bin/trace" spmv rmat tmu)
 
 echo "== figure harness: every table and figure at reduced scale =="
 # The figure bins are the only callers in this gate of the single-lane
@@ -96,18 +98,19 @@ cargo test -q --release -p tmu-serve --test chaos
 (cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=edf \
     TMU_CHAOS=150 TMU_RETRY_BUDGET=5 TMU_CHECKPOINT_EVERY=600 "$bin/serve")
 
-echo "== application pipelines: DAG suite + trace events + GNN/CG serve smoke =="
-# The apps crate's DAG/executor/cache unit suites, then the served-DAG
+echo "== application pipelines: stage-chain suite + trace events + GNN/CG serve smoke =="
+# The apps crate's executor/cache unit suites, then the served-app
 # differential grid (policies x random quanta x chaos faults, every
-# completion digest bit-identical to its solo run) and the
-# StageStart/StageDone/TensorCacheHit trace-event pinning.
+# completion digest bit-identical to its solo run), the pinned solo
+# references, and the StageStart/StageDone/TensorCacheHit trace-event
+# pinning.
 cargo test -q --release -p tmu-apps
 cargo test -q --release -p tmu-serve --test apps --test trace_events
 # Reduced-scale GNN + CG: solo stage breakdowns, then a served
 # two-tenant mix whose digests are re-verified at bench time; exits
 # nonzero on any divergence. Writes its rows (figure "apps").
 (cd "$smoke_dir" && TMU_SCALE=0.05 "$bin/apps")
-# DAG jobs mixed into the synthetic serve trace with Poisson arrivals.
+# App jobs mixed into the synthetic serve trace with Poisson arrivals.
 (cd "$smoke_dir" && TMU_SERVE_JOBS=12 TMU_TENANTS=2 TMU_POLICY=wf \
     TMU_APPS=1 TMU_ARRIVALS=poisson "$bin/serve")
 
