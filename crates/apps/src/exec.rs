@@ -122,10 +122,6 @@ impl AppSpec {
 /// A compiled stage, ready to run on any engine variant.
 #[derive(Debug, Clone)]
 pub struct StageBuild {
-    /// Stage name ([`StageOp::name`]).
-    pub name: String,
-    /// Round this build belongs to (0-based).
-    pub round: u32,
     /// The compiled TMU program (possibly shared via the level-2 cache).
     pub program: Arc<Program>,
     /// The memory image carrying this round's values.
@@ -337,8 +333,6 @@ impl AppExec {
         };
         self.pending = Some(built);
         Ok(Some(StageBuild {
-            name: op.name().into(),
-            round: self.rounds_done,
             program,
             image,
             outq_base,
@@ -491,13 +485,13 @@ mod tests {
         let mut exec = AppExec::new(spec, &mut caches, 0).expect("builds");
         let mut guard = 0;
         while !exec.finished() {
-            let b = exec
-                .next_stage(&mut caches, 0)
+            exec.next_stage(&mut caches, 0)
                 .expect("stage")
                 .expect("not finished");
-            assert!(!b.name.is_empty());
             exec.complete_stage(1_000).expect("completes");
             guard += 1;
+            assert_eq!(exec.records().len(), guard, "one record per stage");
+            assert!(!exec.records()[guard - 1].stage.is_empty());
             assert!(guard < 10_000, "runaway app loop");
         }
         exec

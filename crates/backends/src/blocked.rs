@@ -12,10 +12,11 @@
 //! order is preserved exactly) while its *performance* degrades with tile
 //! occupancy, which is the trade-off the four-way comparison measures.
 //!
-//! Two entry points: [`run_kernel`] for the Table 4 kernels it supports
+//! Two entry points: [`run_kernel`] for the Table 4 kernels it lowers
 //! (`SpMV`, `SpMM`), and [`run_expr`] for compiled einsum expressions
 //! whose iteration graph is SpMV-shaped (a dense output loop over a
-//! single compressed walk against a dense vector).
+//! single compressed walk against a dense vector). Both return `None` for
+//! anything else: the backend decides its own support.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,11 +59,6 @@ pub struct BlockedRun {
     pub tile_occupancy: f64,
     /// Number of materialized tiles.
     pub tiles: u64,
-}
-
-/// Whether [`run_kernel`] supports `kernel`.
-pub fn supports(kernel: &str) -> bool {
-    matches!(kernel, "SpMV" | "SpMM")
 }
 
 /// The deterministic SpMM dense right-hand side (the
@@ -155,11 +151,6 @@ fn expr_operands(w: &ExprWorkload) -> Option<(CsrMatrix, Vec<f64>)> {
     )
     .ok()?;
     Some((m, x.vals.0.as_ref().clone()))
-}
-
-/// Whether [`run_expr`] supports the expression's iteration graph.
-pub fn supports_expr(w: &ExprWorkload) -> bool {
-    expr_operands(w).is_some()
 }
 
 /// Functional blocked evaluation of an SpMV-shaped expression, keyed like
@@ -363,29 +354,22 @@ fn run_csr(a: &CsrMatrix, cfg: SystemConfig, rank: usize) -> BlockedRun {
     }
 }
 
-/// Runs a supported Table 4 kernel through the blocked backend.
-///
-/// # Panics
-///
-/// Panics when `kernel` is not one of [`supports`]' kernels.
-pub fn run_kernel(kernel: &str, a: &CsrMatrix, cfg: SystemConfig) -> BlockedRun {
-    match kernel {
-        "SpMV" => run_csr(a, cfg, 1),
-        "SpMM" => run_csr(a, cfg, RANK),
-        other => panic!("{other} has no blocked-sve variant"),
-    }
+/// Runs a Table 4 kernel through the blocked backend, or `None` when the
+/// kernel has no blocked lowering (anything but `SpMV` and `SpMM`).
+pub fn run_kernel(kernel: &str, a: &CsrMatrix, cfg: SystemConfig) -> Option<BlockedRun> {
+    let rank = match kernel {
+        "SpMV" => 1,
+        "SpMM" => RANK,
+        _ => return None,
+    };
+    Some(run_csr(a, cfg, rank))
 }
 
-/// Runs an SpMV-shaped compiled expression through the blocked backend.
-///
-/// # Panics
-///
-/// Panics when the expression's iteration graph does not match the
-/// blocked pattern (check [`supports_expr`] first).
-pub fn run_expr(w: &ExprWorkload, cfg: SystemConfig) -> BlockedRun {
-    let (m, _) = expr_operands(w)
-        .unwrap_or_else(|| panic!("{:?} has no blocked-sve lowering", w.expr().text));
-    run_csr(&m, cfg, 1)
+/// Runs a compiled expression through the blocked backend, or `None` when
+/// its iteration graph is not SpMV-shaped.
+pub fn run_expr(w: &ExprWorkload, cfg: SystemConfig) -> Option<BlockedRun> {
+    let (m, _) = expr_operands(w)?;
+    Some(run_csr(&m, cfg, 1))
 }
 
 #[cfg(test)]
@@ -425,7 +409,7 @@ mod tests {
     #[test]
     fn kernel_run_reports_stats_and_occupancy() {
         let a = gen::uniform(256, 256, 6, 3);
-        let run = run_kernel("SpMV", &a, small_cfg(2));
+        let run = run_kernel("SpMV", &a, small_cfg(2)).expect("SpMV is lowered");
         assert!(run.stats.cycles > 0);
         assert!(run.tiles > 0);
         assert!(run.tile_occupancy > 0.0 && run.tile_occupancy <= 1.0);
@@ -436,7 +420,7 @@ mod tests {
     #[test]
     fn spmm_run_charges_rank_flops() {
         let a = gen::uniform(64, 64, 4, 5);
-        let run = run_kernel("SpMM", &a, small_cfg(1));
+        let run = run_kernel("SpMM", &a, small_cfg(1)).expect("SpMM is lowered");
         assert_eq!(
             run.stats.total().flops,
             2 * run.tiles * (BR * BC * RANK) as u64,
@@ -444,19 +428,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no blocked-sve variant")]
-    fn unsupported_kernel_panics() {
+    fn unsupported_kernel_returns_none() {
         let a = gen::uniform(8, 8, 2, 1);
-        let _ = run_kernel("PR", &a, small_cfg(1));
+        assert!(run_kernel("PR", &a, small_cfg(1)).is_none());
     }
 
     #[test]
     fn expression_support_is_shape_sensitive() {
         let base = gen::uniform(96, 64, 4, 7);
         let spmv = ExprWorkload::new("y(i) = A(i,j:csr) * x(j)", &base).expect("compiles");
-        assert!(supports_expr(&spmv));
+        assert!(expr_values(&spmv).is_some());
         let sum = ExprWorkload::new("Z(i,j) = A(i,j:dcsr) + B(i,j:dcsr)", &base).expect("compiles");
-        assert!(!supports_expr(&sum));
+        assert!(expr_values(&sum).is_none());
     }
 
     #[test]

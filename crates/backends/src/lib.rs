@@ -22,7 +22,9 @@
 //! Both engines expose `run_kernel` / `run_expr` entry points returning
 //! their `RunStats` plus engine-specific observables (tile occupancy,
 //! stream token counts) that `tmu-bench` records under the `blocked` and
-//! `sam` sections of its `bench.json` rows.
+//! `sam` sections of its `bench.json` rows. An entry point that returns
+//! `Option` answers `None` for a kernel or expression the engine has no
+//! lowering for; that answer is the engine's whole support set.
 
 #![warn(missing_docs)]
 

@@ -80,7 +80,6 @@ fn blocked_spmm_is_bit_identical_across_shapes() {
 fn blocked_expr_path_is_bit_identical_to_the_interpreter() {
     for (name, a) in matrices() {
         let w = ExprWorkload::new("y(i) = A(i,j:csr) * x(j)", &a).expect("compiles");
-        assert!(blocked::supports_expr(&w), "{name}: spmv shape supported");
         let got = blocked::expr_values(&w).expect("supported");
         assert_map_bits(&format!("blocked expr on {name}"), &got, w.oracle());
     }
@@ -94,8 +93,10 @@ fn blocked_rejects_expressions_it_cannot_tile() {
         "Z(i,j) = A(i,j:dcsr) + B(i,j:dcsr)",
     ] {
         let w = ExprWorkload::new(src, &a).expect("compiles");
-        assert!(!blocked::supports_expr(&w), "{src} has no blocked lowering");
-        assert!(blocked::expr_values(&w).is_none());
+        assert!(
+            blocked::expr_values(&w).is_none(),
+            "{src} has no blocked lowering"
+        );
     }
 }
 
@@ -153,11 +154,11 @@ fn both_engines_agree_on_the_shared_spmv_shape() {
 #[test]
 fn engine_costs_stay_plausible() {
     let a = gen::uniform(96, 96, 6, 41);
-    let br = blocked::run_kernel("SpMV", &a, cfg(1));
+    let br = blocked::run_kernel("SpMV", &a, cfg(1)).expect("SpMV is lowered");
     assert!(br.stats.cycles > 0);
     assert!(br.tiles > 0);
     assert!(br.tile_occupancy > 0.0 && br.tile_occupancy <= 1.0);
-    let sr = sam::run_kernel("SpMV", &a, cfg(1));
+    let sr = sam::run_kernel("SpMV", &a, cfg(1)).expect("SpMV streams");
     assert!(sr.stats.cycles > 0);
     assert!(sr.tokens > a.nnz() as u64);
     // The streaming model commits roughly one token per node per cycle;

@@ -125,7 +125,7 @@ fn run() -> std::process::ExitCode {
     let slots = knob("TMU_SLOTS", 2) as usize;
     let specs = app_specs(scale);
 
-    let mut report = Report::new("apps", "application DAG pipelines: GNN / CG / PageRank");
+    let mut report = Report::new("apps", "application stage chains: GNN / CG / PageRank");
     report.line(format!(
         "{} app(s) at scale {scale}; served mix: {slots} slot(s), quantum {quantum} cycles",
         specs.len()

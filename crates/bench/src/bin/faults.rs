@@ -14,7 +14,7 @@
 
 use tmu::{FaultSpec, TmuConfig};
 use tmu_bench::runner::{
-    clear_failed_jobs, failed_jobs, knob, EngineVariant, InputSpec, Job, Runner,
+    clear_failed_jobs, failed_jobs, knob, EngineVariant, InputSpec, Job, JobError, Runner,
 };
 
 fn main() -> std::process::ExitCode {
@@ -66,7 +66,7 @@ fn run() -> std::process::ExitCode {
     println!("deliberate failure (caught-panic path):");
     let before = failed_jobs();
     let bad = runner.run(&Job::new("NoSuchKernel", input, EngineVariant::Tmu));
-    let caught = failed_jobs() == before + 1 && bad.error.is_some();
+    let caught = failed_jobs() == before + 1 && matches!(bad.error, Some(JobError::Panicked(_)));
     match &bad.error {
         Some(e) => println!("  caught: {e}"),
         None => println!("  NOT caught — runner let a panic through"),

@@ -9,13 +9,14 @@
 //! ```
 //!
 //! With no arguments every shape runs; arguments select a subset (the CI
-//! smoke runs `matrix spmv expr` at reduced `TMU_SCALE`). Cells a backend
-//! cannot execute print `—`; every executed cell also lands in
-//! `results/bench.json` as a row under figure `"matrix"`.
+//! smoke runs `matrix spmv expr` at reduced `TMU_SCALE`). Every cell is
+//! submitted; one whose engine answers `Unsupported` prints `—`, and every
+//! other cell also lands in `results/bench.json` as a row under figure
+//! `"matrix"`.
 
 use std::process::ExitCode;
 
-use tmu_bench::runner::{bench_row, EngineVariant, InputSpec, Job, Runner};
+use tmu_bench::runner::{bench_row, EngineVariant, InputSpec, Job, JobError, Runner};
 use tmu_bench::{geomean, Report};
 use tmu_tensor::gen::InputId;
 
@@ -26,8 +27,6 @@ const ENGINES: [EngineVariant; 4] = [
     EngineVariant::BlockedSve,
     EngineVariant::SamStream,
 ];
-
-const SPMV_EXPR: &str = "y(i) = A(i,j:csr) * x(j)";
 
 /// One comparison row: a hand-written Table 4 kernel or a compiled einsum.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +47,7 @@ const SHAPES: [Shape; 9] = [
     Shape::Kernel("TC"),
     Shape::Expr {
         label: "spmv-expr",
-        src: SPMV_EXPR,
+        src: "y(i) = A(i,j:csr) * x(j)",
     },
     Shape::Expr {
         label: "spmspm-expr",
@@ -72,23 +71,6 @@ impl Shape {
         match self {
             Shape::Kernel(k) => Job::new(k, input, engine),
             Shape::Expr { src, .. } => Job::expression(src, input, engine),
-        }
-    }
-
-    /// Static support map. Submitting an unsupported combination would
-    /// panic inside the runner and fail the whole report, so those cells
-    /// print `—` instead of running.
-    fn supports(&self, engine: EngineVariant) -> bool {
-        match (engine, self) {
-            (EngineVariant::Tmu, _) => true,
-            (EngineVariant::Imp, Shape::Kernel(k)) => matches!(*k, "SpMV" | "SpMSpM"),
-            (EngineVariant::Imp, Shape::Expr { .. }) => false,
-            (EngineVariant::BlockedSve, Shape::Kernel(k)) => tmu_backends::blocked::supports(k),
-            // The blocked path tiles exactly the SpMV gather shape.
-            (EngineVariant::BlockedSve, Shape::Expr { src, .. }) => *src == SPMV_EXPR,
-            (EngineVariant::SamStream, Shape::Kernel(k)) => tmu_backends::sam::supports(k),
-            (EngineVariant::SamStream, Shape::Expr { .. }) => true,
-            _ => false,
         }
     }
 }
@@ -142,26 +124,25 @@ fn body() -> ExitCode {
         "shape", "tmu(cyc)", "imp(cyc)", "blocked(cyc)", "sam(cyc)"
     ));
 
-    // One flat batch so the runner's worker pool sees every job at once.
-    let mut jobs = Vec::new();
-    let mut slots: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, shape) in shapes.iter().enumerate() {
-        for (ei, &engine) in ENGINES.iter().enumerate() {
-            if shape.supports(engine) {
-                slots.push((si, ei, jobs.len()));
-                jobs.push(shape.job(input, engine));
-            }
-        }
-    }
+    // One flat batch, shape-major, so the runner's worker pool sees every
+    // job at once.
+    let jobs: Vec<Job> = shapes
+        .iter()
+        .flat_map(|shape| ENGINES.map(|engine| shape.job(input, engine)))
+        .collect();
     let results = runner.run_all(&jobs);
 
     let mut vs_tmu: [Vec<f64>; 4] = Default::default();
-    for (si, shape) in shapes.iter().enumerate() {
+    for ((shape, row_jobs), row_results) in shapes
+        .iter()
+        .zip(jobs.chunks(ENGINES.len()))
+        .zip(results.chunks(ENGINES.len()))
+    {
         let mut cells: [Option<u64>; 4] = [None; 4];
-        for &(s, ei, ji) in &slots {
-            if s == si {
-                cells[ei] = Some(results[ji].stats.cycles);
-                report.push_row(bench_row("matrix", "table5", &jobs[ji], &results[ji]));
+        for ((slot, job), res) in cells.iter_mut().zip(row_jobs).zip(row_results) {
+            if !matches!(res.error, Some(JobError::Unsupported(_))) {
+                *slot = Some(res.stats.cycles);
+                report.push_row(bench_row("matrix", "table5", job, res));
             }
         }
         let tmu_cycles = cells[0].expect("the TMU runs every shape");

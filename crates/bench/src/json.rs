@@ -77,7 +77,8 @@ pub struct BenchRow {
     pub stage: Option<String>,
     /// Physical layout the matrix was marshaled into (format rows).
     pub format: Option<String>,
-    /// Panic message when the job failed instead of finishing.
+    /// Why the job has no measurement: the runner's `JobError` message
+    /// (an unsupported engine × kernel pair, or a caught panic).
     pub error: Option<String>,
     /// Why the engine retired and the job fell back to the baseline.
     pub fallback: Option<String>,

@@ -10,7 +10,10 @@
 //!   byte-identical between serial (`TMU_JOBS=1`) and parallel runs;
 //! * **a process-wide memo cache** — jobs are keyed by their full
 //!   configuration, so figures sharing runs (10/11/12/13/15) simulate
-//!   each (baseline, TMU) pair exactly once per process.
+//!   each (baseline, TMU) pair exactly once per process;
+//! * **typed outcomes** — an engine without a variant for a job answers
+//!   [`Unsupported`], and a panicking simulation (a bug) is caught; both
+//!   results carry a [`JobError`], and only a panic counts as a failure.
 //!
 //! Worker count comes from `TMU_JOBS` (read once; default: available
 //! parallelism). Simulations themselves are deterministic — every input
@@ -18,6 +21,7 @@
 //! worker count and completion order never leak into results.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -184,6 +188,24 @@ impl EngineVariant {
     }
 }
 
+/// An engine × kernel pair the engine has no variant for: a typed answer,
+/// not a failure. It displays as `PR has no imp variant`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unsupported {
+    /// The kernel name, or the source text of an expression job.
+    pub kernel: String,
+    /// The engine without a variant for it.
+    pub engine: EngineVariant,
+}
+
+impl fmt::Display for Unsupported {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} has no {} variant", self.kernel, self.engine.label())
+    }
+}
+
+impl std::error::Error for Unsupported {}
+
 /// One point of the experiment grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
@@ -322,44 +344,52 @@ impl Job {
         }
     }
 
+    /// The answer of an engine without a variant for this job.
+    fn unsupported(&self) -> Unsupported {
+        Unsupported {
+            kernel: self.expr.clone().unwrap_or_else(|| self.kernel.to_owned()),
+            engine: self.engine,
+        }
+    }
+
     /// Simulates this job on a fresh system.
+    ///
+    /// # Errors
+    ///
+    /// [`Unsupported`] when the engine has no variant for the kernel or
+    /// the expression. The engine decides: IMP runs only the kernels whose
+    /// `Workload::run_baseline_imp` returns a run, and the alternative
+    /// backends only what their `run_kernel`/`run_expr` lower.
     ///
     /// # Panics
     ///
-    /// Panics if the kernel does not support the requested engine variant
-    /// (e.g. [`EngineVariant::Imp`] outside SpMV/SpMSpM).
-    pub fn run(&self) -> RunResult {
-        // The alternative backends consume the expression workload (or
-        // the raw matrix) directly instead of the `Workload` trait — the
-        // trait's run methods are shaped around the baseline/TMU op
-        // streams.
-        let w = match self.engine {
-            EngineVariant::BlockedSve => return self.run_blocked(),
-            EngineVariant::SamStream => return self.run_sam(),
-            _ => self.build(),
-        };
-        let kind = w.kind();
+    /// Panics on a bug in the job: a kernel name that no workload builder
+    /// knows, or an expression that does not compile. [`Runner::run_all`]
+    /// catches these, like any panic of the simulation, as failure rows.
+    pub fn run(&self) -> Result<RunResult, Unsupported> {
         match self.engine {
-            EngineVariant::BlockedSve | EngineVariant::SamStream => {
-                unreachable!("dispatched above")
-            }
-            EngineVariant::BaselineSve => RunResult::new(kind, w.run_baseline(self.sys)),
-            EngineVariant::BaselineScalar => {
+            EngineVariant::BaselineSve | EngineVariant::BaselineScalar => {
                 let mut sys = self.sys;
-                sys.core.sve_bits = 64;
-                RunResult::new(kind, w.run_baseline(sys))
+                if self.engine == EngineVariant::BaselineScalar {
+                    sys.core.sve_bits = 64;
+                }
+                let w = self.build();
+                Ok(RunResult::new(w.kind(), w.run_baseline(sys)))
             }
-            EngineVariant::Imp => RunResult::new(
-                kind,
-                w.run_baseline_imp(self.sys)
-                    .unwrap_or_else(|| panic!("{} has no IMP variant", self.kernel)),
-            ),
+            EngineVariant::Imp => {
+                let w = self.build();
+                let stats = w
+                    .run_baseline_imp(self.sys)
+                    .ok_or_else(|| self.unsupported())?;
+                Ok(RunResult::new(w.kind(), stats))
+            }
             EngineVariant::SingleLane | EngineVariant::Tmu => {
                 let tmu = if self.engine == EngineVariant::SingleLane {
                     self.tmu.single_lane()
                 } else {
                     self.tmu
                 };
+                let w = self.build();
                 let run = w.run_tmu(self.sys, tmu);
                 // Graceful degradation (§5.6): an engine that retired on an
                 // unserviceable fault produced no usable marshaled output, so
@@ -375,63 +405,81 @@ impl Job {
                 let mut res = RunResult {
                     outq: run.outq.iter().map(|o| o.snapshot()).collect(),
                     fallback,
-                    ..RunResult::new(kind, stats)
+                    ..RunResult::new(w.kind(), stats)
                 };
                 res.record_tmu_stats();
-                res
+                Ok(res)
             }
+            // The alternative backends consume the expression workload (or
+            // the raw matrix) directly: the `Workload` trait's run methods
+            // are shaped around the baseline/TMU op streams.
+            EngineVariant::BlockedSve => self.run_blocked(),
+            EngineVariant::SamStream => self.run_sam(),
         }
     }
 
     /// Runs this job on the register-tiled BCSR software path
-    /// ([`tmu_backends::blocked`]). Panics — caught by the runner as a
-    /// typed failure — when the kernel or expression has no blocked
-    /// lowering.
-    fn run_blocked(&self) -> RunResult {
+    /// ([`tmu_backends::blocked`]). A kernel job binds its workload, for
+    /// the kernel kind, only once the backend has run it, so an
+    /// unsupported kernel costs no bind.
+    fn run_blocked(&self) -> Result<RunResult, Unsupported> {
         use tmu_backends::blocked;
         let (kind, run) = if let Some(src) = &self.expr {
             let w = self.build_expr(src);
-            if !blocked::supports_expr(&w) {
-                panic!("{src:?} has no blocked-sve lowering");
-            }
-            (w.kind(), blocked::run_expr(&w, self.sys))
+            blocked::run_expr(&w, self.sys).map(|run| (w.kind(), run))
         } else {
-            if !blocked::supports(self.kernel) {
-                panic!("{} has no blocked-sve variant", self.kernel);
-            }
             let m = self.base_matrix();
-            let kind = matrix_kernel(self.kernel, &m).kind();
-            (kind, blocked::run_kernel(self.kernel, &m, self.sys))
-        };
+            blocked::run_kernel(self.kernel, &m, self.sys)
+                .map(|run| (matrix_kernel(self.kernel, &m).kind(), run))
+        }
+        .ok_or_else(|| self.unsupported())?;
         let mut res = RunResult::new(kind, run.stats);
         res.registry.set_counter("blocked.tiles", run.tiles);
         res.registry
             .set_gauge("blocked.tile_occupancy", run.tile_occupancy);
-        res
+        Ok(res)
     }
 
     /// Runs this job on the SAM-style streaming dataflow model
-    /// ([`tmu_backends::sam`]). Panics — caught by the runner as a typed
-    /// failure — when the kernel has no streaming einsum form.
-    fn run_sam(&self) -> RunResult {
+    /// ([`tmu_backends::sam`]), which runs every expression.
+    fn run_sam(&self) -> Result<RunResult, Unsupported> {
         use tmu_backends::sam;
         let (kind, run) = if let Some(src) = &self.expr {
             let w = self.build_expr(src);
             (w.kind(), sam::run_expr(&w, self.sys))
         } else {
-            if !sam::supports(self.kernel) {
-                panic!("{} has no sam-stream variant", self.kernel);
-            }
             let m = self.base_matrix();
-            let kind = matrix_kernel(self.kernel, &m).kind();
-            (kind, sam::run_kernel(self.kernel, &m, self.sys))
+            sam::run_kernel(self.kernel, &m, self.sys)
+                .map(|run| (matrix_kernel(self.kernel, &m).kind(), run))
+                .ok_or_else(|| self.unsupported())?
         };
         let mut res = RunResult::new(kind, run.stats);
         res.registry.set_counter("sam.tokens", run.tokens);
         res.registry
             .set_counter("sam.merger_stalls", run.merger_stalls);
         res.registry.set_counter("sam.nodes", run.nodes as u64);
-        res
+        Ok(res)
+    }
+}
+
+/// Why a [`RunResult`] carries no measurement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobError {
+    /// The engine has no variant for the job. Deterministic, so it is
+    /// memo-cached like a measurement, and it fails nothing.
+    Unsupported(Unsupported),
+    /// The simulation panicked, with this message: a bug. Never
+    /// memo-cached, and the process exits nonzero through
+    /// [`crate::run_main`].
+    Panicked(String),
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::Unsupported(u) => u.fmt(f),
+            JobError::Panicked(msg) => f.write_str(msg),
+        }
     }
 }
 
@@ -448,10 +496,9 @@ pub struct RunResult {
     pub registry: StatsRegistry,
     /// Per-core outQ snapshots (empty for non-TMU variants).
     pub outq: Vec<OutQSnapshot>,
-    /// Panic message when the job died instead of finishing; such results
-    /// carry default stats, are never memo-cached, and make the process
-    /// exit nonzero through [`crate::run_main`].
-    pub error: Option<String>,
+    /// Why the job has no measurement, if it has none; such results carry
+    /// default stats.
+    pub error: Option<JobError>,
     /// Why the TMU engine retired and the job fell back to the software
     /// baseline (the stats are then baseline timings), if it did.
     pub fallback: Option<String>,
@@ -470,14 +517,14 @@ impl RunResult {
         }
     }
 
-    /// A placeholder result for a job whose simulation panicked.
-    pub fn failed(msg: impl Into<String>) -> Self {
+    /// A placeholder result for a job without a measurement.
+    fn failed(error: JobError) -> Self {
         Self {
             kind: KernelKind::MemoryIntensive,
             stats: RunStats::default(),
             registry: StatsRegistry::new(),
             outq: Vec::new(),
-            error: Some(msg.into()),
+            error: Some(error),
             fallback: None,
         }
     }
@@ -526,7 +573,7 @@ pub fn bench_row(figure: &str, machine: &str, job: &Job, res: &RunResult) -> Ben
         machine: machine.to_owned(),
         scale: job.input.scale(),
         expr: job.expr.clone(),
-        error: res.error.clone(),
+        error: res.error.as_ref().map(JobError::to_string),
         fallback: res.fallback.clone(),
         stats: run_level_stats(&res.registry),
         ..BenchRow::default()
@@ -550,7 +597,7 @@ fn is_per_core(name: &str) -> bool {
 }
 
 /// Jobs whose simulation panicked in this process (caught by
-/// [`Runner::run_all`] and turned into [`RunResult::failed`] rows).
+/// [`Runner::run_all`] and turned into [`JobError::Panicked`] rows).
 static FAILED_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of jobs that failed (panicked) so far in this process.
@@ -722,8 +769,9 @@ impl Runner {
             // A panicking grid point must not take the whole batch (or the
             // scoped worker pool) down with it: catch it, report it as a
             // typed failure row, and let every other job finish.
-            match catch_unwind(AssertUnwindSafe(|| job.run())) {
-                Ok(result) => Arc::new(result),
+            Arc::new(match catch_unwind(AssertUnwindSafe(|| job.run())) {
+                Ok(Ok(result)) => result,
+                Ok(Err(unsupported)) => RunResult::failed(JobError::Unsupported(unsupported)),
                 Err(payload) => {
                     let msg = panic_message(payload);
                     FAILED_JOBS.fetch_add(1, Ordering::Relaxed);
@@ -733,17 +781,17 @@ impl Runner {
                         job.input.label(),
                         job.engine.label()
                     );
-                    Arc::new(RunResult::failed(msg))
+                    RunResult::failed(JobError::Panicked(msg))
                 }
-            }
+            })
         });
-        // Failures are never memoized — a later batch (or a rerun after a
+        // Panics are never memoized — a later batch (or a rerun after a
         // fix in job construction) must simulate again, not replay a stale
         // crash — so they resolve through a batch-local map instead.
         let mut batch: HashMap<&str, Arc<RunResult>> = HashMap::new();
         let mut cache = self.cache.lock().expect("runner cache poisoned");
         for ((key, _), result) in missing.iter().zip(fresh) {
-            if result.error.is_none() {
+            if !matches!(result.error, Some(JobError::Panicked(_))) {
                 cache.insert((*key).to_owned(), Arc::clone(&result));
             }
             batch.insert(key, result);
@@ -889,7 +937,7 @@ mod tests {
         // accounting. Figures read `stats` and bench.json rows read the
         // registry, so both must report the same numbers.
         let job = &small_grid()[2];
-        let res = job.run();
+        let res = job.run().expect("the TMU runs SpMV");
         let reg = &res.registry;
         assert_eq!(reg.counter("system.cycles"), Some(res.stats.cycles));
         assert_eq!(reg.counter("system.dram.bytes"), Some(res.stats.dram_bytes));
@@ -924,7 +972,7 @@ mod tests {
     #[test]
     fn rows_keep_run_level_stats_and_drop_per_core_ones() {
         let job = &small_grid()[0];
-        let res = job.run();
+        let res = job.run().expect("the baseline runs SpMV");
         let row = bench_row("figX", "table5", job, &res);
         // In a run's registry only the per-core names start `system.core`.
         let mut run_level = res.registry.clone();
@@ -1002,7 +1050,7 @@ mod tests {
             EngineVariant::Tmu,
         );
         tmu_trace::install(Tracer::new(TraceConfig::default()));
-        let res = job.run();
+        let res = job.run().expect("the TMU runs SpKAdd");
         let tracer = tmu_trace::uninstall().expect("tracer installed");
         let stalls = res
             .registry
@@ -1092,7 +1140,9 @@ mod tests {
         let before = failed_jobs();
         let res = runner.run_all(&[bad.clone(), good.clone(), bad.clone()]);
         assert_eq!(failed_jobs(), before + 1, "one unique failing key");
-        let err = res[0].error.as_deref().expect("failure is typed");
+        let Some(JobError::Panicked(err)) = &res[0].error else {
+            panic!("failure is typed: {:?}", res[0].error);
+        };
         assert!(err.contains("NoSuchKernel"), "{err}");
         assert_eq!(res[0], res[2], "duplicate keys share the failure row");
         assert!(res[1].error.is_none() && res[1].stats.cycles > 0);
@@ -1103,7 +1153,7 @@ mod tests {
         // The failure lands in bench.json as an error row without stats;
         // healthy rows carry none of the resilience keys.
         let row = bench_row("zz_fail_fig", "table5", &bad, &res[0]);
-        assert_eq!(row.error.as_deref(), Some(err));
+        assert_eq!(row.error.as_ref(), Some(err));
         assert!(row.stats.is_empty());
         crate::json::record("zz_fail_fig", vec![row]);
         let body = crate::json::render_bench_json();
@@ -1231,31 +1281,68 @@ mod tests {
         assert_eq!(srow.sections(), ["sam", "system"]);
     }
 
+    /// The whole engine × kernel support set, pinned on the `matrix` bin's
+    /// nine shapes and four engines: each `—` cell of
+    /// `results/matrix.txt` is an `Unsupported` answer, and every other
+    /// cell runs.
     #[test]
-    fn unsupported_backend_combinations_panic_with_the_engine_name() {
-        // Direct catch_unwind — not the runner — so the process-global
-        // failed-job counter other tests assert on stays untouched.
+    fn unsupported_pairs_are_exactly_the_matrix_dashes() {
         let input = InputSpec::Uniform {
             rows: 64,
             cols: 64,
-            nnz_per_row: 2,
+            nnz_per_row: 4,
             seed: 3,
         };
-        let msg_of = |job: Job| {
-            let payload = catch_unwind(AssertUnwindSafe(|| job.run()))
-                .expect_err("unsupported combination must panic");
-            panic_message(payload)
-        };
-        let msg = msg_of(Job::new("PR", input, EngineVariant::BlockedSve));
-        assert!(msg.contains("blocked-sve"), "{msg}");
-        let msg = msg_of(Job::new("PR", input, EngineVariant::SamStream));
-        assert!(msg.contains("sam-stream"), "{msg}");
-        let msg = msg_of(Job::expression(
-            "Z(i,j) = A(i,j:dcsr) + B(i,j:dcsr)",
-            input,
+        let engines = [
+            EngineVariant::Tmu,
+            EngineVariant::Imp,
             EngineVariant::BlockedSve,
-        ));
-        assert!(msg.contains("blocked-sve"), "{msg}");
+            EngineVariant::SamStream,
+        ];
+        // (kernel, expression source, one mark per engine: `x` runs, `—`
+        // is unsupported).
+        let table = [
+            ("SpMV", None, "xxxx"),
+            ("SpMM", None, "x—x—"),
+            ("SpMSpM", None, "xx—x"),
+            ("SpKAdd", None, "x——x"),
+            ("PR", None, "x———"),
+            ("TC", None, "x———"),
+            ("expr", Some("y(i) = A(i,j:csr) * x(j)"), "x—xx"),
+            ("expr", Some("Z(i,j) = A(i,k:csr) * B(k,j:csr)"), "x——x"),
+            ("expr", Some("Z(i,j) = A(i,j:dcsr) + B(i,j:dcsr)"), "x——x"),
+        ];
+        let mut jobs = Vec::new();
+        let mut dashes = Vec::new();
+        for (kernel, src, marks) in table {
+            for (engine, mark) in engines.into_iter().zip(marks.chars()) {
+                jobs.push(match src {
+                    Some(src) => Job::expression(src, input, engine),
+                    None => Job::new(kernel, input, engine),
+                });
+                if mark == '—' {
+                    dashes.push(format!(
+                        "{} has no {} variant",
+                        src.unwrap_or(kernel),
+                        engine.label()
+                    ));
+                }
+            }
+        }
+        assert_eq!(dashes.len(), 16, "the dashes of results/matrix.txt");
+        let res = Runner::with_workers(2).run_all(&jobs);
+        let mut unsupported = Vec::new();
+        for (r, job) in res.iter().zip(&jobs) {
+            match &r.error {
+                None => assert!(r.stats.cycles > 0, "{}", job.key()),
+                Some(JobError::Unsupported(u)) => {
+                    assert_eq!(u.engine, job.engine);
+                    unsupported.push(u.to_string());
+                }
+                Some(JobError::Panicked(msg)) => panic!("{}: {msg}", job.key()),
+            }
+        }
+        assert_eq!(unsupported, dashes);
     }
 
     #[test]

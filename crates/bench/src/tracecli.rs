@@ -94,7 +94,9 @@ fn truncation_report(tracer: &Tracer) -> Option<String> {
 }
 
 /// Entry point of the `trace` binary. `args` are the CLI
-/// arguments after the program name: `[kernel] [input] [engine]`.
+/// arguments after the program name: `[kernel] [input] [engine]`. An
+/// engine without a variant for the kernel prints `trace: <message>`,
+/// writes no export and exits 2, like a bad argument.
 pub fn main(args: &[String]) -> ExitCode {
     let arg = |i: usize, default: &str| -> String {
         args.get(i).cloned().unwrap_or_else(|| default.to_owned())
@@ -123,6 +125,13 @@ pub fn main(args: &[String]) -> ExitCode {
     tmu_trace::install(Tracer::new(TraceConfig::from_env()));
     let res = job.run();
     let tracer = tmu_trace::uninstall().expect("tracer still installed after the run");
+    let res = match res {
+        Ok(res) => res,
+        Err(unsupported) => {
+            eprintln!("trace: {unsupported}");
+            return ExitCode::from(2);
+        }
+    };
 
     let trace_json = tracer.chrome_json();
     json::validate(&trace_json).expect("chrome exporter emits well-formed JSON");

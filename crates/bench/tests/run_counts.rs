@@ -171,7 +171,7 @@ fn format_and_backend_runs_are_pinned() {
         got.push(counts(&format!("csr->{kind}"), &stats, 0));
     }
     for kernel in ["SpMV", "SpMM"] {
-        let run = blocked::run_kernel(kernel, &a, cfg());
+        let run = blocked::run_kernel(kernel, &a, cfg()).expect("a blocked kernel");
         got.push(counts(&format!("blocked {kernel}"), &run.stats, 0));
     }
     check(&got, FORMATS_AND_BACKENDS);

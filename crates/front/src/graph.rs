@@ -185,11 +185,6 @@ impl IterationGraph {
     pub fn order(&self) -> Vec<&str> {
         self.loops.iter().map(|l| l.var.as_str()).collect()
     }
-
-    /// The loop for `var`, if any.
-    pub fn loop_of(&self, var: &str) -> Option<&IndexLoop> {
-        self.loops.iter().find(|l| l.var == var)
-    }
 }
 
 impl fmt::Display for IterationGraph {

@@ -113,11 +113,6 @@ impl ExprWorkload {
         self.outq_r.base
     }
 
-    /// Output region (for standalone handlers).
-    pub fn z_region(&self) -> (Region, usize) {
-        (self.z_r, self.z_cap)
-    }
-
     /// Lowers the expression with `lanes` lockstep lanes.
     ///
     /// # Errors

@@ -121,11 +121,6 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
-    /// The digest of job `id`, if it completed.
-    pub fn digest_of(&self, id: u32) -> Option<EntryDigest> {
-        self.outcomes.iter().find(|o| o.id == id).map(|o| o.digest)
-    }
-
     /// Total shed arrivals across all tenants and causes.
     pub fn shed_total(&self) -> u64 {
         self.shed.values().map(ShedCounts::total).sum()

@@ -177,14 +177,6 @@ impl Dram {
     pub fn bytes_moved(&self) -> u64 {
         (self.lines_read + self.lines_written) * CACHELINE
     }
-
-    /// Resets traffic counters (timing state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.lines_read = 0;
-        self.lines_written = 0;
-        self.row_hits = 0;
-        self.row_misses = 0;
-    }
 }
 
 #[cfg(test)]

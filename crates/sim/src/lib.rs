@@ -74,7 +74,7 @@ pub use noc::Mesh;
 pub use op::{Deps, Op, OpId, OpKind, Site};
 pub use prefetch::{BestOffsetPrefetcher, StridePrefetcher};
 pub use served::{DriveOutcome, ServedCore, SlotStats};
-pub use stats::{CacheLevelStats, MemStats, Roofline, RooflinePoint, RunStats};
+pub use stats::{CacheLevelStats, MemStats, Roofline, RunStats};
 pub use system::{
     ChannelMachine, SimError, System, SystemConfig, CYCLE_LIMIT, DEFAULT_WATCHDOG_CYCLES,
 };

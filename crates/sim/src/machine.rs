@@ -132,11 +132,6 @@ impl VecMachine {
         }
     }
 
-    /// Id of the most recently emitted op.
-    pub fn last_id(&self) -> OpId {
-        OpId(self.next)
-    }
-
     /// Takes the recorded ops, leaving the recorder empty but keeping the
     /// sequence counter (so subsequent ops continue the stream).
     pub fn take(&mut self) -> Vec<Op> {

@@ -133,15 +133,6 @@ impl RunStats {
         self.total().breakdown()
     }
 
-    /// One point of a roofline plot.
-    pub fn roofline_point(&self) -> RooflinePoint {
-        RooflinePoint {
-            intensity: self.arithmetic_intensity(),
-            gflops: self.gflops(),
-            bandwidth_gbs: self.bandwidth_gbs(),
-        }
-    }
-
     /// Renders the run as a hierarchical [`tmu_trace::StatsRegistry`] with
     /// gem5-style dotted names (`system.core0.backend`, `system.l1.hits`).
     /// Counters are the same `u64`s as the struct fields and gauges the
@@ -193,17 +184,6 @@ impl RunStats {
         r.set_gauge("system.dram.row_hit_rate", self.dram_row_hit_rate);
         r
     }
-}
-
-/// A measured point on a roofline plot (Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RooflinePoint {
-    /// FLOP per DRAM byte.
-    pub intensity: f64,
-    /// Achieved GFLOP/s.
-    pub gflops: f64,
-    /// Achieved DRAM bandwidth (GB/s).
-    pub bandwidth_gbs: f64,
 }
 
 /// The machine ceilings of a roofline plot.

@@ -171,16 +171,6 @@ impl DenseMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [Val] {
-        assert!(r < self.rows, "row out of bounds");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Read-only view of the row-major storage.
     pub fn as_slice(&self) -> &[Val] {
         &self.data

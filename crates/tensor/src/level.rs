@@ -7,7 +7,7 @@
 //! vocabulary used to prove the engine *tensor-format complete*: any stack
 //! of these levels can be traversed by composing TMU layers.
 
-use crate::{CooMatrix, CsfTensor, CsrMatrix, DcsrMatrix};
+use crate::{CooMatrix, CsrMatrix, DcsrMatrix};
 
 /// A single level of a hierarchical tensor format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -250,12 +250,6 @@ impl MatrixStorageReport {
             dcsr_words: dcsr.index_words(),
         }
     }
-}
-
-/// Verifies that a [`CsfTensor`]'s stored structure matches the `csf`
-/// descriptor's storage model (used in property tests).
-pub fn csf_node_counts(t: &CsfTensor) -> Vec<usize> {
-    (0..t.order()).map(|l| t.num_nodes(l)).collect()
 }
 
 #[cfg(test)]

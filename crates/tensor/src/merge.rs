@@ -41,11 +41,6 @@ impl MergeItem {
     pub fn product(&self) -> Val {
         self.vals.iter().product()
     }
-
-    /// Number of participating fibers.
-    pub fn popcount(&self) -> u32 {
-        self.mask.count_ones()
-    }
 }
 
 /// A sorted fiber held as a pair of parallel slices.

@@ -39,6 +39,18 @@ echo "== trace bin: one traced SpMV run, self-validated Chrome export =="
 # The rmat input is fixed-size (scale 12, 32 768 edges): TMU_SCALE does
 # not apply to it.
 (cd "$smoke_dir" && "$bin/trace" spmv rmat tmu)
+# An engine without a variant for the kernel is a typed answer, not a
+# panic: one stderr line naming kernel and engine, no export, exit 2.
+status=0
+(cd "$smoke_dir" && "$bin/trace" pr rmat imp) 2>"$smoke_dir/unsupported.err" || status=$?
+if [ "$status" -ne 2 ] ||
+    ! grep -q 'has no imp variant' "$smoke_dir/unsupported.err" ||
+    compgen -G "$smoke_dir/results/trace-pr-*.json" >/dev/null; then
+    echo "verify.sh: 'trace pr rmat imp' must exit 2 naming the engine and write no export" >&2
+    echo "exit status: $status; stderr:" >&2
+    cat "$smoke_dir/unsupported.err" >&2
+    exit 1
+fi
 
 echo "== figure harness: every table and figure at reduced scale =="
 # The figure bins are the only callers in this gate of the single-lane
