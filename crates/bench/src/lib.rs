@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use tmu_kernels::workload::Workload;
+use tmu_kernels::workload::{KernelKind, Workload};
 use tmu_kernels::{
     cpals::CpAls,
     mttkrp::{Mttkrp, MttkrpVariant},
@@ -243,17 +243,77 @@ pub fn tenant_row(
     }
 }
 
+/// A matrix kernel: its figure name, its category and how to bind it to
+/// a generated matrix.
+struct MatrixKernel {
+    name: &'static str,
+    kind: KernelKind,
+    bind: fn(&CsrMatrix) -> Box<dyn Workload>,
+}
+
+/// Every matrix kernel (Figure 10's and SpMM), the one table
+/// [`matrix_kernel`] and [`matrix_kernel_kind`] read.
+const MATRIX_KERNEL_TABLE: [MatrixKernel; 6] = [
+    MatrixKernel {
+        name: "SpMV",
+        kind: Spmv::KIND,
+        bind: |m| Box::new(Spmv::new(m)),
+    },
+    MatrixKernel {
+        name: "SpMM",
+        kind: Spmm::KIND,
+        bind: |m| Box::new(Spmm::new(m)),
+    },
+    MatrixKernel {
+        name: "SpMSpM",
+        kind: Spmspm::KIND,
+        bind: |m| Box::new(Spmspm::new(m)),
+    },
+    MatrixKernel {
+        name: "SpKAdd",
+        kind: Spkadd::KIND,
+        bind: |m| Box::new(Spkadd::new(m)),
+    },
+    MatrixKernel {
+        name: "PR",
+        kind: PageRank::KIND,
+        bind: |m| Box::new(PageRank::new(m)),
+    },
+    MatrixKernel {
+        name: "TC",
+        kind: TriangleCount::KIND,
+        bind: |m| Box::new(TriangleCount::new(m)),
+    },
+];
+
+/// The table row of matrix kernel `kernel`.
+///
+/// # Panics
+///
+/// Panics if no matrix kernel has that name.
+fn matrix_kernel_row(kernel: &str) -> &'static MatrixKernel {
+    MATRIX_KERNEL_TABLE
+        .iter()
+        .find(|k| k.name == kernel)
+        .unwrap_or_else(|| panic!("unknown matrix kernel {kernel}"))
+}
+
 /// Builds the matrix `kernel` over an already-generated matrix.
+///
+/// # Panics
+///
+/// Panics if no matrix kernel has that name.
 pub fn matrix_kernel(kernel: &str, m: &CsrMatrix) -> Box<dyn Workload> {
-    match kernel {
-        "SpMV" => Box::new(Spmv::new(m)),
-        "SpMM" => Box::new(Spmm::new(m)),
-        "SpMSpM" => Box::new(Spmspm::new(m)),
-        "SpKAdd" => Box::new(Spkadd::new(m)),
-        "PR" => Box::new(PageRank::new(m)),
-        "TC" => Box::new(TriangleCount::new(m)),
-        other => panic!("unknown matrix kernel {other}"),
-    }
+    (matrix_kernel_row(kernel).bind)(m)
+}
+
+/// The category of matrix `kernel`, read without binding a workload.
+///
+/// # Panics
+///
+/// Panics if no matrix kernel has that name.
+pub fn matrix_kernel_kind(kernel: &str) -> KernelKind {
+    matrix_kernel_row(kernel).kind
 }
 
 /// Builds the matrix workload `kernel` on Table 6 input `id` at `scale`.

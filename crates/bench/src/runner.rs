@@ -34,7 +34,7 @@ use tmu_tensor::gen::{self, InputId, ScaledInput};
 use tmu_trace::StatsRegistry;
 
 use crate::json::BenchRow;
-use crate::{matrix_kernel, matrix_workload_at, tensor_workload_at};
+use crate::{matrix_kernel, matrix_kernel_kind, matrix_workload_at, tensor_workload_at};
 
 // The positive-integer knob reader every harness bin uses; it lives in
 // `tmu-trace` so that the tracer's own knobs go through it too.
@@ -419,9 +419,9 @@ impl Job {
     }
 
     /// Runs this job on the register-tiled BCSR software path
-    /// ([`tmu_backends::blocked`]). A kernel job binds its workload, for
-    /// the kernel kind, only once the backend has run it, so an
-    /// unsupported kernel costs no bind.
+    /// ([`tmu_backends::blocked`]). A kernel job binds no workload: its
+    /// kind comes from the matrix-kernel table once the backend has run
+    /// it.
     fn run_blocked(&self) -> Result<RunResult, Unsupported> {
         use tmu_backends::blocked;
         let (kind, run) = if let Some(src) = &self.expr {
@@ -430,7 +430,7 @@ impl Job {
         } else {
             let m = self.base_matrix();
             blocked::run_kernel(self.kernel, &m, self.sys)
-                .map(|run| (matrix_kernel(self.kernel, &m).kind(), run))
+                .map(|run| (matrix_kernel_kind(self.kernel), run))
         }
         .ok_or_else(|| self.unsupported())?;
         let mut res = RunResult::new(kind, run.stats);
@@ -450,7 +450,7 @@ impl Job {
         } else {
             let m = self.base_matrix();
             sam::run_kernel(self.kernel, &m, self.sys)
-                .map(|run| (matrix_kernel(self.kernel, &m).kind(), run))
+                .map(|run| (matrix_kernel_kind(self.kernel), run))
                 .ok_or_else(|| self.unsupported())?
         };
         let mut res = RunResult::new(kind, run.stats);

@@ -122,9 +122,11 @@ impl ContextSnapshot {
             _ => Interp::new(Arc::clone(&self.program), image),
         };
         while interp.steps_generated() < self.steps_completed {
-            interp.next_step().ok_or(TmuError::SnapshotOutOfRange {
-                steps: self.steps_completed,
-            })?;
+            if !interp.skip_step() {
+                return Err(TmuError::SnapshotOutOfRange {
+                    steps: self.steps_completed,
+                });
+            }
         }
         Ok(interp)
     }

@@ -1,82 +1,155 @@
 //! Functional interpreter of TMU programs.
 //!
 //! Produces, lazily and in nested-loop order, the stream of traversal-group
-//! [`Step`]s a configured TMU performs: which elements each TU loads (with
+//! steps a configured TMU performs: which elements each TU loads (with
 //! their dependency edges), how the traversal groups merge/co-iterate lanes
 //! (§5.2), and which outQ entries the registered callbacks push (§5.3).
 //! The timing engine ([`crate::TmuAccelerator`]) replays this stream
 //! against the simulated memory hierarchy; the functional content (operand
 //! values) is computed here from the bound [`MemImage`].
+//!
+//! One generator writes every step into a sink. The timing engine's
+//! [`StepBatcher`] sends its loads to the engine's stream queues and keeps
+//! its gates and operand words in flat rings; [`Interp::next_step`]
+//! collects the same records into an owned [`Step`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::image::MemImage;
 use crate::program::{
-    Event, IndexSrc, LayerMode, OperandDef, Program, StreamDef, StreamRef, StreamTy, TraversalDef,
+    Event, IndexSrc, LayerMode, OperandDef, Program, StreamDef, StreamTy, TraversalDef,
 };
-use crate::steps::{ElemId, MemLoad, Operand, OutQEntry, Step, StepKind};
+use crate::steps::{
+    ElemId, EntryShapes, MemLoad, OutQEntry, PendingStep, Step, StepKind, MAX_LOAD_DEPS,
+};
 
-/// Steps [`StepBatcher::fill`] buffers ahead for the timing engine, and the
-/// interval at which it checkpoints the interpreter: a context restore
-/// replays fewer than this many steps.
+/// The interval at which a [`StepBatcher`] checkpoints the interpreter: a
+/// context restore replays fewer than this many steps.
 pub const STEP_BATCH: usize = 64;
 
-/// One element of a TU. Each lane keeps two of these buffers (the peeked
-/// head and the last consumed element) and swaps them on consume.
-#[derive(Debug, Default)]
-struct ElemRt {
-    /// Per-stream values (raw bits).
-    vals: Vec<u64>,
-    /// Per-stream mem-load ids (None for non-mem streams).
-    mem_by_stream: Vec<Option<ElemId>>,
-    /// All gating ids of this element (own loads + fiber bound deps).
-    gates: Vec<ElemId>,
+/// The load id of an element's stream that loads nothing.
+const NO_LOAD: ElemId = ElemId::MAX;
+
+/// Where one TU's buffers sit in an interpreter's word arena; fixed by the
+/// program. A TU keeps two element slots (the peeked head and the last
+/// consumed element, swapped on consume), each with one value and one load
+/// id per stream; then the head's gates, its fiber's bound loads and the
+/// values forwarded from its parent element.
+#[derive(Debug, Clone, Copy)]
+struct TuLayout {
+    /// First arena word.
+    at: usize,
+    /// Streams of the TU.
+    streams: usize,
+    /// Most gates the head carries: the fiber's bounds and one load per
+    /// `mem` stream.
+    gates: usize,
+    /// Most bound loads a fiber of the TU waits on: two per `RngFbrT` and
+    /// one per `IdxFbrT` on the path from the root.
+    bound: usize,
+    /// Streams of the parent TU.
+    parent: usize,
 }
 
-impl ElemRt {
-    fn clear(&mut self) {
-        self.vals.clear();
-        self.mem_by_stream.clear();
-        self.gates.clear();
+impl TuLayout {
+    fn vals(&self, slot: usize) -> usize {
+        self.at + slot * self.streams
+    }
+
+    fn loads(&self, slot: usize) -> usize {
+        self.at + (2 + slot) * self.streams
+    }
+
+    fn gates(&self) -> usize {
+        self.at + 4 * self.streams
+    }
+
+    fn bound(&self) -> usize {
+        self.gates() + self.gates
+    }
+
+    fn parent(&self) -> usize {
+        self.bound() + self.bound
+    }
+
+    fn end(&self) -> usize {
+        self.parent() + self.parent
     }
 }
 
-impl Clone for ElemRt {
-    fn clone(&self) -> Self {
-        let mut elem = Self::default();
-        elem.clone_from(self);
-        elem
+/// The arena layout of every TU of a program, numbered layer by layer.
+#[derive(Debug)]
+struct Layout {
+    /// Number of the first TU of each layer.
+    layer_at: Vec<usize>,
+    tus: Vec<TuLayout>,
+}
+
+impl Layout {
+    fn new(prog: &Program) -> Self {
+        let mut layer_at: Vec<usize> = Vec::with_capacity(prog.layers.len());
+        let mut tus: Vec<TuLayout> = Vec::new();
+        for layer in &prog.layers {
+            let parents = layer_at.last().copied();
+            layer_at.push(tus.len());
+            for tu in &layer.tus {
+                let parent = parents.map(|first| tus[first + tu.parent_lane]);
+                let own = match tu.traversal {
+                    TraversalDef::Dns { .. } => 0,
+                    TraversalDef::Rng { .. } => 2,
+                    TraversalDef::Idx { .. } => 1,
+                };
+                let bound = own + parent.map_or(0, |p| p.bound);
+                let mems = tu
+                    .streams
+                    .iter()
+                    .filter(|s| matches!(s, StreamDef::Mem { .. }))
+                    .count();
+                tus.push(TuLayout {
+                    at: tus.last().map_or(0, TuLayout::end),
+                    streams: tu.streams.len(),
+                    gates: bound + mems,
+                    bound,
+                    parent: parent.map_or(0, |p| p.streams),
+                });
+            }
+        }
+        Self { layer_at, tus }
     }
 
-    fn clone_from(&mut self, src: &Self) {
-        let Self {
-            vals,
-            mem_by_stream,
-            gates,
-        } = src;
-        self.vals.clone_from(vals);
-        self.mem_by_stream.clone_from(mem_by_stream);
-        self.gates.clone_from(gates);
+    fn words(&self) -> usize {
+        self.tus.last().map_or(0, TuLayout::end)
     }
 }
 
-/// Runtime state of one TU (lane of a layer).
-#[derive(Debug, Default)]
+/// Runtime state of one TU (lane of a layer); its buffers live in the
+/// interpreter's word arena.
+#[derive(Debug, Clone, Copy, Default)]
 struct LaneRt {
     active: bool,
     i: i64,
     beg: i64,
     end: i64,
     stride: i64,
-    bound_deps: Vec<ElemId>,
-    parent_vals: Vec<u64>,
+    /// Bound loads of the current fiber in use.
+    bound: usize,
+    /// The bound loads every stream load of the fiber waits on, a prefix
+    /// of them: the parent element's own, or the parent fiber's when the
+    /// parent element loads none (older ancestors' are implied).
+    load_bounds: usize,
+    /// Values forwarded from the parent element in use.
+    parent: usize,
     /// Elements peeked so far (the next element's queue-slot ordinal).
     peeked: u64,
-    /// Whether `cur` holds a peeked, unconsumed element.
+    /// Whether slot `cur` holds a peeked, unconsumed element.
     has_cur: bool,
-    cur: ElemRt,
-    last: ElemRt,
+    /// Slot of the peeked head; the other holds the last consumed element.
+    cur: usize,
+    /// Whether the fiber has consumed an element (the other slot's).
+    has_last: bool,
+    /// Gates of the peeked head.
+    gates: usize,
 }
 
 impl LaneRt {
@@ -89,36 +162,6 @@ impl LaneRt {
     }
 }
 
-impl Clone for LaneRt {
-    fn clone(&self) -> Self {
-        let mut lane = Self::default();
-        lane.clone_from(self);
-        lane
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        let Self {
-            active,
-            i,
-            beg,
-            end,
-            stride,
-            bound_deps,
-            parent_vals,
-            peeked,
-            has_cur,
-            cur,
-            last,
-        } = src;
-        (self.active, self.i, self.beg, self.end, self.stride) = (*active, *i, *beg, *end, *stride);
-        (self.peeked, self.has_cur) = (*peeked, *has_cur);
-        self.bound_deps.clone_from(bound_deps);
-        self.parent_vals.clone_from(parent_vals);
-        self.cur.clone_from(cur);
-        self.last.clone_from(last);
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Start(usize),
@@ -126,16 +169,69 @@ enum Phase {
     Done,
 }
 
+/// Receives what the generator produces for one step.
+trait Sink {
+    /// A load created while peeking an element.
+    fn load(&mut self, load: MemLoad);
+    /// Loads gating the step's completion.
+    fn gates(&mut self, gates: &[ElemId]);
+    /// The next operand word of the step's outQ entry.
+    fn word(&mut self, word: u64);
+}
+
+/// Keeps nothing: a replay that only advances the interpreter.
+struct Discard;
+
+impl Sink for Discard {
+    fn load(&mut self, _: MemLoad) {}
+    fn gates(&mut self, _: &[ElemId]) {}
+    fn word(&mut self, _: u64) {}
+}
+
+/// Collects a step's records for an owned [`Step`].
+#[derive(Default)]
+struct Collect {
+    loads: Vec<MemLoad>,
+    gates: Vec<ElemId>,
+    words: Vec<u64>,
+}
+
+impl Sink for Collect {
+    fn load(&mut self, load: MemLoad) {
+        self.loads.push(load);
+    }
+    fn gates(&mut self, gates: &[ElemId]) {
+        self.gates.extend_from_slice(gates);
+    }
+    fn word(&mut self, word: u64) {
+        self.words.push(word);
+    }
+}
+
+/// Keeps only the operand words (functional runs).
+struct Words<'a>(&'a mut Vec<u64>);
+
+impl Sink for Words<'_> {
+    fn load(&mut self, _: MemLoad) {}
+    fn gates(&mut self, _: &[ElemId]) {}
+    fn word(&mut self, word: u64) {
+        self.0.push(word);
+    }
+}
+
 /// Lazily interprets a [`Program`] over a [`MemImage`].
 ///
-/// Cloning one is cheap (the program and image are shared) and yields an
-/// interpreter that continues exactly where this one stands: the timing
-/// engine keeps such clones as restart points for context restores.
+/// Cloning one is cheap (the program and image are shared, and every TU's
+/// buffers sit in one word arena) and yields an interpreter that continues
+/// exactly where this one stands: the timing engine keeps such clones as
+/// restart points for context restores.
 #[derive(Debug)]
 pub struct Interp {
     prog: Arc<Program>,
     image: Arc<MemImage>,
-    layers: Vec<Vec<LaneRt>>,
+    layout: Arc<Layout>,
+    lanes: Vec<LaneRt>,
+    words: Vec<u64>,
     next_elem: ElemId,
     phase: Phase,
     /// Total outQ entries produced so far.
@@ -149,7 +245,9 @@ impl Clone for Interp {
         Self {
             prog: Arc::clone(&self.prog),
             image: Arc::clone(&self.image),
-            layers: self.layers.clone(),
+            layout: Arc::clone(&self.layout),
+            lanes: self.lanes.clone(),
+            words: self.words.clone(),
             next_elem: self.next_elem,
             phase: self.phase,
             entries_produced: self.entries_produced,
@@ -157,13 +255,15 @@ impl Clone for Interp {
         }
     }
 
-    /// Copies into this interpreter's lane buffers, so a reused checkpoint
+    /// Copies into this interpreter's buffers, so a reused checkpoint
     /// slot allocates nothing once it has seen the program.
     fn clone_from(&mut self, src: &Self) {
         let Self {
             prog,
             image,
-            layers,
+            layout,
+            lanes,
+            words,
             next_elem,
             phase,
             entries_produced,
@@ -171,7 +271,9 @@ impl Clone for Interp {
         } = src;
         self.prog.clone_from(prog);
         self.image.clone_from(image);
-        self.layers.clone_from(layers);
+        self.layout.clone_from(layout);
+        self.lanes.clone_from(lanes);
+        self.words.clone_from(words);
         (self.next_elem, self.phase) = (*next_elem, *phase);
         (self.entries_produced, self.steps) = (*entries_produced, *steps);
     }
@@ -180,15 +282,13 @@ impl Clone for Interp {
 impl Interp {
     /// Creates an interpreter positioned before the first step.
     pub fn new(prog: Arc<Program>, image: Arc<MemImage>) -> Self {
-        let layers = prog
-            .layers
-            .iter()
-            .map(|l| vec![LaneRt::default(); l.tus.len()])
-            .collect();
+        let layout = Layout::new(&prog);
         let mut interp = Self {
+            lanes: vec![LaneRt::default(); layout.tus.len()],
+            words: vec![0; layout.words()],
+            layout: Arc::new(layout),
             prog,
             image,
-            layers,
             next_elem: 0,
             phase: Phase::Start(0),
             entries_produced: 0,
@@ -215,7 +315,7 @@ impl Interp {
     /// is the TU's committed consumption, which the §5.5 queue-capacity
     /// check counts from.
     pub fn consumed_elems(&self, layer: usize, lane: usize) -> u64 {
-        let rt = &self.layers[layer][lane];
+        let rt = &self.lanes[self.tu(layer, lane)];
         rt.peeked - u64::from(rt.has_cur)
     }
 
@@ -224,8 +324,19 @@ impl Interp {
         self.image = image;
     }
 
+    /// Number of TU `(layer, lane)`.
+    fn tu(&self, layer: usize, lane: usize) -> usize {
+        self.layout.layer_at[layer] + lane
+    }
+
+    /// The TU numbers of layer `l`.
+    fn layer_tus(&self, l: usize) -> std::ops::Range<usize> {
+        let first = self.layout.layer_at[l];
+        first..first + self.prog.layers[l].tus.len()
+    }
+
     fn init_root(&mut self) {
-        for (rt, tu) in self.layers[0].iter_mut().zip(&self.prog.layers[0].tus) {
+        for (rt, tu) in self.lanes.iter_mut().zip(&self.prog.layers[0].tus) {
             match tu.traversal {
                 TraversalDef::Dns { beg, end, stride } => {
                     rt.active = true;
@@ -239,41 +350,33 @@ impl Interp {
         }
     }
 
-    fn stream_ty(&self, r: StreamRef) -> StreamTy {
-        match &self.prog.layers[r.layer].tus[r.lane].streams[r.stream] {
-            StreamDef::Mem { ty, .. } => *ty,
-            StreamDef::Fwd { from } => self.stream_ty(*from),
-            _ => StreamTy::Index,
-        }
+    /// Value of stream `stream` in the last element TU `t` consumed, if
+    /// its fiber has consumed one.
+    fn last_val(&self, t: usize, stream: usize) -> Option<u64> {
+        let rt = &self.lanes[t];
+        rt.has_last
+            .then(|| self.words[self.layout.tus[t].vals(rt.cur ^ 1) + stream])
     }
 
-    /// Peeks the current element of `(l, lane)` into the lane's `cur`
-    /// buffer, appending its loads to `loads` (their dependency lists reuse
-    /// the buffers in `spare_deps`).
-    fn peek(
-        &mut self,
-        l: usize,
-        lane: usize,
-        spare_deps: &mut Vec<Vec<ElemId>>,
-        loads: &mut Vec<MemLoad>,
-    ) {
-        let rt = &mut self.layers[l][lane];
+    /// Peeks the current element of `(l, lane)` into the lane's head slot,
+    /// handing its loads to `sink`.
+    fn peek(&mut self, l: usize, lane: usize, sink: &mut impl Sink) {
+        let t = self.tu(l, lane);
+        let rt = self.lanes[t];
         if !rt.active || rt.has_cur || !rt.in_range() {
             return;
         }
-        let (i, beg0, ordinal) = (rt.i, rt.beg, rt.peeked);
-        let tu = &self.prog.layers[l].tus[lane];
-        let n = tu.streams.len();
-        let cur = &mut rt.cur;
-        cur.vals.clear();
-        cur.vals.resize(n, 0);
-        cur.mem_by_stream.clear();
-        cur.mem_by_stream.resize(n, None);
-        cur.gates.clear();
-        cur.gates.extend_from_slice(&rt.bound_deps);
-        for (si, s) in tu.streams.iter().enumerate() {
-            match s {
-                StreamDef::Ite => cur.vals[si] = i as u64,
+        let lay = self.layout.tus[t];
+        let (vals, loads, gates) = (lay.vals(rt.cur), lay.loads(rt.cur), lay.gates());
+        let w = &mut self.words;
+        w[vals..vals + lay.streams].fill(0);
+        w[loads..loads + lay.streams].fill(NO_LOAD);
+        w.copy_within(lay.bound()..lay.bound() + rt.bound, gates);
+        let mut n_gates = rt.bound;
+        let i = rt.i;
+        for (si, s) in self.prog.layers[l].tus[lane].streams.iter().enumerate() {
+            w[vals + si] = match s {
+                StreamDef::Ite => i as u64,
                 StreamDef::Mem {
                     base,
                     elem,
@@ -282,76 +385,76 @@ impl Interp {
                 } => {
                     let idx = match index {
                         IndexSrc::Ite => i,
-                        IndexSrc::Stream(j) => cur.vals[*j] as i64,
-                        IndexSrc::RelItePlus(j) => (i - beg0) + cur.vals[*j] as i64,
+                        IndexSrc::Stream(j) => w[vals + j] as i64,
+                        IndexSrc::RelItePlus(j) => (i - rt.beg) + w[vals + j] as i64,
                     };
                     let addr = (*base as i64 + idx * *elem as i64) as u64;
-                    cur.vals[si] = match ty {
-                        StreamTy::Index => self.image.read_index(addr) as u64,
-                        StreamTy::Value => self.image.read_bits(addr),
-                    };
                     let id = self.next_elem;
                     self.next_elem += 1;
-                    let mut deps = spare_deps.pop().unwrap_or_default();
-                    deps.clear();
-                    deps.extend_from_slice(&rt.bound_deps);
-                    if let IndexSrc::Stream(j) | IndexSrc::RelItePlus(j) = index {
-                        if let Some(dep) = cur.mem_by_stream[*j] {
-                            deps.push(dep);
-                        }
-                    }
-                    loads.push(MemLoad {
+                    let mut load = MemLoad {
                         id,
                         layer: l as u8,
                         lane: lane as u8,
                         stream: si as u8,
-                        elem_ordinal: ordinal,
+                        n_deps: 0,
+                        elem_ordinal: rt.peeked,
                         addr,
-                        deps,
-                    });
-                    cur.mem_by_stream[si] = Some(id);
-                    cur.gates.push(id);
+                        deps: [0; MAX_LOAD_DEPS],
+                    };
+                    for k in 0..rt.load_bounds {
+                        load.push_dep(w[lay.bound() + k]);
+                    }
+                    if let IndexSrc::Stream(j) | IndexSrc::RelItePlus(j) = index {
+                        if w[loads + j] != NO_LOAD {
+                            load.push_dep(w[loads + j]);
+                        }
+                    }
+                    sink.load(load);
+                    w[loads + si] = id;
+                    w[gates + n_gates] = id;
+                    n_gates += 1;
+                    match ty {
+                        StreamTy::Index => self.image.read_index(addr) as u64,
+                        StreamTy::Value => self.image.read_bits(addr),
+                    }
                 }
-                StreamDef::Lin { a, b, of } => {
-                    cur.vals[si] = (a * (cur.vals[*of] as i64) + b) as u64;
-                }
+                StreamDef::Lin { a, b, of } => (a * (w[vals + of] as i64) + b) as u64,
                 StreamDef::Map { table, of } => {
-                    cur.vals[si] = table
-                        [(cur.vals[*of] as i64).rem_euclid(table.len() as i64) as usize]
-                        as u64;
+                    table[(w[vals + of] as i64).rem_euclid(table.len() as i64) as usize] as u64
                 }
                 StreamDef::Ldr { base, elem, of } => {
-                    cur.vals[si] = (*base as i64 + (cur.vals[*of] as i64) * *elem as i64) as u64;
+                    (*base as i64 + (w[vals + of] as i64) * *elem as i64) as u64
                 }
-                StreamDef::Fwd { from } => {
-                    cur.vals[si] = rt.parent_vals.get(from.stream).copied().unwrap_or(0);
-                }
-            }
+                StreamDef::Fwd { from } if from.stream < rt.parent => w[lay.parent() + from.stream],
+                StreamDef::Fwd { .. } => 0,
+            };
         }
+        let rt = &mut self.lanes[t];
         rt.peeked += 1;
         rt.has_cur = true;
+        rt.gates = n_gates;
     }
 
-    fn consume(&mut self, l: usize, lane: usize) {
-        let rt = &mut self.layers[l][lane];
+    fn consume(&mut self, t: usize) {
+        let rt = &mut self.lanes[t];
         assert!(rt.has_cur, "consume requires a peeked element");
-        std::mem::swap(&mut rt.cur, &mut rt.last);
-        rt.has_cur = false;
+        rt.cur ^= 1;
+        (rt.has_cur, rt.has_last) = (false, true);
         rt.i += rt.stride;
     }
 
     fn key_of(&self, l: usize, lane: usize) -> i64 {
-        let tu = &self.prog.layers[l].tus[lane];
-        let k = tu.key.unwrap_or(0);
-        let rt = &self.layers[l][lane];
+        let k = self.prog.layers[l].tus[lane].key.unwrap_or(0);
+        let t = self.tu(l, lane);
+        let rt = &self.lanes[t];
         assert!(rt.has_cur, "key requires a peeked element");
-        rt.cur.vals[k] as i64
+        self.words[self.layout.tus[t].vals(rt.cur) + k] as i64
     }
 
     /// The lanes of `alive` whose peeked key is the smallest: a merge
     /// step's mask.
     fn min_key_lanes(&self, l: usize, alive: u64) -> u64 {
-        let lanes = 0..self.layers[l].len();
+        let lanes = 0..self.prog.layers[l].tus.len();
         let min = lanes
             .clone()
             .filter(|&j| alive & (1 << j) != 0)
@@ -364,125 +467,99 @@ impl Interp {
     }
 
     fn active_mask(&self, l: usize) -> u64 {
-        let mut m = 0u64;
-        for (lane, rt) in self.layers[l].iter().enumerate() {
-            if rt.active {
-                m |= 1 << lane;
-            }
-        }
-        m
+        self.lanes[self.layer_tus(l)]
+            .iter()
+            .enumerate()
+            .filter(|(_, rt)| rt.active)
+            .fold(0, |m, (lane, _)| m | 1 << lane)
     }
 
     fn alive_mask(&self, l: usize) -> u64 {
-        let mut m = 0u64;
-        for (lane, rt) in self.layers[l].iter().enumerate() {
-            if rt.active && rt.has_cur {
-                m |= 1 << lane;
+        self.lanes[self.layer_tus(l)]
+            .iter()
+            .enumerate()
+            .filter(|(_, rt)| rt.active && rt.has_cur)
+            .fold(0, |m, (lane, _)| m | 1 << lane)
+    }
+
+    /// Hands the fiber-bound gates of layer `l`'s active lanes to `sink`.
+    fn bound_gates(&self, l: usize, sink: &mut impl Sink) {
+        for t in self.layer_tus(l) {
+            let rt = &self.lanes[t];
+            if rt.active {
+                let at = self.layout.tus[t].bound();
+                sink.gates(&self.words[at..at + rt.bound]);
             }
         }
-        m
     }
 
-    /// Appends the fiber-bound gates of layer `l`'s active lanes.
-    fn bound_gates(&self, l: usize, gates: &mut Vec<ElemId>) {
-        for rt in self.layers[l].iter().filter(|rt| rt.active) {
-            gates.extend_from_slice(&rt.bound_deps);
-        }
-    }
-
-    /// Evaluates the callbacks registered for `event` on layer `l` into
-    /// `out`, refilling the records already there in place.
-    fn fill_entries(&mut self, l: usize, event: Event, mask: u64, out: &mut Vec<OutQEntry>) {
+    /// Hands `sink` the operand words of the entry layer `l`'s callback on
+    /// `event` pushes, in [`EntryShapes::refill`] order; returns whether
+    /// the layer registers one.
+    fn entry_words(&mut self, l: usize, event: Event, mask: u64, sink: &mut impl Sink) -> bool {
         let layer = &self.prog.layers[l];
-        let mut n = 0;
-        for cb in layer.callbacks.iter().filter(|cb| cb.event == event) {
-            if n == out.len() {
-                out.push(OutQEntry {
-                    callback: cb.id,
-                    mask,
-                    operands: Vec::with_capacity(cb.operands.len()),
-                });
-            }
-            let entry = &mut out[n];
-            n += 1;
-            entry.callback = cb.id;
-            entry.mask = mask;
-            entry.operands.truncate(cb.operands.len());
-            for (k, op) in cb.operands.iter().enumerate() {
-                if k == entry.operands.len() {
-                    entry.operands.push(Operand::Mask(0));
-                }
-                let slot = &mut entry.operands[k];
-                match &layer.operands[op.0] {
-                    OperandDef::Vec { streams } => {
-                        let ty = streams
-                            .first()
-                            .map(|&s| self.stream_ty(s))
-                            .unwrap_or(StreamTy::Index);
-                        if !matches!(slot, Operand::Vec { .. }) {
-                            *slot = Operand::Vec {
-                                vals: Vec::with_capacity(streams.len()),
-                                ty,
-                            };
-                        }
-                        let Operand::Vec { vals, ty: slot_ty } = slot else {
-                            unreachable!("slot was just made a vector operand");
-                        };
-                        *slot_ty = ty;
-                        vals.clear();
-                        vals.extend(streams.iter().map(|s| {
-                            if mask & (1 << s.lane) != 0 {
-                                self.layers[l][s.lane].last.vals[s.stream]
-                            } else {
-                                0
-                            }
-                        }));
-                    }
-                    OperandDef::Mask => *slot = Operand::Mask(mask),
-                    OperandDef::Scalar { stream } => {
-                        *slot = Operand::Scalar {
-                            val: self.layers[stream.layer][stream.lane]
-                                .last
-                                .vals
-                                .get(stream.stream)
-                                .copied()
-                                .unwrap_or(0),
-                            ty: self.stream_ty(*stream),
-                        }
+        let Some(cb) = layer.callbacks.iter().find(|cb| cb.event == event) else {
+            return false;
+        };
+        for op in &cb.operands {
+            match &layer.operands[op.0] {
+                OperandDef::Vec { streams } => {
+                    for s in streams {
+                        sink.word(if mask & (1 << s.lane) != 0 {
+                            self.last_val(self.tu(l, s.lane), s.stream)
+                                .expect("a lane of the step's mask consumed an element")
+                        } else {
+                            0
+                        });
                     }
                 }
+                OperandDef::Mask => {}
+                OperandDef::Scalar { stream } => sink.word(
+                    self.last_val(self.tu(stream.layer, stream.lane), stream.stream)
+                        .unwrap_or(0),
+                ),
             }
         }
-        out.truncate(n);
-        self.entries_produced += n as u64;
+        self.entries_produced += 1;
+        true
     }
 
-    /// Initializes layer `l + 1`'s fibers after an `Ite` of layer `l`,
-    /// refilling the child lanes' buffers in place. A lane left inactive
-    /// reads as empty: no bound deps, no parent values, no last element.
+    /// Initializes layer `l + 1`'s fibers after an `Ite` of layer `l`. A
+    /// lane left inactive reads as empty: no bound deps, no parent values,
+    /// no last element.
     fn descend(&mut self, l: usize, mask: u64) {
         let child = l + 1;
         let parent_mode = self.prog.layers[l].mode;
-        let (upper, lower) = self.layers.split_at_mut(child);
-        let parents = &upper[l];
-        for (tu, rt) in self.prog.layers[child].tus.iter().zip(lower[0].iter_mut()) {
+        for (lane, tu) in self.prog.layers[child].tus.iter().enumerate() {
+            let (t, p) = (self.tu(child, lane), self.tu(l, tu.parent_lane));
             let parent_ok = match parent_mode {
                 LayerMode::Single | LayerMode::Keep => true,
                 _ => mask & (1 << tu.parent_lane) != 0,
             };
-            let parent_rt = &parents[tu.parent_lane];
+            let prt = self.lanes[p];
+            let rt = &mut self.lanes[t];
             rt.has_cur = false;
-            rt.last.clear();
-            rt.bound_deps.clear();
-            rt.parent_vals.clear();
-            if !parent_ok || !parent_rt.active {
+            rt.has_last = false;
+            (rt.bound, rt.parent, rt.load_bounds) = (0, 0, 0);
+            if !parent_ok || !prt.active {
                 (rt.active, rt.i, rt.beg, rt.end, rt.stride) = (false, 0, 0, 0, 0);
                 continue;
             }
-            let pv = &parent_rt.last.vals;
-            let pmem = &parent_rt.last.mem_by_stream;
+            let (lay, play) = (self.layout.tus[t], self.layout.tus[p]);
+            let last = prt.cur ^ 1;
+            let held = prt.has_last;
+            let w = &mut self.words;
+            // The parent element's value and load of stream `k`.
+            let val = |w: &[u64], k: usize| {
+                assert!(held, "a fiber descends from a consumed parent element");
+                w[play.vals(last) + k] as i64
+            };
+            let load = |w: &[u64], k: usize| {
+                Some(w[play.loads(last) + k]).filter(|&id| held && id != NO_LOAD)
+            };
             // `origin` is the fiber start before any lane phase offset —
             // the reference point of `IndexSrc::RelItePlus`.
+            let mut own = [None; 2];
             let (i, origin, end, stride) = match tu.traversal {
                 TraversalDef::Dns { beg, end, stride } => (beg, beg, end, stride),
                 TraversalDef::Rng {
@@ -491,14 +568,8 @@ impl Interp {
                     offset,
                     stride,
                 } => {
-                    let b0 = pv[beg.stream] as i64;
-                    let e = pv[end.stream] as i64;
-                    if let Some(Some(d)) = pmem.get(beg.stream) {
-                        rt.bound_deps.push(*d);
-                    }
-                    if let Some(Some(d)) = pmem.get(end.stream) {
-                        rt.bound_deps.push(*d);
-                    }
+                    let (b0, e) = (val(w, beg.stream), val(w, end.stream));
+                    own = [load(w, beg.stream), load(w, end.stream)];
                     (b0 + offset, b0, e, stride)
                 }
                 TraversalDef::Idx {
@@ -507,17 +578,35 @@ impl Interp {
                     offset,
                     stride,
                 } => {
-                    let b0 = pv[beg.stream] as i64;
-                    if let Some(Some(d)) = pmem.get(beg.stream) {
-                        rt.bound_deps.push(*d);
-                    }
+                    let b0 = val(w, beg.stream);
+                    own[0] = load(w, beg.stream);
                     (b0 + offset, b0, b0 + size, stride)
                 }
             };
-            // The child also cannot outrun its parent's own fiber bounds.
-            rt.bound_deps.extend_from_slice(&parent_rt.bound_deps);
-            rt.bound_deps.dedup();
-            rt.parent_vals.extend_from_slice(pv);
+            // The fiber's bounds: the parent element's loads, then those
+            // of the parent's fiber (the child also cannot outrun it),
+            // without consecutive repeats.
+            let at = lay.bound();
+            let parent_bound = play.bound()..play.bound() + prt.bound;
+            for dep in own.into_iter().flatten() {
+                push_distinct(w, at, &mut rt.bound, dep);
+            }
+            rt.load_bounds = if rt.bound > 0 {
+                rt.bound
+            } else {
+                prt.load_bounds
+            };
+            for k in parent_bound {
+                let dep = w[k];
+                push_distinct(w, at, &mut rt.bound, dep);
+            }
+            if held {
+                rt.parent = play.streams;
+                w.copy_within(
+                    play.vals(last)..play.vals(last) + play.streams,
+                    lay.parent(),
+                );
+            }
             (rt.active, rt.i, rt.beg, rt.end, rt.stride) = (true, i, origin, end, stride);
         }
         self.phase = Phase::Start(child);
@@ -525,37 +614,53 @@ impl Interp {
 
     /// Produces the next step, or `None` when traversal is complete.
     pub fn next_step(&mut self) -> Option<Step> {
-        self.generate(&mut StepPool::default())
+        let mut sink = Collect::default();
+        let step = self.generate(&mut sink)?;
+        Some(Step::view(
+            &self.prog,
+            step,
+            sink.loads,
+            sink.gates,
+            &sink.words,
+        ))
     }
 
-    /// [`Interp::next_step`], refilling a record from `pool`.
-    fn generate(&mut self, pool: &mut StepPool) -> Option<Step> {
+    /// Advances past the next step, keeping none of its records; returns
+    /// whether there was one.
+    pub(crate) fn skip_step(&mut self) -> bool {
+        self.generate(&mut Discard).is_some()
+    }
+
+    /// The generator: produces the next step's header and hands its
+    /// loads, gates and operand words to `sink`.
+    fn generate(&mut self, sink: &mut impl Sink) -> Option<PendingStep> {
         let step = match self.phase {
             Phase::Done => return None,
             Phase::Start(l) => {
-                let mut step = pool.take(l, StepKind::Beg);
-                step.mask = self.active_mask(l);
-                self.bound_gates(l, &mut step.gates);
+                let mask = self.active_mask(l);
+                self.bound_gates(l, sink);
                 self.phase = Phase::Step(l);
-                self.fill_entries(l, Event::Beg, step.mask, &mut step.entries);
-                step
+                let pushes = self.entry_words(l, Event::Beg, mask, sink);
+                header(l, StepKind::Beg, mask, 0, pushes)
             }
-            Phase::Step(l) => self.group_step(l, pool),
+            Phase::Step(l) => self.group_step(l, sink),
         };
         self.steps += 1;
         Some(step)
     }
 
-    fn end_step(&mut self, l: usize, step: &mut Step) {
-        step.mask = self.active_mask(l);
-        self.bound_gates(l, &mut step.gates);
+    fn end_step(&mut self, l: usize, sink: &mut impl Sink) -> PendingStep {
+        let mask = self.active_mask(l);
+        self.bound_gates(l, sink);
         // A conjunctive merge ends as soon as one fiber is exhausted;
         // elements already peeked on the other lanes are discarded by the
         // hardware — mark them consumed so their queue slots free up.
-        for (lane, rt) in self.layers[l].iter_mut().enumerate() {
+        let mut consumed = 0;
+        for (lane, t) in self.layer_tus(l).enumerate() {
+            let rt = &mut self.lanes[t];
             if rt.has_cur {
                 rt.has_cur = false;
-                step.consumed.push((l as u8, lane as u8));
+                consumed |= 1 << lane;
             }
         }
         self.phase = if l == 0 {
@@ -563,15 +668,15 @@ impl Interp {
         } else {
             Phase::Step(l - 1)
         };
-        self.fill_entries(l, Event::End, step.mask, &mut step.entries);
+        let pushes = self.entry_words(l, Event::End, mask, sink);
+        header(l, StepKind::End, mask, consumed, pushes)
     }
 
-    fn group_step(&mut self, l: usize, pool: &mut StepPool) -> Step {
+    fn group_step(&mut self, l: usize, sink: &mut impl Sink) -> PendingStep {
         let mode = self.prog.layers[l].mode;
         let lanes = self.prog.layers[l].tus.len();
-        let mut loads = std::mem::take(&mut pool.loads);
         for lane in 0..lanes {
-            self.peek(l, lane, &mut pool.deps, &mut loads);
+            self.peek(l, lane, sink);
         }
         let active = self.active_mask(l);
         let alive = self.alive_mask(l);
@@ -584,125 +689,119 @@ impl Interp {
             }
             LayerMode::DisjMrg | LayerMode::ConjMrg => (0, true),
         };
+        if ended {
+            return self.end_step(l, sink);
+        }
         // Conjunctive merge only emits when all active lanes participate.
-        let kind = if ended {
-            StepKind::End
-        } else if mode == LayerMode::ConjMrg && mask != active {
+        let kind = if mode == LayerMode::ConjMrg && mask != active {
             StepKind::Skip
         } else {
             StepKind::Ite
         };
-        let mut step = pool.take(l, kind);
-        std::mem::swap(&mut step.loads, &mut loads);
-        pool.loads = loads;
-        if ended {
-            self.end_step(l, &mut step);
-            return step;
-        }
 
         // Consume the participating lanes, gathering gates.
-        step.mask = mask;
-        for j in 0..lanes {
-            if mask & (1 << j) != 0 {
-                step.gates.extend_from_slice(&self.layers[l][j].cur.gates);
-                self.consume(l, j);
-                step.consumed.push((l as u8, j as u8));
+        for (lane, t) in self.layer_tus(l).enumerate() {
+            if mask & (1 << lane) != 0 {
+                let rt = &self.lanes[t];
+                let at = self.layout.tus[t].gates();
+                sink.gates(&self.words[at..at + rt.gates]);
+                self.consume(t);
             }
         }
+        let mut pushes = false;
         if kind == StepKind::Ite {
-            self.fill_entries(l, Event::Ite, mask, &mut step.entries);
+            pushes = self.entry_words(l, Event::Ite, mask, sink);
             if l + 1 < self.prog.layers.len() {
                 self.descend(l, mask);
             }
         }
-        step
+        header(l, kind, mask, mask, pushes)
     }
 }
 
-/// Retired step records and load-dependency buffers, refilled in place so
-/// their vectors keep their capacity.
-#[derive(Debug, Default)]
-struct StepPool {
-    /// Spare records by `layer * 4 + kind`: a record refilled for the same
-    /// layer and kind already holds entries of the right shape.
-    steps: Vec<Vec<Step>>,
-    /// Spare [`MemLoad::deps`] buffers.
-    deps: Vec<Vec<ElemId>>,
-    /// The loads of the step being generated, gathered before its kind is
-    /// known.
-    loads: Vec<MemLoad>,
+/// Appends `dep` to the `len` words at `at` unless it repeats the last.
+fn push_distinct(w: &mut [u64], at: usize, len: &mut usize, dep: ElemId) {
+    if *len == 0 || w[at + *len - 1] != dep {
+        w[at + *len] = dep;
+        *len += 1;
+    }
 }
 
-impl StepPool {
-    fn slot(layer: usize, kind: StepKind) -> usize {
-        layer * 4 + kind as usize
-    }
-
-    fn take(&mut self, layer: usize, kind: StepKind) -> Step {
-        self.steps
-            .get_mut(Self::slot(layer, kind))
-            .and_then(Vec::pop)
-            .unwrap_or_else(|| Step {
-                layer: layer as u8,
-                kind,
-                mask: 0,
-                loads: Vec::new(),
-                gates: Vec::new(),
-                consumed: Vec::new(),
-                entries: Vec::new(),
-            })
-    }
-
-    fn put(&mut self, mut step: Step) {
-        self.deps.extend(step.loads.drain(..).map(|ld| ld.deps));
-        step.gates.clear();
-        step.consumed.clear();
-        let slot = Self::slot(step.layer as usize, step.kind);
-        if self.steps.len() <= slot {
-            self.steps.resize_with(slot + 1, Vec::new);
-        }
-        self.steps[slot].push(step);
+/// A step header whose gates and words the caller counts.
+fn header(l: usize, kind: StepKind, mask: u64, consumed: u64, pushes: bool) -> PendingStep {
+    PendingStep {
+        layer: l as u8,
+        kind,
+        mask,
+        consumed,
+        pushes,
+        gates: 0,
+        words: 0,
     }
 }
 
 /// Runs a program to completion functionally, returning every outQ entry
 /// in order (convenience for tests and small examples).
 pub fn run_functional(prog: &Arc<Program>, image: &Arc<MemImage>) -> Vec<OutQEntry> {
-    let mut interp = Interp::new(Arc::clone(prog), Arc::clone(image));
     let mut out = Vec::new();
-    while let Some(step) = interp.next_step() {
-        out.extend(step.entries);
-    }
+    for_each_entry(prog, image, |e| out.push(e.clone()));
     out
 }
 
 /// Runs a program to completion, handing each outQ entry to `f`.
 pub fn for_each_entry(prog: &Arc<Program>, image: &Arc<MemImage>, mut f: impl FnMut(&OutQEntry)) {
     let mut interp = Interp::new(Arc::clone(prog), Arc::clone(image));
-    let mut pool = StepPool::default();
-    while let Some(step) = interp.generate(&mut pool) {
-        for e in &step.entries {
-            f(e);
+    let mut shapes = EntryShapes::new(prog);
+    let mut words = Vec::new();
+    while let Some(step) = interp.generate(&mut Words(&mut words)) {
+        if let Some(entry) = shapes.refill(step.layer, step.kind, step.mask, words.drain(..)) {
+            f(entry);
         }
-        pool.put(step);
     }
 }
 
-/// Batches steps from an interpreter (used by the timing engine).
+/// Writes generated steps into a [`StepBatcher`]: loads to the consumer,
+/// gates and operand words to the batcher's rings.
+struct Window<'a, F> {
+    load: F,
+    gates: &'a mut VecDeque<ElemId>,
+    words: &'a mut VecDeque<u64>,
+}
+
+impl<F: FnMut(MemLoad)> Sink for Window<'_, F> {
+    fn load(&mut self, load: MemLoad) {
+        (self.load)(load);
+    }
+    fn gates(&mut self, gates: &[ElemId]) {
+        self.gates.extend(gates);
+    }
+    fn word(&mut self, word: u64) {
+        self.words.push_back(word);
+    }
+}
+
+/// The timing engine's window of generated, uncommitted steps.
 ///
-/// The consumer hands every step back through [`StepBatcher::commit`] once
-/// it commits, and every load through [`StepBatcher::recycle_load`] once it
-/// issues; the interpreter refills those records in place, so a warm
-/// batcher allocates nothing per step. Every [`STEP_BATCH`] generated steps
-/// the batcher also checkpoints the interpreter, keeping the newest
-/// checkpoint at or before the committed step for a context save.
+/// [`StepBatcher::generate`] appends one step: its loads go to the caller
+/// (the engine's stream queues), its header to the window, and its gates
+/// and operand words to two flat rings the batcher owns. Steps commit in
+/// generation order, and [`StepBatcher::commit`] frees the front step's
+/// share of each ring. Every buffer grows to the window's high-water mark
+/// and is then reused, so a warm batcher allocates nothing per step. Every
+/// [`STEP_BATCH`] generated steps the batcher also checkpoints the
+/// interpreter, keeping the newest checkpoint at or before the committed
+/// step for a context save.
 #[derive(Debug)]
 pub struct StepBatcher {
     interp: Interp,
-    buf: VecDeque<Step>,
     done: bool,
-    pool: StepPool,
-    /// Steps handed back through `commit`, counted from step 0.
+    /// Generated steps not yet committed, oldest first.
+    window: VecDeque<PendingStep>,
+    /// The window's gates, in generation order.
+    gates: VecDeque<ElemId>,
+    /// The window's operand words, in generation order.
+    words: VecDeque<u64>,
+    /// Steps committed, counted from step 0.
     committed: u64,
     /// Interpreter checkpoints in step order. The first retires once the
     /// second is at or before `committed`.
@@ -725,49 +824,92 @@ impl StepBatcher {
         Self {
             committed: interp.steps,
             interp,
-            buf: VecDeque::new(),
             done: false,
-            pool: StepPool::default(),
+            window: VecDeque::new(),
+            gates: VecDeque::new(),
+            words: VecDeque::new(),
             checkpoints,
             spare: Vec::new(),
         }
     }
 
-    /// Ensures at least `n` steps are buffered (or the stream has ended);
-    /// returns whether any remain.
-    pub fn fill(&mut self, n: usize) -> bool {
-        while self.buf.len() < n && !self.done {
-            match self.interp.generate(&mut self.pool) {
-                Some(s) => {
-                    self.buf.push_back(s);
-                    if self.interp.steps.is_multiple_of(STEP_BATCH as u64) {
-                        let slot = match self.spare.pop() {
-                            Some(mut slot) => {
-                                slot.clone_from(&self.interp);
-                                slot
-                            }
-                            None => self.interp.clone(),
-                        };
-                        self.checkpoints.push_back(slot);
-                    }
-                }
-                None => self.done = true,
-            }
+    /// [`StepBatcher::new`] in place: restarts from `interp` (one restored
+    /// to the committed step), dropping the window but keeping every
+    /// buffer and checkpoint slot.
+    pub fn restart(&mut self, interp: Interp) {
+        self.discard();
+        self.spare.extend(self.checkpoints.drain(..));
+        self.committed = interp.steps;
+        self.done = false;
+        if interp.steps > 0 {
+            let slot = refilled(&mut self.spare, &interp);
+            self.checkpoints.push_back(slot);
         }
-        !self.buf.is_empty()
+        self.interp = interp;
     }
 
-    /// Pops the next buffered step.
-    pub fn pop(&mut self) -> Option<Step> {
-        self.buf.pop_front()
+    /// Generates the next step into the window, handing each of its loads
+    /// to `load` in creation order; returns `false` once the step stream
+    /// has ended.
+    pub fn generate(&mut self, load: impl FnMut(MemLoad)) -> bool {
+        if self.done {
+            return false;
+        }
+        let (gates, words) = (self.gates.len(), self.words.len());
+        let mut sink = Window {
+            load,
+            gates: &mut self.gates,
+            words: &mut self.words,
+        };
+        let Some(mut step) = self.interp.generate(&mut sink) else {
+            self.done = true;
+            return false;
+        };
+        step.gates = (self.gates.len() - gates) as u32;
+        step.words = (self.words.len() - words) as u32;
+        self.window.push_back(step);
+        if self.interp.steps.is_multiple_of(STEP_BATCH as u64) {
+            let slot = refilled(&mut self.spare, &self.interp);
+            self.checkpoints.push_back(slot);
+        }
+        true
     }
 
-    /// Hands back a committed step (steps commit in the order they were
-    /// popped): its record is recycled, and a checkpoint retires once a
-    /// newer one is at or before the committed step.
-    pub fn commit(&mut self, step: Step) {
+    /// Steps generated and not yet committed.
+    pub fn pending(&self) -> usize {
+        self.window.len()
+    }
+
+    /// The oldest uncommitted step.
+    pub fn front(&self) -> Option<PendingStep> {
+        self.window.front().copied()
+    }
+
+    /// The gates of the oldest uncommitted step (none if there is none).
+    pub fn gates(&self) -> impl Iterator<Item = ElemId> + '_ {
+        let n = self.window.front().map_or(0, |s| s.gates as usize);
+        self.gates.range(..n).copied()
+    }
+
+    /// The operand words of the oldest uncommitted step, in
+    /// [`EntryShapes::refill`] order.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let n = self.window.front().map_or(0, |s| s.words as usize);
+        self.words.range(..n).copied()
+    }
+
+    /// Commits the oldest uncommitted step, freeing its share of the
+    /// rings; a checkpoint retires once a newer one is at or before the
+    /// committed step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no step is pending.
+    pub fn commit(&mut self) {
+        let step = self.window.pop_front().expect("a pending step to commit");
+        self.gates.drain(..step.gates as usize);
+        self.words.drain(..step.words as usize);
         self.committed += 1;
-        self.pool.put(step);
         while self
             .checkpoints
             .get(1)
@@ -778,9 +920,11 @@ impl StepBatcher {
         }
     }
 
-    /// Hands back an issued load, recycling its dependency buffer.
-    pub fn recycle_load(&mut self, load: MemLoad) {
-        self.pool.deps.push(load.deps);
+    /// Drops every uncommitted step (the engine quiesced or retired).
+    pub fn discard(&mut self) {
+        self.window.clear();
+        self.gates.clear();
+        self.words.clear();
     }
 
     /// Steps committed so far, counted from step 0.
@@ -794,6 +938,17 @@ impl StepBatcher {
         self.checkpoints
             .front()
             .filter(|c| c.steps <= self.committed)
+    }
+}
+
+/// A copy of `interp` in a spare checkpoint slot, if there is one.
+fn refilled(spare: &mut Vec<Interp>, interp: &Interp) -> Interp {
+    match spare.pop() {
+        Some(mut slot) => {
+            slot.clone_from(interp);
+            slot
+        }
+        None => interp.clone(),
     }
 }
 
@@ -854,15 +1009,33 @@ mod tests {
         assert_eq!(re_count, 4);
         // Row 0 step: nnz values (1, 2), vector values (10, 30), mask 11.
         assert_eq!(ri[0].mask, 0b11);
-        assert_eq!(ri[0].operands[0].as_f64s(), vec![1.0, 2.0]);
-        assert_eq!(ri[0].operands[1].as_f64s(), vec![10.0, 30.0]);
+        assert_eq!(
+            ri[0].operands[0].f64s().iter().collect::<Vec<_>>(),
+            vec![1.0, 2.0]
+        );
+        assert_eq!(
+            ri[0].operands[1].f64s().iter().collect::<Vec<_>>(),
+            vec![10.0, 30.0]
+        );
         // Row 2 has one nnz: only lane 0 participates.
         assert_eq!(ri[1].mask, 0b01);
-        assert_eq!(ri[1].operands[0].as_f64s(), vec![3.0, 0.0]);
-        assert_eq!(ri[1].operands[1].as_f64s(), vec![20.0, 0.0]);
+        assert_eq!(
+            ri[1].operands[0].f64s().iter().collect::<Vec<_>>(),
+            vec![3.0, 0.0]
+        );
+        assert_eq!(
+            ri[1].operands[1].f64s().iter().collect::<Vec<_>>(),
+            vec![20.0, 0.0]
+        );
         // Row 3: nnzs (d@0, e@3) → values (4,5), vector (10,40).
-        assert_eq!(ri[2].operands[0].as_f64s(), vec![4.0, 5.0]);
-        assert_eq!(ri[2].operands[1].as_f64s(), vec![10.0, 40.0]);
+        assert_eq!(
+            ri[2].operands[0].f64s().iter().collect::<Vec<_>>(),
+            vec![4.0, 5.0]
+        );
+        assert_eq!(
+            ri[2].operands[1].f64s().iter().collect::<Vec<_>>(),
+            vec![10.0, 40.0]
+        );
     }
 
     #[test]
@@ -873,9 +1046,9 @@ mod tests {
         let mut sum = 0.0;
         for_each_entry(&prog, &image, |e| match e.callback {
             0 => {
-                let nnz = e.operands[0].as_f64s();
-                let vecv = e.operands[1].as_f64s();
-                sum += nnz.iter().zip(&vecv).map(|(a, b)| a * b).sum::<f64>();
+                let nnz = e.operands[0].f64s();
+                let vecv = e.operands[1].f64s();
+                sum += nnz.iter().zip(vecv.iter()).map(|(a, b)| a * b).sum::<f64>();
             }
             1 => {
                 x.push(sum);
@@ -900,10 +1073,10 @@ mod tests {
         // load; bound deps point at the row-pointer loads.
         let chained: Vec<_> = loads
             .iter()
-            .filter(|ld| ld.layer == 1 && !ld.deps.is_empty())
+            .filter(|ld| ld.layer == 1 && !ld.deps().is_empty())
             .collect();
         assert!(!chained.is_empty());
-        let with_three_deps = loads.iter().filter(|ld| ld.deps.len() >= 3).count();
+        let with_three_deps = loads.iter().filter(|ld| ld.deps().len() >= 3).count();
         assert!(
             with_three_deps > 0,
             "b[idx] loads carry bounds + index deps"
@@ -957,7 +1130,7 @@ mod tests {
         assert_eq!(masks, vec![0b01, 0b11, 0b10, 0b11]);
         let sums: Vec<f64> = entries
             .iter()
-            .map(|e| e.operands[1].as_f64s().iter().sum())
+            .map(|e| e.operands[1].f64s().iter().sum())
             .collect();
         assert_eq!(sums, vec![1.0, 5.0, 4.0, 11.0]);
     }
@@ -993,7 +1166,7 @@ mod tests {
         let entries = run_functional(&prog, &image);
         let prods: Vec<f64> = entries
             .iter()
-            .map(|e| e.operands[0].as_f64s().iter().product())
+            .map(|e| e.operands[0].f64s().iter().product())
             .collect();
         // Intersection at coordinates 2 and 5: 2·3 and 5·6.
         assert_eq!(prods, vec![6.0, 30.0]);
@@ -1048,7 +1221,10 @@ mod tests {
         let prog = Arc::new(bld.build().expect("well-formed"));
 
         let entries = run_functional(&prog, &Arc::new(image));
-        let got: Vec<f64> = entries.iter().map(|e| e.operands[0].as_f64s()[0]).collect();
+        let got: Vec<f64> = entries
+            .iter()
+            .map(|e| e.operands[0].f64s().lane(0))
+            .collect();
         assert_eq!(got, vec![4.0, 5.0, 6.0], "Keep must follow lane 1 only");
     }
 
@@ -1075,5 +1251,54 @@ mod tests {
         let prog = Arc::new(bld.build().expect("well-formed"));
         let entries = run_functional(&prog, &Arc::new(image));
         assert!(entries.is_empty(), "empty rows trigger no iteration");
+    }
+
+    #[test]
+    fn loads_wait_on_their_own_fiber_bounds_and_gates_on_all() {
+        // Three compressed levels. A value load waits on its fiber's two
+        // pointer loads from layer 1; the layer-0 pointer loads those
+        // waited on are implied. Step gates keep the whole chain.
+        let mut map = AddressMap::new();
+        let p0 = map.alloc_elems("p0", 3, 4);
+        let p1 = map.alloc_elems("p1", 4, 4);
+        let vals = map.alloc_elems("vals", 4, 8);
+        let mut image = MemImage::new();
+        image.bind_u32(p0, Arc::new(vec![0, 2, 3]));
+        image.bind_u32(p1, Arc::new(vec![0, 1, 3, 4]));
+        image.bind_f64(vals, Arc::new(vec![1.0, 2.0, 3.0, 4.0]));
+        let mut bld = ProgramBuilder::new();
+        let l0 = bld.layer(LayerMode::Single);
+        let t0 = bld.dns_fbrt(l0, 0, 2, 1);
+        let b0 = bld.mem_stream(t0, p0.base, 4, StreamTy::Index);
+        let e0 = bld.mem_stream(t0, p0.base + 4, 4, StreamTy::Index);
+        let l1 = bld.layer(LayerMode::Single);
+        let t1 = bld.rng_fbrt(l1, b0, e0, 0, 1);
+        let b1 = bld.mem_stream(t1, p1.base, 4, StreamTy::Index);
+        let e1 = bld.mem_stream(t1, p1.base + 4, 4, StreamTy::Index);
+        let l2 = bld.layer(LayerMode::Single);
+        let t2 = bld.rng_fbrt(l2, b1, e1, 0, 1);
+        let v = bld.mem_stream(t2, vals.base, 8, StreamTy::Value);
+        let op = bld.vec_operand(l2, &[v]);
+        bld.callback(l2, Event::Ite, 0, &[op]);
+        let prog = Arc::new(bld.build().expect("well-formed"));
+
+        let mut interp = Interp::new(prog, Arc::new(image));
+        let mut layer_of = std::collections::HashMap::new();
+        let (mut value_loads, mut deep_gates) = (0, 0);
+        while let Some(step) = interp.next_step() {
+            for ld in &step.loads {
+                layer_of.insert(ld.id, ld.layer);
+                if ld.layer == 2 {
+                    value_loads += 1;
+                    let dep_layers: Vec<u8> = ld.deps().iter().map(|d| layer_of[d]).collect();
+                    assert_eq!(dep_layers, vec![1, 1], "load {}", ld.id);
+                }
+            }
+            if step.layer == 2 && step.gates.iter().any(|g| layer_of[g] == 0) {
+                deep_gates += 1;
+            }
+        }
+        assert_eq!(value_loads, 4);
+        assert!(deep_gates > 0, "layer-2 gates include layer-0 bounds");
     }
 }

@@ -77,6 +77,9 @@ pub use program::{
     CallbackDef, Event, IndexSrc, LayerDef, LayerId, LayerMode, OperandDef, OperandId, Program,
     ProgramBuilder, ProgramError, StreamDef, StreamRef, StreamTy, TraversalDef, TuDef, TuId,
 };
-pub use steps::{ElemId, MemLoad, Operand, OutQEntry, Step, StepKind};
+pub use steps::{
+    ElemId, EntryShapes, LaneWord, Lanes, MemLoad, Operand, OutQEntry, PendingStep, Step, StepKind,
+    MAX_LOAD_DEPS,
+};
 pub use timing::{CallbackHandler, ChunkStat, OutQSnapshot, OutQStats, TmuAccelerator};
 pub use tmu_sim::{FaultEvent, FaultKind, FaultPlan, FaultSpec, FaultStats, FaultTrigger};

@@ -265,6 +265,16 @@ impl Program {
         p
     }
 
+    /// Element type of stream `r` (a `fwd` stream carries its source's;
+    /// streams that load nothing carry indexes).
+    pub(crate) fn stream_ty(&self, r: StreamRef) -> StreamTy {
+        match &self.layers[r.layer].tus[r.lane].streams[r.stream] {
+            StreamDef::Mem { ty, .. } => *ty,
+            StreamDef::Fwd { from } => self.stream_ty(*from),
+            _ => StreamTy::Index,
+        }
+    }
+
     /// Streams instantiated per layer (for the sizing model).
     pub fn streams_per_layer(&self) -> Vec<usize> {
         self.layers

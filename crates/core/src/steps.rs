@@ -2,15 +2,28 @@
 //! traversal-group steps, the memory loads they cause, and the outQ
 //! entries marshaled to the core.
 
+use std::marker::PhantomData;
+
 use serde::{Deserialize, Serialize};
 
-use crate::program::StreamTy;
+use crate::program::{Event, OperandDef, Program, StreamTy};
 
 /// Identifier of one loaded stream element (unique per engine run).
 pub type ElemId = u64;
 
+/// Most loads one stream load waits on, for any program: the fiber-bound
+/// loads of its TU (at most two, the begin and end pointers a Table 1
+/// `RngFbrT` reads from its parent element) and the load of the stream
+/// that indexes it (at most one, Table 2 chained `mem` indirection).
+///
+/// A load does not list the bounds of its TU's ancestor fibers: each
+/// bound load it waits on itself waited on those, and a load completes no
+/// earlier than the loads it waited on, so they add nothing to its
+/// readiness.
+pub const MAX_LOAD_DEPS: usize = 3;
+
 /// A memory load performed by a TU's `mem` stream for one element.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemLoad {
     /// Unique id (readiness handle).
     pub id: ElemId,
@@ -21,13 +34,28 @@ pub struct MemLoad {
     /// Owning stream slot within the TU (its queue; §5.4 selects streams
     /// in configuration order and requests within a queue in order).
     pub stream: u8,
+    /// Entries of `deps` in use.
+    pub(crate) n_deps: u8,
     /// Ordinal of the element within its TU (queue-slot index).
     pub elem_ordinal: u64,
     /// Virtual address.
     pub addr: u64,
-    /// Loads that must complete before this one can issue (chained
-    /// indirection within the TU, fiber bounds from the parent layer).
-    pub deps: Vec<ElemId>,
+    /// See [`MemLoad::deps`]; entries past `n_deps` are zero.
+    pub(crate) deps: [ElemId; MAX_LOAD_DEPS],
+}
+
+impl MemLoad {
+    /// Loads that must complete before this one can issue: the fiber
+    /// bounds from the parent layer, then the chained indirection within
+    /// the TU.
+    pub fn deps(&self) -> &[ElemId] {
+        &self.deps[..usize::from(self.n_deps)]
+    }
+
+    pub(crate) fn push_dep(&mut self, dep: ElemId) {
+        self.deps[usize::from(self.n_deps)] = dep;
+        self.n_deps += 1;
+    }
 }
 
 /// Kind of a traversal-group step (§5.2 FSM states).
@@ -42,6 +70,19 @@ pub enum StepKind {
     /// Conjunctive-merge advance that produced no output (elements were
     /// consumed and discarded); exists only for timing.
     Skip,
+}
+
+impl StepKind {
+    /// The callback event a step of this kind triggers (`Skip` triggers
+    /// none).
+    pub(crate) fn event(self) -> Option<Event> {
+        match self {
+            StepKind::Beg => Some(Event::Beg),
+            StepKind::Ite => Some(Event::Ite),
+            StepKind::End => Some(Event::End),
+            StepKind::Skip => None,
+        }
+    }
 }
 
 /// A marshaled operand inside an outQ entry.
@@ -66,33 +107,90 @@ pub enum Operand {
     },
 }
 
+/// An element type the raw lane words of a vector operand read as.
+pub trait LaneWord: Copy {
+    /// The value a raw lane word holds.
+    fn from_word(word: u64) -> Self;
+}
+
+impl LaneWord for f64 {
+    fn from_word(word: u64) -> Self {
+        f64::from_bits(word)
+    }
+}
+
+impl LaneWord for i64 {
+    fn from_word(word: u64) -> Self {
+        word as i64
+    }
+}
+
+/// The lanes of a vector operand read as `T`, borrowed from its words.
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes<'a, T> {
+    words: &'a [u64],
+    ty: PhantomData<T>,
+}
+
+impl<'a, T: LaneWord> Lanes<'a, T> {
+    /// Number of lanes.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the operand has no lanes.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The value of lane `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Lanes::len`].
+    pub fn lane(&self, i: usize) -> T {
+        T::from_word(self.words[i])
+    }
+
+    /// The lane values in lane order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        self.words.iter().map(|&w| T::from_word(w))
+    }
+}
+
 impl Operand {
-    /// Interprets a vector operand as f64 lanes.
+    /// The lanes of a vector operand as f64 values.
     ///
     /// # Panics
     ///
     /// Panics if this is not a `Vec` operand of `Value` type.
-    pub fn as_f64s(&self) -> Vec<f64> {
+    pub fn f64s(&self) -> Lanes<'_, f64> {
         match self {
             Operand::Vec {
                 vals,
                 ty: StreamTy::Value,
-            } => vals.iter().map(|&b| f64::from_bits(b)).collect(),
+            } => Lanes {
+                words: vals,
+                ty: PhantomData,
+            },
             other => panic!("operand is not an f64 vector: {other:?}"),
         }
     }
 
-    /// Interprets a vector operand as i64 index lanes.
+    /// The lanes of a vector operand as i64 indexes.
     ///
     /// # Panics
     ///
     /// Panics if this is not a `Vec` operand of `Index` type.
-    pub fn as_indexes(&self) -> Vec<i64> {
+    pub fn indexes(&self) -> Lanes<'_, i64> {
         match self {
             Operand::Vec {
                 vals,
                 ty: StreamTy::Index,
-            } => vals.iter().map(|&b| b as i64).collect(),
+            } => Lanes {
+                words: vals,
+                ty: PhantomData,
+            },
             other => panic!("operand is not an index vector: {other:?}"),
         }
     }
@@ -153,9 +251,106 @@ impl OutQEntry {
     pub fn bytes(&self) -> u32 {
         8 + self.operands.iter().map(Operand::bytes).sum::<u32>()
     }
+
+    /// The entry `layer`'s callback on `event` pushes, operands zeroed
+    /// (`None` when no callback is registered there).
+    fn shaped(prog: &Program, layer: usize, event: Event) -> Option<Self> {
+        let def = &prog.layers[layer];
+        let cb = def.callbacks.iter().find(|cb| cb.event == event)?;
+        let operands = cb
+            .operands
+            .iter()
+            .map(|op| match &def.operands[op.0] {
+                OperandDef::Vec { streams } => Operand::Vec {
+                    vals: vec![0; streams.len()],
+                    ty: streams
+                        .first()
+                        .map(|&s| prog.stream_ty(s))
+                        .unwrap_or(StreamTy::Index),
+                },
+                OperandDef::Mask => Operand::Mask(0),
+                OperandDef::Scalar { stream } => Operand::Scalar {
+                    val: 0,
+                    ty: prog.stream_ty(*stream),
+                },
+            })
+            .collect();
+        Some(Self {
+            callback: cb.id,
+            mask: 0,
+            operands,
+        })
+    }
+
+    /// Refills a shaped entry with lane predicate `mask` and operand
+    /// words taken in order from `words`: one per lane of a vector
+    /// operand, one per scalar, none for the mask.
+    fn refill(&mut self, mask: u64, words: &mut impl Iterator<Item = u64>) {
+        let mut word = || words.next().expect("one operand word per lane and scalar");
+        self.mask = mask;
+        for op in &mut self.operands {
+            match op {
+                Operand::Vec { vals, .. } => vals.iter_mut().for_each(|v| *v = word()),
+                Operand::Mask(m) => *m = mask,
+                Operand::Scalar { val, .. } => *val = word(),
+            }
+        }
+    }
 }
 
-/// One traversal-group step in nested-loop order.
+/// The outQ entry of every callback a program registers, shaped once and
+/// refilled in place from each step's operand words, so marshaling a step
+/// allocates nothing. A layer registers at most one callback per event,
+/// so a step pushes at most one entry.
+#[derive(Debug, Clone)]
+pub struct EntryShapes {
+    /// Entries by `layer * 3 + event`.
+    entries: Vec<Option<OutQEntry>>,
+}
+
+const EVENTS: [Event; 3] = [Event::Beg, Event::Ite, Event::End];
+
+impl EntryShapes {
+    /// Shapes the entries of every callback `prog` registers.
+    pub fn new(prog: &Program) -> Self {
+        let entries = (0..prog.layers.len())
+            .flat_map(|l| EVENTS.map(|e| OutQEntry::shaped(prog, l, e)))
+            .collect();
+        Self { entries }
+    }
+
+    fn slot(layer: u8, kind: StepKind) -> Option<usize> {
+        let event = EVENTS.iter().position(|&e| Some(e) == kind.event())?;
+        Some(usize::from(layer) * 3 + event)
+    }
+
+    /// The entry a `kind` step of `layer` pushes, as last refilled.
+    pub fn get(&self, layer: u8, kind: StepKind) -> Option<&OutQEntry> {
+        self.entries[Self::slot(layer, kind)?].as_ref()
+    }
+
+    /// Refills the entry a `kind` step of `layer` pushes with lane
+    /// predicate `mask` and the step's operand words, and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` runs out before the entry's operands are full.
+    pub fn refill(
+        &mut self,
+        layer: u8,
+        kind: StepKind,
+        mask: u64,
+        words: impl IntoIterator<Item = u64>,
+    ) -> Option<&OutQEntry> {
+        let entry = self.entries[Self::slot(layer, kind)?].as_mut()?;
+        entry.refill(mask, &mut words.into_iter());
+        Some(entry)
+    }
+}
+
+/// One traversal-group step in nested-loop order: an owned view of what
+/// the generator produced, for tests and examples (the timing engine keeps
+/// its steps as [`PendingStep`]s instead).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Layer that stepped.
@@ -171,9 +366,63 @@ pub struct Step {
     /// `(layer, lane)` of each TU that consumed one element in this step
     /// (frees one stream-queue slot per consuming TU).
     pub consumed: Vec<(u8, u8)>,
-    /// outQ entries pushed by this step (callbacks registered on its
-    /// event), in registration order.
+    /// The outQ entry this step pushes, if its layer registers a
+    /// callback on its event (at most one per event).
     pub entries: Vec<OutQEntry>,
+}
+
+impl Step {
+    /// The owned view of `step`, whose loads, gates and operand words the
+    /// generator produced in order.
+    pub(crate) fn view(
+        prog: &Program,
+        step: PendingStep,
+        loads: Vec<MemLoad>,
+        gates: Vec<ElemId>,
+        words: &[u64],
+    ) -> Self {
+        let entries = step
+            .kind
+            .event()
+            .and_then(|e| OutQEntry::shaped(prog, usize::from(step.layer), e))
+            .map(|mut entry| {
+                entry.refill(step.mask, &mut words.iter().copied());
+                entry
+            });
+        Self {
+            layer: step.layer,
+            kind: step.kind,
+            mask: step.mask,
+            loads,
+            gates,
+            consumed: (0..64u8)
+                .filter(|&lane| step.consumed & (1 << lane) != 0)
+                .map(|lane| (step.layer, lane))
+                .collect(),
+            entries: entries.into_iter().collect(),
+        }
+    }
+}
+
+/// A generated step waiting in a [`StepBatcher`](crate::StepBatcher)'s
+/// window: its header. Its gates and operand words wait in the batcher's
+/// rings and its loads in the consumer's stream queues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PendingStep {
+    /// Layer that stepped.
+    pub layer: u8,
+    /// FSM state this step corresponds to.
+    pub kind: StepKind,
+    /// Multi-hot participating-lane predicate.
+    pub mask: u64,
+    /// Lanes of `layer` whose TU consumed one element in this step.
+    pub consumed: u64,
+    /// Whether the step pushes an outQ entry.
+    pub pushes: bool,
+    /// Gates in the batcher's gate ring.
+    pub(crate) gates: u32,
+    /// Operand words in the batcher's word ring.
+    pub(crate) words: u32,
 }
 
 #[cfg(test)]
@@ -186,14 +435,15 @@ mod tests {
             vals: vec![2.5f64.to_bits(), 0],
             ty: StreamTy::Value,
         };
-        assert_eq!(v.as_f64s(), vec![2.5, 0.0]);
+        assert_eq!(v.f64s().iter().collect::<Vec<_>>(), vec![2.5, 0.0]);
+        assert_eq!((v.f64s().len(), v.f64s().lane(0)), (2, 2.5));
         assert_eq!(v.bytes(), 16);
 
         let i = Operand::Vec {
             vals: vec![7u64, (-1i64) as u64],
             ty: StreamTy::Index,
         };
-        assert_eq!(i.as_indexes(), vec![7, -1]);
+        assert_eq!(i.indexes().iter().collect::<Vec<_>>(), vec![7, -1]);
 
         let s = Operand::Scalar {
             val: 42,
@@ -205,7 +455,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "not an f64 vector")]
     fn wrong_type_panics() {
-        Operand::Mask(3).as_f64s();
+        Operand::Mask(3).f64s();
+    }
+
+    #[test]
+    #[should_panic(expected = "not an index vector")]
+    fn value_vector_is_not_an_index_vector() {
+        Operand::Vec {
+            vals: vec![0],
+            ty: StreamTy::Value,
+        }
+        .indexes();
     }
 
     #[test]

@@ -29,9 +29,12 @@ use crate::config::TmuConfig;
 use crate::context::ContextSnapshot;
 use crate::error::TmuError;
 use crate::image::MemImage;
-use crate::interp::{Interp, StepBatcher, STEP_BATCH};
-use crate::program::Program;
-use crate::steps::{ElemId, MemLoad, OutQEntry, Step};
+use crate::interp::{Interp, StepBatcher};
+use crate::program::{Program, StreamDef};
+use crate::steps::{ElemId, EntryShapes, MemLoad, OutQEntry, StepKind};
+
+/// Steps the engine keeps generated ahead of its commit point.
+const WINDOW: usize = 512;
 
 /// Host-side compute attached to a TMU program: expands each outQ entry
 /// into the ops of its callback function (§4.3).
@@ -149,14 +152,13 @@ struct ReadyRing {
 }
 
 impl ReadyRing {
-    /// An empty ring whose ids start at `base`; ids below `base` read as
-    /// ready-at-0 (used after a context restore, where every load of an
-    /// already-committed step is by definition complete).
-    fn starting_at(base: u64) -> Self {
-        Self {
-            base,
-            ring: VecDeque::new(),
-        }
+    /// Empties the ring, keeping its buffer; ids now start at `base`, and
+    /// ids below it read as ready-at-0 (used after a context restore,
+    /// where every load of an already-committed step is by definition
+    /// complete).
+    fn restart_at(&mut self, base: u64) {
+        self.base = base;
+        self.ring.clear();
     }
 
     fn push_unissued(&mut self, id: ElemId) {
@@ -270,7 +272,6 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     /// same-line requests from different lanes, as MSHRs would).
     global_lines: [(u64, u64); 32],
     global_pos: usize,
-    pending: VecDeque<Step>,
     steps_done: bool,
     rr: Vec<usize>,
     // outQ state
@@ -282,6 +283,9 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     acked: u32,
     vm: VecMachine,
     host_ops: VecDeque<Op>,
+    /// The outQ entry of each callback, refilled from a step's operand
+    /// words as it commits.
+    shapes: EntryShapes,
     /// The outQ statistics, owning tenant included. The fault counters and
     /// the retirement reason are filled in from `faults` and `retired`
     /// when the stats are read.
@@ -321,24 +325,68 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         handler: H,
         outq_base: u64,
     ) -> Result<Self, TmuError> {
+        let qdepth = Self::queue_depths_for(&cfg, &program)?;
+        let interp = Interp::new(Arc::clone(&program), Arc::clone(&image));
+        Ok(Self::assemble(
+            cfg, qdepth, program, image, handler, outq_base, interp,
+        ))
+    }
+
+    /// The §5.5 queue depths of `program` on `cfg`; a program using more
+    /// lanes than the configuration has is a typed error.
+    fn queue_depths_for(cfg: &TmuConfig, program: &Program) -> Result<Vec<usize>, TmuError> {
         if program.lanes_used() > cfg.lanes {
             return Err(TmuError::LanesExceeded {
                 used: program.lanes_used(),
                 lanes: cfg.lanes,
             });
         }
-        let qdepth = cfg.size_queues(&program.weights(), &program.streams_per_layer())?;
-        let tus: Vec<Vec<TuTiming>> = program
+        cfg.size_queues(&program.weights(), &program.streams_per_layer())
+    }
+
+    /// An engine whose step stream continues from `interp`: each TU's
+    /// committed consumption is read off the interpreter, and loads of
+    /// steps it already produced read as ready.
+    fn assemble(
+        cfg: TmuConfig,
+        qdepth: Vec<usize>,
+        program: Arc<Program>,
+        image: Arc<MemImage>,
+        handler: H,
+        outq_base: u64,
+        interp: Interp,
+    ) -> Self {
+        let tus = program
             .layers
             .iter()
-            .map(|l| (0..l.tus.len()).map(|_| TuTiming::default()).collect())
+            .enumerate()
+            .map(|(layer, l)| {
+                l.tus
+                    .iter()
+                    .enumerate()
+                    .map(|(lane, tu)| {
+                        // One queue per stream up to the last that loads.
+                        let queues = tu
+                            .streams
+                            .iter()
+                            .rposition(|s| matches!(s, StreamDef::Mem { .. }))
+                            .map_or(0, |s| s + 1);
+                        TuTiming {
+                            streams: (0..queues).map(|_| StreamQueue::default()).collect(),
+                            consumed_elems: interp.consumed_elems(layer, lane),
+                        }
+                    })
+                    .collect()
+            })
             .collect();
-        let layers = program.layers.len();
-        let interp = Interp::new(Arc::clone(&program), Arc::clone(&image));
-        Ok(Self {
+        let mut ready = ReadyRing::default();
+        ready.restart_at(interp.elems_issued());
+        Self {
             cfg,
             batcher: StepBatcher::new(interp),
             handler,
+            shapes: EntryShapes::new(&program),
+            rr: vec![0; program.layers.len()],
             program,
             image,
             // Engines sharing one spec (one per core) are decorrelated by
@@ -352,12 +400,10 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             parked: false,
             qdepth,
             tus,
-            ready: ReadyRing::default(),
+            ready,
             global_lines: [(u64::MAX, 0); 32],
             global_pos: 0,
-            pending: VecDeque::new(),
             steps_done: false,
-            rr: vec![0; layers],
             outq_base,
             chunk_id: 0,
             chunk_entries: 0,
@@ -375,7 +421,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             sampler: tmu_trace::PeriodicSampler::new(
                 tmu_trace::with(|t| t.config().sample_period).unwrap_or(256),
             ),
-        })
+        }
     }
 
     #[inline]
@@ -517,7 +563,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         let snap = self.save_context();
         self.saved = None;
         self.trap_pending = None;
-        self.pending.clear();
+        self.batcher.discard();
         self.parked = true;
         Ok(snap)
     }
@@ -548,14 +594,17 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         outq_base: u64,
         stats: OutQStats,
     ) -> Result<Self, TmuError> {
-        let mut accel = Self::new(
+        let qdepth = Self::queue_depths_for(&snap.config, &snap.program)?;
+        let interp = snap.restore(Arc::clone(&image))?;
+        let mut accel = Self::assemble(
             snap.config,
+            qdepth,
             Arc::clone(&snap.program),
-            Arc::clone(&image),
+            image,
             handler,
             outq_base,
-        )?;
-        accel.restart_from(snap.restore(image)?);
+            interp,
+        );
         accel.chunk_id = snap.chunks_sealed;
         accel.acked = snap.chunks_sealed;
         accel.stats = OutQStats {
@@ -582,17 +631,20 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// committed step: speculative state (queued loads, uncommitted steps,
     /// arbiter state) is dropped, and each TU's committed consumption is
     /// read off the interpreter. Loads of committed steps have ids below
-    /// the interpreter's next id; the fresh ring reports them ready-at-0.
+    /// the interpreter's next id; the emptied ring reports them
+    /// ready-at-0. Every queue and ring keeps its buffer.
     fn restart_from(&mut self, interp: Interp) {
         for (layer, tus) in self.tus.iter_mut().enumerate() {
             for (lane, tu) in tus.iter_mut().enumerate() {
-                tu.streams.clear();
+                for sq in &mut tu.streams {
+                    sq.queue.clear();
+                    (sq.last_line, sq.last_ready) = (0, 0);
+                }
                 tu.consumed_elems = interp.consumed_elems(layer, lane);
             }
         }
-        self.ready = ReadyRing::starting_at(interp.elems_issued());
-        self.batcher = StepBatcher::new(interp);
-        self.pending.clear();
+        self.ready.restart_at(interp.elems_issued());
+        self.batcher.restart(interp);
         self.steps_done = false;
         self.global_lines = [(u64::MAX, 0); 32];
         self.global_pos = 0;
@@ -603,12 +655,12 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// error, and report done so the host run terminates cleanly. The
     /// caller is expected to fall back to the software baseline.
     fn retire(&mut self, err: TmuError) {
-        self.pending.clear();
+        self.batcher.discard();
         self.steps_done = true;
         self.chunk_entries = 0;
         self.chunk_bytes = 0;
         // Discard host ops synthesized for the unsealed chunk.
-        let _ = self.vm.take();
+        self.vm.ops.clear();
         self.saved = None;
         self.trap_pending = None;
         self.retired = Some(err);
@@ -667,25 +719,17 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         }
     }
 
+    /// Generates steps until `WINDOW` are pending, their loads straight
+    /// into the stream queues.
     fn refill(&mut self) {
-        while self.pending.len() < 512 && !self.steps_done {
+        while self.batcher.pending() < WINDOW && !self.steps_done {
             self.sleep.stir();
-            self.batcher.fill(STEP_BATCH);
-            match self.batcher.pop() {
-                Some(mut step) => {
-                    for ld in step.loads.drain(..) {
-                        self.ready.push_unissued(ld.id);
-                        let tu = &mut self.tus[ld.layer as usize][ld.lane as usize];
-                        let slot = ld.stream as usize;
-                        if tu.streams.len() <= slot {
-                            tu.streams.resize_with(slot + 1, StreamQueue::default);
-                        }
-                        tu.streams[slot].queue.push_back(ld);
-                    }
-                    self.pending.push_back(step);
-                }
-                None => self.steps_done = true,
-            }
+            let (ready, tus) = (&mut self.ready, &mut self.tus);
+            self.steps_done = !self.batcher.generate(|ld| {
+                ready.push_unissued(ld.id);
+                let tu = &mut tus[ld.layer as usize][ld.lane as usize];
+                tu.streams[ld.stream as usize].queue.push_back(ld);
+            });
         }
     }
 
@@ -718,7 +762,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         continue;
                     }
                     let deps_ready = head
-                        .deps
+                        .deps()
                         .iter()
                         .map(|&d| self.ready.get(d))
                         .max()
@@ -743,7 +787,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                         sq.last_line = line;
                         sq.last_ready = line_ready.max(1);
                         self.ready.set(head.id, line_ready.max(now));
-                        self.batcher.recycle_load(head);
                         self.sleep.stir();
                         continue;
                     }
@@ -791,7 +834,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                     self.global_lines[self.global_pos] = (line, done);
                     self.global_pos = (self.global_pos + 1) % self.global_lines.len();
                     self.ready.set(head.id, done);
-                    self.batcher.recycle_load(head);
                     self.sleep.stir();
                     issued_line = true;
                     self.rr[layer] = (lane + 1) % lanes;
@@ -817,26 +859,26 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         let mut free_steps = 4;
         let mut pushed_entry = false;
         while free_steps > 0 && !pushed_entry {
-            let Some(step) = self.pending.front() else {
+            let Some(step) = self.batcher.front() else {
                 break;
             };
             // Injected outQ backpressure: entry-producing steps hold at
             // the same gate a full consumer would wedge them on. (Never
             // taken in fault-free runs: `outq_stall_until` stays 0.)
-            if !step.entries.is_empty() && now < self.outq_stall_until {
+            if step.pushes && now < self.outq_stall_until {
                 break;
             }
             // Double-buffer gate: entries may only enter chunk c when the
             // core has acked chunk c-2.
-            if !step.entries.is_empty() && self.chunk_id >= self.acked + 2 {
+            if step.pushes && self.chunk_id >= self.acked + 2 {
                 self.charge_backpressure(now);
                 self.sleep.backpressure = true;
                 break;
             }
-            let gates_ready = step
-                .gates
-                .iter()
-                .map(|&g| self.ready.get(g))
+            let gates_ready = self
+                .batcher
+                .gates()
+                .map(|g| self.ready.get(g))
                 .max()
                 .unwrap_or(0);
             if gates_ready == UNISSUED || gates_ready > now {
@@ -844,7 +886,6 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 self.sleep.until(gates_ready);
                 break;
             }
-            let step = self.pending.pop_front().expect("checked");
             self.sleep.stir();
             if step.layer != self.trace_layer {
                 self.trace_layer = step.layer;
@@ -855,29 +896,33 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 );
             }
             let fsm = match step.kind {
-                crate::steps::StepKind::Beg => 0u32,
-                crate::steps::StepKind::Ite => 1,
-                crate::steps::StepKind::End => 2,
-                crate::steps::StepKind::Skip => 3,
+                StepKind::Beg => 0u32,
+                StepKind::Ite => 1,
+                StepKind::End => 2,
+                StepKind::Skip => 3,
             };
             self.emit(
                 now,
                 tmu_trace::EventKind::TgStep,
                 tmu_trace::pack_dur_extra(1, ((step.layer as u32) << 8) | fsm),
             );
-            for &(layer, lane) in &step.consumed {
-                self.tus[layer as usize][lane as usize].consumed_elems += 1;
+            let tus = &mut self.tus[step.layer as usize];
+            for (lane, tu) in tus.iter_mut().enumerate() {
+                if step.consumed & (1 << lane) != 0 {
+                    tu.consumed_elems += 1;
+                }
             }
-            // Push the step's entries into the current chunk.
-            for entry in &step.entries {
+            // Push the step's entry into the current chunk.
+            if step.pushes {
+                self.shapes
+                    .refill(step.layer, step.kind, step.mask, self.batcher.words());
                 if self.chunk_entries == 0 {
                     self.chunk_open = now;
                 }
-                self.push_entry(entry, now, core, mem);
+                self.push_entry(step.layer, step.kind, now, core, mem);
             }
-            let pushed = !step.entries.is_empty();
-            self.batcher.commit(step);
-            if !pushed {
+            self.batcher.commit();
+            if !step.pushes {
                 free_steps -= 1;
                 continue;
             }
@@ -887,7 +932,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             }
         }
         // Seal a trailing partial chunk once traversal has finished.
-        if self.pending.is_empty() && self.steps_done && self.chunk_entries > 0 {
+        if self.batcher.pending() == 0 && self.steps_done && self.chunk_entries > 0 {
             self.seal_chunk(now, core, mem);
         }
     }
@@ -907,8 +952,13 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.outq_base + (self.chunk_id as u64 % 2) * chunk_cap + self.chunk_bytes as u64
     }
 
-    fn push_entry(&mut self, entry: &OutQEntry, now: u64, core: usize, mem: &mut MemSys) {
+    /// Pushes the entry a `kind` step of `layer` refilled.
+    fn push_entry(&mut self, layer: u8, kind: StepKind, now: u64, core: usize, mem: &mut MemSys) {
         let addr = self.entry_addr();
+        let entry = self
+            .shapes
+            .get(layer, kind)
+            .expect("the step pushes an entry");
         let bytes = entry.bytes();
         mem.accel_write(core, addr, bytes, now);
         // Synthesize the host ops for this entry right away; they become
@@ -934,11 +984,10 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             },
             Deps::NONE,
         );
-        let mut ops = self.vm.take();
-        for op in &mut ops {
-            op.visible_at = visible;
-        }
-        self.host_ops.extend(ops);
+        self.host_ops.extend(self.vm.ops.drain(..).map(|op| Op {
+            visible_at: visible,
+            ..op
+        }));
         self.stats.chunks.push(ChunkStat {
             open: self.chunk_open,
             ready: visible,
@@ -1067,7 +1116,7 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
         self.saved.is_none()
             && self.trap_pending.is_none()
             && self.steps_done
-            && self.pending.is_empty()
+            && self.batcher.pending() == 0
             && self.chunk_entries == 0
             && self.host_ops.is_empty()
     }
@@ -1077,7 +1126,7 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             "tmu: steps_committed={} pending={} chunk_id={} acked={} chunk_entries={} \
              steps_done={} trapped={} retired={}",
             self.steps_committed(),
-            self.pending.len(),
+            self.batcher.pending(),
             self.chunk_id,
             self.acked,
             self.chunk_entries,
@@ -1107,9 +1156,9 @@ mod tests {
         fn handle(&mut self, entry: &OutQEntry, load: OpId, m: &mut VecMachine) {
             match entry.callback {
                 0 => {
-                    let nnz = entry.operands[0].as_f64s();
-                    let vecv = entry.operands[1].as_f64s();
-                    self.sum += nnz.iter().zip(&vecv).map(|(a, b)| a * b).sum::<f64>();
+                    let nnz = entry.operands[0].f64s();
+                    let vecv = entry.operands[1].f64s();
+                    self.sum += nnz.iter().zip(vecv.iter()).map(|(a, b)| a * b).sum::<f64>();
                     let lanes = nnz.len() as u32;
                     let mul = m.vec_op(lanes, Deps::from(load));
                     let red = m.vec_op(lanes, Deps::on(&[mul, self.sum_dep]));

@@ -408,12 +408,13 @@ impl CallbackHandler for BandedBuildHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_ENTRY => {
-                let cols = entry.operands[0].as_indexes();
-                let vals = entry.operands[1].as_f64s();
+                let cols = entry.operands[0].indexes();
+                let vals = entry.operands[1].f64s();
                 for lane in 0..cols.len() {
                     if entry.mask & (1 << lane) != 0 {
-                        self.deltas.push(cols[lane] as u32 + self.bw_lo - self.row);
-                        self.vals.push(vals[lane]);
+                        self.deltas
+                            .push(cols.lane(lane) as u32 + self.bw_lo - self.row);
+                        self.vals.push(vals.lane(lane));
                     }
                 }
                 m.int_op(Deps::from(entry_load));
@@ -559,11 +560,12 @@ impl CallbackHandler for CsrBuildHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_ENTRY => {
-                let coords = entry.operands[0].as_indexes();
-                let vals = entry.operands[1].as_f64s();
+                let coords = entry.operands[0].indexes();
+                let vals = entry.operands[1].f64s();
                 for lane in 0..coords.len() {
-                    if entry.mask & (1 << lane) != 0 && coords[lane] as u32 != EMPTY {
-                        self.pending.push((coords[lane] as u32, vals[lane]));
+                    if entry.mask & (1 << lane) != 0 && coords.lane(lane) as u32 != EMPTY {
+                        self.pending
+                            .push((coords.lane(lane) as u32, vals.lane(lane)));
                     }
                 }
                 m.int_op(Deps::from(entry_load));

@@ -19,8 +19,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use tmu::{
-    CallbackHandler, Event, LayerId, LayerMode, OperandId, OutQEntry, Program, ProgramBuilder,
-    StreamRef, StreamTy, TuId,
+    CallbackHandler, Event, Lanes, LayerId, LayerMode, OperandId, OutQEntry, Program,
+    ProgramBuilder, StreamRef, StreamTy, TuId,
 };
 use tmu_sim::{Deps, Machine, OpId, Region, Site, VecMachine};
 
@@ -766,16 +766,16 @@ fn entry_add(out: &mut BTreeMap<Vec<u32>, f64>, key: Vec<u32>, v: f64) {
 }
 
 /// Materialized factor values of one body entry.
-enum FVal {
-    V(Vec<f64>),
+enum FVal<'a> {
+    V(Lanes<'a, f64>),
     S(f64),
 }
 
-fn factor_vals(factors: &[FactorSrc], entry: &OutQEntry) -> Vec<FVal> {
+fn factor_vals<'a>(factors: &[FactorSrc], entry: &'a OutQEntry) -> Vec<FVal<'a>> {
     factors
         .iter()
         .map(|f| match f {
-            FactorSrc::Vec(i) => FVal::V(entry.operands[*i].as_f64s()),
+            FactorSrc::Vec(i) => FVal::V(entry.operands[*i].f64s()),
             FactorSrc::Scalar(i) => FVal::S(entry.operands[*i].as_f64()),
         })
         .collect()
@@ -785,12 +785,12 @@ fn lane_product(fv: &[FVal], lane: usize) -> f64 {
     let mut it = fv.iter();
     let first = it.next().expect("at least one factor");
     let mut p = match first {
-        FVal::V(v) => v[lane],
+        FVal::V(v) => v.lane(lane),
         FVal::S(s) => *s,
     };
     for f in it {
         p *= match f {
-            FVal::V(v) => v[lane],
+            FVal::V(v) => v.lane(lane),
             FVal::S(s) => *s,
         };
     }
@@ -869,8 +869,8 @@ impl CallbackHandler for ExprHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         if entry.callback >= CB_SLOT_BASE {
             let k = (entry.callback - CB_SLOT_BASE) as usize;
-            let keys = entry.operands[0].as_indexes();
-            self.slots[k] = keys[entry.mask.trailing_zeros() as usize];
+            let keys = entry.operands[0].indexes();
+            self.slots[k] = keys.lane(entry.mask.trailing_zeros() as usize);
             return;
         }
         match entry.callback {
@@ -896,10 +896,10 @@ impl CallbackHandler for ExprHandler {
                         self.acc_dep = m.vec_op(active, Deps::on(&[mul, self.acc_dep]));
                     }
                     BodyKind::ScatterLanes { keys, factors } => {
-                        let keyv = entry.operands[keys].as_indexes();
+                        let keyv = entry.operands[keys].indexes();
                         let fv = factor_vals(&factors, entry);
                         let mul = m.vec_op(active, Deps::from(entry_load));
-                        for (lane, &k) in keyv.iter().enumerate() {
+                        for (lane, k) in keyv.iter().enumerate() {
                             if entry.mask & (1 << lane) == 0 {
                                 continue;
                             }
@@ -909,10 +909,10 @@ impl CallbackHandler for ExprHandler {
                         self.store(m, mul);
                     }
                     BodyKind::ScatterMerged { keys, vals } => {
-                        let keyv = entry.operands[keys].as_indexes();
-                        let sum: f64 = entry.operands[vals].as_f64s().iter().sum();
+                        let keyv = entry.operands[keys].indexes();
+                        let sum: f64 = entry.operands[vals].f64s().iter().sum();
                         let first = entry.mask.trailing_zeros() as usize;
-                        let key = self.key_for(entry, keyv[first]);
+                        let key = self.key_for(entry, keyv.lane(first));
                         entry_add(&mut self.out, key, sum);
                         let add = m.vec_op(active, Deps::from(entry_load));
                         self.store(m, add);

@@ -33,6 +33,9 @@ pub struct CpAls {
 }
 
 impl CpAls {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds `tensor` (order 3) for one ALS sweep.
     pub fn new(tensor: &CooTensor) -> Self {
         assert_eq!(tensor.order(), 3, "CP-ALS fixture uses order-3 tensors");
@@ -125,7 +128,7 @@ impl Workload for CpAls {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

@@ -73,6 +73,9 @@ pub struct Mttkrp {
 }
 
 impl Mttkrp {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds tensor `t` (order ≥ 3; trailing modes beyond the third are
     /// fused into the third) with deterministic dense factors.
     pub fn new(tensor: &CooTensor, variant: MttkrpVariant) -> Self {
@@ -382,8 +385,8 @@ impl CallbackHandler for MttkrpHandler {
             CB_RANK => {
                 // MP: lanes carry B and C stripes for rank positions
                 // `lane + rank_step·lanes`.
-                let bsv = entry.operands[0].as_f64s();
-                let csv = entry.operands[1].as_f64s();
+                let bsv = entry.operands[0].f64s();
+                let csv = entry.operands[1].f64s();
                 let v = entry.operands[2].as_f64();
                 let i = entry.operands[3].as_index() as u32;
                 if self.cur_i != Some(i) {
@@ -391,7 +394,7 @@ impl CallbackHandler for MttkrpHandler {
                     self.cur_i = Some(i);
                     self.rank_step = 0;
                 }
-                for (lane, (&bv, &cv)) in bsv.iter().zip(&csv).enumerate() {
+                for (lane, (bv, cv)) in bsv.iter().zip(csv.iter()).enumerate() {
                     if entry.mask & (1 << lane) != 0 {
                         let r = lane + self.rank_step * self.lanes;
                         self.acc[r] += v * bv * cv;
@@ -407,19 +410,19 @@ impl CallbackHandler for MttkrpHandler {
             }
             CB_COORDS => {
                 // CP: the core fetches the factor rows itself.
-                let is = entry.operands[0].as_indexes();
-                let ks = entry.operands[1].as_indexes();
-                let ls = entry.operands[2].as_indexes();
-                let vs = entry.operands[3].as_f64s();
+                let is = entry.operands[0].indexes();
+                let ks = entry.operands[1].indexes();
+                let ls = entry.operands[2].indexes();
+                let vs = entry.operands[3].f64s();
                 for lane in 0..is.len() {
                     if entry.mask & (1 << lane) == 0 {
                         continue;
                     }
                     let (i, k, l, v) = (
-                        is[lane] as u32,
-                        ks[lane] as usize,
-                        ls[lane] as usize,
-                        vs[lane],
+                        is.lane(lane) as u32,
+                        ks.lane(lane) as usize,
+                        ls.lane(lane) as usize,
+                        vs.lane(lane),
                     );
                     if self.cur_i != Some(i) {
                         self.flush(m);
@@ -463,7 +466,7 @@ impl Workload for Mttkrp {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

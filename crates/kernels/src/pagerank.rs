@@ -56,6 +56,9 @@ pub struct PageRank {
 }
 
 impl PageRank {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds graph `adj` (rows list in-neighbours) for one iteration.
     pub fn new(adj_mat: &CsrMatrix) -> Self {
         let n = adj_mat.rows();
@@ -257,7 +260,7 @@ impl CallbackHandler for PageRankHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let c = entry.operands[0].as_f64s();
+                let c = entry.operands[0].f64s();
                 self.sum += c.iter().sum::<f64>();
                 let active = entry.mask.count_ones();
                 self.sum_dep = m.vec_op(active, Deps::on(&[entry_load, self.sum_dep]));
@@ -287,7 +290,7 @@ impl Workload for PageRank {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

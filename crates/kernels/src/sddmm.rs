@@ -210,9 +210,9 @@ impl CallbackHandler for SddmmHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let vs = entry.operands[0].as_f64s();
+                let vs = entry.operands[0].f64s();
                 self.aval = entry.operands[1].as_f64();
-                for (lane, &vv) in vs.iter().enumerate() {
+                for (lane, vv) in vs.iter().enumerate() {
                     if entry.mask & (1 << lane) != 0 {
                         let r = lane + self.rank_step * self.lanes;
                         self.dot += vv * self.u[self.next_row * RANK + r];

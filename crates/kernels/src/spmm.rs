@@ -48,6 +48,9 @@ pub struct Spmm {
 }
 
 impl Spmm {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds matrix `a` with a deterministic dense right-hand side.
     pub fn new(a_mat: &CsrMatrix) -> Self {
         let b_vals: Vec<f64> = (0..a_mat.cols() * RANK)
@@ -224,9 +227,9 @@ impl CallbackHandler for SpmmHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let bs = entry.operands[0].as_f64s();
+                let bs = entry.operands[0].f64s();
                 let v = entry.operands[1].as_f64();
-                for (lane, &bv) in bs.iter().enumerate() {
+                for (lane, bv) in bs.iter().enumerate() {
                     if entry.mask & (1 << lane) != 0 {
                         let r = lane + self.rank_step * self.lanes;
                         self.acc[r] += v * bv;
@@ -265,7 +268,7 @@ impl Workload for Spmm {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

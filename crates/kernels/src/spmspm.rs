@@ -61,6 +61,9 @@ pub struct Spmspm {
 }
 
 impl Spmspm {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::ComputeIntensive;
+
     /// Binds `A` (and computes `B = Aᵀ`) for simulation.
     pub fn new(a_mat: &CsrMatrix) -> Self {
         let b_mat = a_mat.transpose();
@@ -288,12 +291,12 @@ impl CallbackHandler for SpmspmHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_JI => {
-                let idxs = entry.operands[0].as_indexes();
-                let vals = entry.operands[1].as_f64s();
+                let idxs = entry.operands[0].indexes();
+                let vals = entry.operands[1].f64s();
                 let a_val = entry.operands[2].as_f64();
                 let active = entry.mask.count_ones();
                 let mul = m.vec_op(active, Deps::from(entry_load));
-                for (lane, (&j, &bv)) in idxs.iter().zip(&vals).enumerate() {
+                for (lane, (j, bv)) in idxs.iter().zip(vals.iter()).enumerate() {
                     if entry.mask & (1 << lane) == 0 {
                         continue;
                     }
@@ -372,7 +375,7 @@ impl Workload for Spmspm {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::ComputeIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

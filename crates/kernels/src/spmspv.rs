@@ -46,6 +46,9 @@ pub struct Spmspv {
 }
 
 impl Spmspv {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MergeIntensive;
+
     /// Binds matrix `a` with a deterministic sparse vector of density
     /// `density` (fraction of non-zero positions).
     pub fn new(a_mat: &CsrMatrix, density: f64) -> Self {
@@ -220,8 +223,8 @@ impl CallbackHandler for SpmspvHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_MATCH => {
-                let vals = entry.operands[0].as_f64s();
-                self.sum += vals[0] * vals[1];
+                let vals = entry.operands[0].f64s();
+                self.sum += vals.lane(0) * vals.lane(1);
                 self.sum_dep = m.fp_op(2, Deps::on(&[entry_load, self.sum_dep]));
             }
             CB_ROW_END => {
@@ -247,7 +250,7 @@ impl Workload for Spmspv {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MergeIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

@@ -59,6 +59,9 @@ pub struct Spmv {
 }
 
 impl Spmv {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds matrix `a` (with a deterministic dense vector) for simulation.
     pub fn new(a: &CsrMatrix) -> Self {
         Self::with_vector(a, operand_vector(a.cols()))
@@ -226,11 +229,11 @@ impl CallbackHandler for SpmvP0Handler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let nnz = entry.operands[0].as_f64s();
-                let vecv = entry.operands[1].as_f64s();
+                let nnz = entry.operands[0].f64s();
+                let vecv = entry.operands[1].f64s();
                 for lane in 0..self.lanes.min(nnz.len()) {
                     if entry.mask & (1 << lane) != 0 {
-                        self.sums[lane] += nnz[lane] * vecv[lane];
+                        self.sums[lane] += nnz.lane(lane) * vecv.lane(lane);
                     }
                 }
                 // Per-lane FMA into a vector accumulator: no cross-lane
@@ -331,9 +334,9 @@ impl CallbackHandler for SpmvHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let nnz = entry.operands[0].as_f64s();
-                let vecv = entry.operands[1].as_f64s();
-                self.sum += nnz.iter().zip(&vecv).map(|(a, b)| a * b).sum::<f64>();
+                let nnz = entry.operands[0].f64s();
+                let vecv = entry.operands[1].f64s();
+                self.sum += nnz.iter().zip(vecv.iter()).map(|(a, b)| a * b).sum::<f64>();
                 let active = entry.mask.count_ones();
                 let mul = m.vec_op(active, Deps::from(entry_load));
                 self.sum_dep = m.vec_op(active, Deps::on(&[mul, self.sum_dep]));
@@ -367,7 +370,7 @@ impl Workload for Spmv {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

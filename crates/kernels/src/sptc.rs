@@ -61,6 +61,9 @@ pub struct Sptc {
 }
 
 impl Sptc {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MergeIntensive;
+
     /// Binds tensors `a` (i,k,l) and `b` (l,k,j) for the symbolic phase.
     pub fn new(a_t: &CooTensor, b_t: &CooTensor) -> Self {
         assert_eq!(a_t.order(), 3, "SpTC contracts order-3 tensors");
@@ -386,7 +389,7 @@ impl Workload for Sptc {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MergeIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

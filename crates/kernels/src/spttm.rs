@@ -47,6 +47,9 @@ pub struct Spttm {
 }
 
 impl Spttm {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds order-3 tensor `t` (as CSF) with a deterministic factor.
     pub fn new(tensor: &CooTensor) -> Self {
         assert_eq!(tensor.order(), 3, "SpTTM needs an order-3 tensor");
@@ -230,9 +233,9 @@ impl CallbackHandler for SpttmHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_RI => {
-                let bs = entry.operands[0].as_f64s();
+                let bs = entry.operands[0].f64s();
                 let v = entry.operands[1].as_f64();
-                for (lane, &bv) in bs.iter().enumerate() {
+                for (lane, bv) in bs.iter().enumerate() {
                     if entry.mask & (1 << lane) != 0 {
                         let r = lane + self.rank_step * self.lanes;
                         self.acc[r] += v * bv;
@@ -271,7 +274,7 @@ impl Workload for Spttm {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

@@ -43,6 +43,9 @@ pub struct Spttv {
 }
 
 impl Spttv {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MemoryIntensive;
+
     /// Binds order-3 tensor `t` (as CSF) with a deterministic vector.
     pub fn new(tensor: &CooTensor) -> Self {
         assert_eq!(tensor.order(), 3, "SpTTV needs an order-3 tensor");
@@ -226,9 +229,9 @@ impl CallbackHandler for SpttvHandler {
     fn handle(&mut self, entry: &OutQEntry, entry_load: OpId, m: &mut VecMachine) {
         match entry.callback {
             CB_KI => {
-                let vals = entry.operands[0].as_f64s();
-                let bs = entry.operands[1].as_f64s();
-                self.sum += vals.iter().zip(&bs).map(|(a, b)| a * b).sum::<f64>();
+                let vals = entry.operands[0].f64s();
+                let bs = entry.operands[1].f64s();
+                self.sum += vals.iter().zip(bs.iter()).map(|(a, b)| a * b).sum::<f64>();
                 let active = entry.mask.count_ones();
                 let mul = m.vec_op(active, Deps::from(entry_load));
                 self.sum_dep = m.vec_op(active, Deps::on(&[mul, self.sum_dep]));
@@ -256,7 +259,7 @@ impl Workload for Spttv {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MemoryIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

@@ -46,6 +46,9 @@ pub struct TriangleCount {
 }
 
 impl TriangleCount {
+    /// Workload category.
+    pub const KIND: KernelKind = KernelKind::MergeIntensive;
+
     /// Binds graph `adj` (symmetrized, lower triangle extracted).
     pub fn new(adj: &CsrMatrix) -> Self {
         // Symmetrize the structure, then take the strict lower triangle.
@@ -214,7 +217,7 @@ impl Workload for TriangleCount {
     }
 
     fn kind(&self) -> KernelKind {
-        KernelKind::MergeIntensive
+        Self::KIND
     }
 
     fn run_baseline(&self, cfg: SystemConfig) -> RunStats {

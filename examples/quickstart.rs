@@ -74,9 +74,9 @@ fn main() {
     let mut sum = 0.0;
     tmu::for_each_entry(&program, &image, |entry| match entry.callback {
         0 => {
-            let n = entry.operands[0].as_f64s();
-            let v = entry.operands[1].as_f64s();
-            sum += n.iter().zip(&v).map(|(a, b)| a * b).sum::<f64>();
+            let n = entry.operands[0].f64s();
+            let v = entry.operands[1].f64s();
+            sum += n.iter().zip(v.iter()).map(|(a, b)| a * b).sum::<f64>();
         }
         _ => {
             x.push(sum);

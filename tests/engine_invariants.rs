@@ -78,9 +78,9 @@ proptest! {
         let mut sum = 0.0;
         tmu::for_each_entry(&fx.program, &fx.image, |e| match e.callback {
             0 => {
-                let n = e.operands[0].as_f64s();
-                let v = e.operands[1].as_f64s();
-                sum += n.iter().zip(&v).map(|(a, b)| a * b).sum::<f64>();
+                let n = e.operands[0].f64s();
+                let v = e.operands[1].f64s();
+                sum += n.iter().zip(v.iter()).map(|(a, b)| a * b).sum::<f64>();
             }
             _ => {
                 x.push(sum);
@@ -139,7 +139,7 @@ proptest! {
                 }
                 last_ordinal.insert(key, ld.elem_ordinal);
                 // Dependencies always point backwards.
-                for &d in &ld.deps {
+                for &d in ld.deps() {
                     prop_assert!(d < ld.id);
                 }
             }

@@ -69,8 +69,9 @@ fn functional_walkthrough_matches_figure9() {
     let first = &entries[0];
     assert_eq!(first.callback, 0);
     assert_eq!(first.mask, 0b11);
-    assert_eq!(first.operands[0].as_f64s(), vec![1.0, 2.0]);
-    assert_eq!(first.operands[1].as_f64s(), vec![10.0, 30.0]);
+    let lanes = |k: usize| first.operands[k].f64s().iter().collect::<Vec<_>>();
+    assert_eq!(lanes(0), vec![1.0, 2.0]);
+    assert_eq!(lanes(1), vec![10.0, 30.0]);
     // Stream totals: 3 ri steps (rows 0, 2, 3) + 4 re steps.
     assert_eq!(entries.iter().filter(|e| e.callback == 0).count(), 3);
     assert_eq!(entries.iter().filter(|e| e.callback == 1).count(), 4);

@@ -46,9 +46,9 @@ fn run_tmu_merge(fibers: &[(Vec<u32>, Vec<f64>)], conjunctive: bool) -> Vec<(i64
         .map(|e| {
             let first = e.mask.trailing_zeros() as usize;
             (
-                e.operands[0].as_indexes()[first],
+                e.operands[0].indexes().lane(first),
                 e.mask,
-                e.operands[1].as_f64s(),
+                e.operands[1].f64s().iter().collect(),
             )
         })
         .collect()
